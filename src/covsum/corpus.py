@@ -178,9 +178,11 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Read a JSONL corpus file into Documents, in file order.
 
     Raises :class:`CorpusError` naming the offending line for malformed
-    records; blank lines are skipped.
+    records, and both lines for a repeated document id; blank lines are
+    skipped.
     """
     docs = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -189,7 +191,13 @@ def load_corpus(path: str | Path) -> list[Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            docs.append(_parse_document(record, line_no))
+            doc = _parse_document(record, line_no)
+            seen = first_line.setdefault(doc.id, line_no)
+            if seen != line_no:
+                raise CorpusError(
+                    f"line {line_no}: duplicate document id {doc.id!r} (first on line {seen})"
+                )
+            docs.append(doc)
     return docs
 
 

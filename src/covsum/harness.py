@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,6 +203,19 @@ def _safe_name(doc_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
 
 
+def _check_model_names(docs: list[Document]) -> None:
+    """Refuse ids whose per-document model files would overwrite each other."""
+    owner: dict[str, str] = {}
+    for doc in docs:
+        name = _safe_name(doc.id)
+        other = owner.setdefault(name, doc.id)
+        if other != doc.id:
+            raise ConfigError(
+                f"document ids {other!r} and {doc.id!r} both map to the model file "
+                f"{name}.cvem; rename one for per_document_training"
+            )
+
+
 def _model_path(out_dir: Path, kind: str, doc_id: str | None = None) -> Path:
     if doc_id is None:
         return out_dir / "models" / f"{kind}.cvem"
@@ -209,7 +223,12 @@ def _model_path(out_dir: Path, kind: str, doc_id: str | None = None) -> Path:
 
 
 class _ModelStore:
-    """Lazy access to trained models for one experiment directory."""
+    """Lazy access to trained models for one experiment directory.
+
+    Holds at most one model per kind: the corpus model, or in per-document
+    mode the model of the last document asked for, which is dropped as soon
+    as another document's model of that kind is needed.
+    """
 
     def __init__(
         self, config: ExperimentConfig, docs: list[Document], vocab: Vocabulary
@@ -218,7 +237,9 @@ class _ModelStore:
         self._per_doc = config.per_document_training
         self._docs = docs
         self._vocab = vocab
-        self._models: dict[tuple[str, str | None], EmbeddingModel] = {}
+        if self._per_doc:
+            _check_model_names(docs)
+        self._models: dict[str, tuple[str | None, EmbeddingModel]] = {}
         self._index: dict[str, ParagraphIds] | None = None
 
     def _para_ids(self, doc: Document) -> ParagraphIds:
@@ -236,16 +257,18 @@ class _ModelStore:
         kind = next((p.lower() for p in parts if p != "BOW"), None)
         if kind is None:
             return None, None
-        key = (kind, doc.id if self._per_doc else None)
-        if key not in self._models:
-            path = _model_path(self._out, kind, key[1])
+        owner = doc.id if self._per_doc else None
+        cached = self._models.get(kind)
+        if cached is None or cached[0] != owner:
+            self._models.pop(kind, None)
+            path = _model_path(self._out, kind, owner)
             if not path.is_file():
                 raise FileNotFoundError(
                     f"representation {representation} needs a trained {kind} model "
                     f"at {path}; run the train subcommand first"
                 )
-            self._models[key] = load_model(path)
-        return self._models[key], self._para_ids(doc)
+            cached = self._models[kind] = (owner, load_model(path))
+        return cached[1], self._para_ids(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +287,7 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         return saved
 
     if config.per_document_training:
+        _check_model_names(docs)
         for kind in kinds:
             for doc in docs:
                 paragraphs, _ = build_training_paragraphs([doc], vocab)
@@ -290,30 +314,47 @@ def _cell_path(out_dir: Path, representation: str, method: str) -> Path:
 
 
 def cmd_summarize(config: ExperimentConfig) -> list[Path]:
-    """Summarize every document under the full method x representation grid."""
+    """Summarize every document under the full method x representation grid.
+
+    Documents are the outer loop, with every grid cell's file open, so a
+    per-document model is loaded once and dropped after its document. Cells
+    are written to ``.part`` files and renamed once every document is done,
+    so a failed run never leaves a cell that holds only some documents.
+    """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
     targets = _eval_docs(config, docs)
     store = _ModelStore(config, docs, vocab)
     out_dir = Path(config.output_dir)
-    written: list[Path] = []
-    for representation in config.representations:
-        views = []
+    selectors = [
+        SelectorConfig(method=method, alpha=config.alpha, ratio=config.ratio)
+        for method in config.methods
+    ]
+    cells = {
+        (representation, method): _cell_path(out_dir, representation, method)
+        for representation in config.representations
+        for method in config.methods
+    }
+    parts = {cell: path.with_name(path.name + ".part") for cell, path in cells.items()}
+    (out_dir / "summaries").mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        files = {
+            cell: stack.enter_context(open(part, "w", encoding="utf-8"))
+            for cell, part in parts.items()
+        }
         for doc in targets:
-            model, para_ids = store.model_for(representation, doc)
-            views.append(
-                build_docview(doc, representation, vocab, model=model, para_ids=para_ids)
-            )
-        for method in config.methods:
-            cfg = SelectorConfig(method=method, alpha=config.alpha, ratio=config.ratio)
-            path = _cell_path(out_dir, representation, method)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                for view in views:
+            for representation in config.representations:
+                model, para_ids = store.model_for(representation, doc)
+                view = build_docview(
+                    doc, representation, vocab, model=model, para_ids=para_ids
+                )
+                for cfg in selectors:
                     record = {"representation": representation}
                     record.update(greedy_select(view, cfg).to_dict())
-                    fh.write(json.dumps(record) + "\n")
-            written.append(path)
+                    files[representation, cfg.method].write(json.dumps(record) + "\n")
+    for cell, path in cells.items():
+        parts[cell].replace(path)
+    written = list(cells.values())
     print(f"wrote {len(written)} grid cells x {len(targets)} documents")
     return written
 

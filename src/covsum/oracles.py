@@ -101,3 +101,24 @@ def lcs_exponential(a: list, b: list) -> int:
         if len(sub) > best and _is_subsequence(sub, other):
             best = len(sub)
     return best
+
+
+def lcs_dp(a: list, b: list) -> int:
+    """Longest common subsequence length via the classic two-row DP.
+
+    O(|a|·|b|) time; the reference for ``rouge.lcs_length`` on long inputs.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[len(b)]

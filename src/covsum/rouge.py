@@ -57,33 +57,39 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     """Multiset of contiguous n-grams; empty if the sequence is too short."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _clipped(cand: Counter, ref: Counter) -> RougeScore:
+    """Precision/recall/F of the clipped overlap of two n-gram multisets."""
+    small, large = (cand, ref) if len(cand) <= len(ref) else (ref, cand)
+    overlap = sum((small & large).values())
+    return _prf(overlap, cand.total(), ref.total())
 
 
 def rouge_n(candidate: TokenSeq, reference: TokenSeq, n: int) -> RougeScore:
     """Clipped n-gram overlap precision/recall/F between two token sequences."""
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
-    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return _prf(overlap, sum(cand.values()), sum(ref.values()))
+    return _clipped(ngram_counts(candidate, n), ngram_counts(reference, n))
 
 
 def lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    """Longest common subsequence length via the classic two-row DP."""
+    """Longest common subsequence length, bit-parallel (Hyyrö 2004).
+
+    Bit i of ``masks[tok]`` marks ``tok`` at position i of the longer
+    sequence; ``v`` holds one bit per such position and is updated once per
+    token of the shorter one. The zero bits of the final ``v`` count the LCS.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[len(b)]
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> RougeScore:
@@ -105,14 +111,15 @@ def evaluate(summary_sentences: Sequence[TokenSeq], references) -> RougeReport:
     if not references:
         raise ValueError("at least one reference summary is required")
     candidate = _flatten(summary_sentences)
+    cand1, cand2 = ngram_counts(candidate, 1), ngram_counts(candidate, 2)
 
     per_ref = []
     for ref in references:
         ref_tokens = _flatten(ref.sentences)
         per_ref.append(
             ReferenceScores(
-                rouge1=rouge_n(candidate, ref_tokens, 1),
-                rouge2=rouge_n(candidate, ref_tokens, 2),
+                rouge1=_clipped(cand1, ngram_counts(ref_tokens, 1)),
+                rouge2=_clipped(cand2, ngram_counts(ref_tokens, 2)),
                 rougeL=rouge_l(candidate, ref_tokens),
             )
         )

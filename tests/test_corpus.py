@@ -91,6 +91,18 @@ def test_load_errors_name_the_line(tmp_path):
         load_corpus(path)
 
 
+def test_duplicate_ids_name_both_lines(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    lines = [
+        {"id": "a", "sentences": [["x"]]},
+        {"id": "b", "sentences": [["y"]]},
+        {"id": "a", "sentences": [["z"]]},
+    ]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(CorpusError, match=r"line 3: duplicate document id 'a' \(first on line 1\)"):
+        load_corpus(path)
+
+
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "gaps.jsonl"
     path.write_text('\n{"id": "x", "sentences": [["a"]]}\n\n')

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from covsum import harness
 from covsum.corpus import save_corpus
 from covsum.harness import (
     ConfigError,
@@ -193,6 +195,11 @@ def test_summarize_without_model_names_it(tmp_path):
     config = run_config(tmp_path, grid_docs(), representations="BOW+DM")
     with pytest.raises(FileNotFoundError, match="BOW\\+DM.*dm model"):
         cmd_summarize(config)
+    # a cell is written whole or not at all
+    config = run_config(tmp_path, grid_docs(), representations="BOW,BOW+DM")
+    with pytest.raises(FileNotFoundError):
+        cmd_summarize(config)
+    assert not list((tmp_path / "out" / "summaries").glob("*.jsonl"))
 
 
 def test_evaluate_requires_references(tmp_path):
@@ -231,6 +238,50 @@ def test_per_document_training(tmp_path):
     cmd_summarize(config)
     tsv = cmd_evaluate(config)
     assert len(tsv.read_text().splitlines()) == 2
+
+
+def test_per_document_model_name_collision_names_both_ids(tmp_path):
+    docs = [
+        make_doc("a/b", [["alpha", "beta"], ["gamma", "delta"]]),
+        make_doc("a_b", [["red", "blue"], ["green", "blue"]]),
+    ]
+    config = run_config(
+        tmp_path, docs, representations="DBOW", methods="XDTD",
+        per_document_training="true",
+    )
+    with pytest.raises(ConfigError, match="'a/b' and 'a_b'.*a_b.cvem"):
+        cmd_train(config)
+    with pytest.raises(ConfigError, match="'a/b' and 'a_b'.*a_b.cvem"):
+        cmd_summarize(config)
+    assert not (tmp_path / "out" / "models").exists()
+
+
+def test_per_document_models_load_once_one_per_kind(tmp_path, monkeypatch):
+    config = run_config(
+        tmp_path, grid_docs(), representations="BOW,DBOW,BOW+DBOW",
+        per_document_training="true",
+    )
+    saved = cmd_train(config)
+    loads = Counter()
+    real_load = harness.load_model
+
+    def counting_load(path):
+        loads[path] += 1
+        return real_load(path)
+
+    held = []
+
+    class Probe(harness._ModelStore):
+        def model_for(self, representation, doc):
+            result = super().model_for(representation, doc)
+            held.append(len(self._models))
+            return result
+
+    monkeypatch.setattr(harness, "load_model", counting_load)
+    monkeypatch.setattr(harness, "_ModelStore", Probe)
+    cmd_summarize(config)
+    assert loads == Counter(saved)  # every per-document model exactly once
+    assert max(held) == 1  # one kind, so never more than one model held
 
 
 def test_missing_corpus_errors_with_path(tmp_path):

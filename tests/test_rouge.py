@@ -63,6 +63,24 @@ def test_lcs_matches_exponential_oracle(a, b):
     assert lcs_length(a, b) == oracles.lcs_exponential(a, b)
 
 
+@st.composite
+def long_pairs(draw):
+    symbols = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    return tuple(
+        draw(st.lists(symbols, min_size=n, max_size=n))
+        for n in (draw(st.integers(0, 300)), draw(st.integers(0, 300)))
+    )
+
+
+@given(long_pairs())
+def test_lcs_matches_dp_oracle_across_words(pair):
+    a, b = pair
+    # up to 300 tokens, so the bit vector spans several 64-bit words
+    expected = oracles.lcs_dp(a, b)
+    assert lcs_length(a, b) == expected
+    assert lcs_length(b, a) == expected
+
+
 @given(tokens, tokens)
 def test_rouge_swap_transposes_precision_recall(a, b):
     ab, ba = rouge_n(a, b, 1), rouge_n(b, a, 1)
