@@ -55,16 +55,6 @@ from .selection import (
 )
 from .selfcheck import CheckResult, run_all
 from .synthetic import build_selftest_corpus, random_documents
-from .vectors import (
-    ConcatVector,
-    DenseVector,
-    SparseVector,
-    bow_vector,
-    concat,
-    cosine,
-    idf,
-    normalize,
-)
 
 __all__ = [
     "CorpusError",
@@ -112,12 +102,4 @@ __all__ = [
     "run_all",
     "build_selftest_corpus",
     "random_documents",
-    "ConcatVector",
-    "DenseVector",
-    "SparseVector",
-    "bow_vector",
-    "concat",
-    "cosine",
-    "idf",
-    "normalize",
 ]

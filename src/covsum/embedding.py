@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, Vocabulary
-from .vectors import DenseVector
 
 KINDS = ("dm", "dbow")
 
@@ -178,7 +177,7 @@ def _predictor(
 
 def dm_context(
     model: EmbeddingModel, paragraph: TrainingParagraph, position: int
-) -> DenseVector:
+) -> np.ndarray:
     """Mean of the paragraph vector and the in-vectors of the preceding
     context words; positions near the start use whatever context exists."""
     if position < 0 or position >= len(paragraph.tokens):
@@ -191,17 +190,17 @@ def dm_context(
         position,
         model.context_size,
     )
-    return DenseVector(h)
+    return h
 
 
-def paragraph_vector(model: EmbeddingModel, paragraph_id: int) -> DenseVector:
+def paragraph_vector(model: EmbeddingModel, paragraph_id: int) -> np.ndarray:
     """Copy of one trained paragraph row."""
     if not 0 <= paragraph_id < model.num_paragraphs:
         raise IndexError(
             f"paragraph id {paragraph_id} out of range "
             f"(model has {model.num_paragraphs})"
         )
-    return DenseVector(model.para_matrix[paragraph_id].copy())
+    return model.para_matrix[paragraph_id].copy()
 
 
 def _validate_paragraphs(

@@ -39,6 +39,7 @@ from .selection import (
     SelectorConfig,
     build_docview,
     greedy_select,
+    parse_representation,
     summary_sentences,
 )
 from .selfcheck import run_all
@@ -192,11 +193,8 @@ def _eval_docs(config: ExperimentConfig, docs: list[Document]) -> list[Document]
 
 
 def _required_kinds(representations: tuple[str, ...]) -> list[str]:
-    kinds = []
-    for kind in ("dm", "dbow"):
-        if any(kind == p.lower() for rep in representations for p in rep.split("+")):
-            kinds.append(kind)
-    return kinds
+    needed = {parse_representation(rep)[1] for rep in representations}
+    return [kind for kind in ("dm", "dbow") if kind in needed]
 
 
 def _safe_name(doc_id: str) -> str:
@@ -253,8 +251,7 @@ class _ModelStore:
     def model_for(self, representation: str, doc: Document) -> tuple[
         EmbeddingModel | None, ParagraphIds | None
     ]:
-        parts = representation.split("+")
-        kind = next((p.lower() for p in parts if p != "BOW"), None)
+        _, kind = parse_representation(representation)
         if kind is None:
             return None, None
         owner = doc.id if self._per_doc else None

@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .corpus import Document, Sentence, Vocabulary
 from .embedding import EmbeddingModel, ParagraphIds, paragraph_vector
-from .vectors import AnyVector, bow_vector, concat, cosine
 
 METHODS = ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
 REPRESENTATIONS = ("BOW", "DM", "DBOW", "BOW+DM", "BOW+DBOW")
@@ -43,7 +43,6 @@ class SelectorConfig:
     method: str = "JXDTD"
     alpha: float = 1.0
     ratio: float = 0.10
-    budget_unit: str = "WORDS"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -52,8 +51,6 @@ class SelectorConfig:
             raise ValueError("alpha must be finite and >= 0")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
-        if self.budget_unit != "WORDS":
-            raise ValueError("only WORDS budgets are supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +64,6 @@ class DocView:
     word_counts: tuple[int, ...]
     rel: np.ndarray
     sim: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SubThemeModel:
-    sentence_given_subtheme: np.ndarray  # [s, k] = P(S_s | T_k), columns sum to 1 or 0
-    subtheme_given_doc: np.ndarray  # [k] = P(T_k | D), sums to 1
 
 
 @dataclass(frozen=True)
@@ -96,48 +87,90 @@ class Summary:
             "words_used": self.words_used,
         }
 
-def _sentence_vectors(
-    doc: Document,
-    representation: str,
-    vocab: Vocabulary | None,
-    model: EmbeddingModel | None,
-    para_ids: ParagraphIds | None,
-) -> tuple[list[AnyVector], AnyVector]:
-    parts = representation.split("+")
-    if "BOW" in parts and vocab is None:
-        raise ValueError("BOW representation requires a vocabulary")
-    dense_part = next((p for p in parts if p != "BOW"), None)
-    if dense_part is not None:
-        if model is None or para_ids is None:
-            raise ValueError(
-                f"{representation} representation requires a trained model "
-                "and the document's paragraph ids"
-            )
-        if model.kind != dense_part.lower():
-            raise ValueError(
-                f"model kind {model.kind!r} does not provide {dense_part} vectors"
-            )
-        if len(para_ids.sentences) != len(doc.sentences):
-            raise ValueError(
-                f"document {doc.id!r} has {len(doc.sentences)} sentences but "
-                f"{len(para_ids.sentences)} sentence paragraphs"
-            )
 
-    def make(tokens, pid):
-        built = []
-        for part in parts:
-            if part == "BOW":
-                built.append(bow_vector(tokens, vocab))
-            else:
-                built.append(paragraph_vector(model, pid))
-        return built[0] if len(built) == 1 else concat(built)
+def parse_representation(representation: str) -> tuple[tuple[str, ...], str | None]:
+    """The parts of a representation name, and the embedding kind (``"dm"``
+    or ``"dbow"``) it needs, or None when it is pure BOW."""
+    if representation not in REPRESENTATIONS:
+        raise ValueError(
+            f"representation must be one of {REPRESENTATIONS}, got {representation!r}"
+        )
+    parts = tuple(representation.split("+"))
+    return parts, next((p.lower() for p in parts if p != "BOW"), None)
 
-    sent_vecs = [
-        make(s.tokens, para_ids.sentences[i] if para_ids else None)
-        for i, s in enumerate(doc.sentences)
-    ]
-    doc_vec = make(doc.all_tokens(), para_ids.document if para_ids else None)
-    return sent_vecs, doc_vec
+
+def unit_rows(row: np.ndarray, w: np.ndarray, n_rows: int) -> np.ndarray:
+    """Scale in place the entries ``w`` of a sparse matrix, entry i lying in
+    row ``row[i]``, so that every row has unit Euclidean norm; zero rows stay zero.
+
+    Each row is first divided by its largest magnitude, so the squares summed
+    into the norm neither underflow nor overflow.
+    """
+    high, low = np.zeros(n_rows), np.zeros(n_rows)
+    np.maximum.at(high, row, w)
+    np.minimum.at(low, row, w)
+    peak = np.maximum(high, -low)
+    peak[peak == 0.0] = 1.0
+    w /= peak[row]
+    norm = np.zeros(n_rows)
+    np.add.at(norm, row, w * w)
+    norm = np.sqrt(norm)
+    norm[norm == 0.0] = 1.0
+    w /= norm[row]
+    return w
+
+
+# A representation part as a sparse matrix: (row, column, weight) of every
+# stored entry in row-major order, plus the number of columns. Row 0 is the
+# document, rows 1..n its sentences.
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
+    """TF-IDF over the terms the document uses, columns indexed by term id.
+    Out-of-vocabulary tokens are skipped, and so are terms found in every
+    document, whose weight is 0."""
+    df, n_docs = vocab.doc_freq, vocab.num_docs
+    ids = [[t for t in vocab.ids(s.tokens) if df[t] < n_docs] for s in doc.sentences]
+    terms = np.fromiter(chain.from_iterable(ids), dtype=np.intp)
+    rows = np.repeat(np.arange(1, len(ids) + 1), [len(i) for i in ids])
+    # Every token counts once in its sentence's row and once in the document's.
+    keys, tf = np.unique(np.concatenate([terms, rows * vocab.size + terms]), return_counts=True)
+    row, col = np.divmod(keys, vocab.size)
+    return row, col, tf * np.log(n_docs / np.asarray(df, dtype=np.float64)[col]), vocab.size
+
+
+def _paragraph_entries(model: EmbeddingModel, para_ids: ParagraphIds) -> Entries:
+    """The model's paragraph vectors for the document and its sentences, dense."""
+    m = np.stack(
+        [paragraph_vector(model, p) for p in (para_ids.document, *para_ids.sentences)]
+    )
+    if not np.isfinite(m).all():
+        raise ValueError(f"{model.kind} model has non-finite paragraph vectors")
+    n_rows, dim = m.shape
+    return np.repeat(np.arange(n_rows), dim), np.tile(np.arange(dim), n_rows), m.ravel(), dim
+
+
+def _cosines(
+    row: np.ndarray, col: np.ndarray, u: np.ndarray, n_cols: int, n_rows: int
+) -> np.ndarray:
+    """Cosines between all pairs of rows of a sparse matrix with unit rows.
+
+    Entry (a, b) adds up u[a, t] * u[b, t] one product at a time, in column
+    order, over the columns t that row b stores. Where row a stores nothing
+    the product is a zero, which leaves the sum as it is. So the entry only
+    depends on the columns both rows store: it equals entry (b, a) exactly,
+    and equal rows get equal entries wherever they sit.
+    """
+    g = np.zeros((n_rows, n_rows))
+    dense = np.zeros(n_cols)
+    starts = np.searchsorted(row, np.arange(n_rows + 1))
+    for a in range(n_rows):
+        own = slice(starts[a], starts[a + 1])
+        dense[col[own]] = u[own]
+        np.add.at(g[a], row, u * dense[col])
+        dense[col[own]] = 0.0
+    return g
 
 
 def build_docview(
@@ -147,28 +180,52 @@ def build_docview(
     model: EmbeddingModel | None = None,
     para_ids: ParagraphIds | None = None,
 ) -> DocView:
-    """Vectorize a document and precompute its relevance/similarity tables."""
-    if representation not in REPRESENTATIONS:
-        raise ValueError(
-            f"representation must be one of {REPRESENTATIONS}, got {representation!r}"
-        )
+    """Vectorize a document and precompute its relevance/similarity tables.
+
+    Every representation part gives one matrix, the document in row 0 and
+    its sentences below, with its rows scaled to unit length. The table is
+    the mean of the parts' Gram matrices (cosines), clamped into [0, 1]:
+    ``rel`` is its document row and ``sim`` its sentence block. A zero row
+    scores 0 against everything.
+    """
+    parts, kind = parse_representation(representation)
     if not doc.sentences:
         raise ValueError(f"document {doc.id!r} has no sentences")
+    if "BOW" in parts and vocab is None:
+        raise ValueError("BOW representation requires a vocabulary")
+    if kind is not None:
+        if model is None or para_ids is None:
+            raise ValueError(
+                f"{representation} representation requires a trained model "
+                "and the document's paragraph ids"
+            )
+        if model.kind != kind:
+            raise ValueError(
+                f"model kind {model.kind!r} does not provide {kind.upper()} vectors"
+            )
+        if len(para_ids.sentences) != len(doc.sentences):
+            raise ValueError(
+                f"document {doc.id!r} has {len(doc.sentences)} sentences but "
+                f"{len(para_ids.sentences)} sentence paragraphs"
+            )
 
-    sent_vecs, doc_vec = _sentence_vectors(doc, representation, vocab, model, para_ids)
-    n = len(sent_vecs)
-    rel = np.array([cosine(v, doc_vec) for v in sent_vecs])
-    sim = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            sim[i, j] = sim[j, i] = cosine(sent_vecs[i], sent_vecs[j])
+    n_rows = len(doc.sentences) + 1
+    gram = np.zeros((n_rows, n_rows))
+    for part in parts:
+        if part == "BOW":
+            row, col, w, n_cols = _bow_entries(doc, vocab)
+        else:
+            row, col, w, n_cols = _paragraph_entries(model, para_ids)
+        gram += _cosines(row, col, unit_rows(row, w, n_rows), n_cols, n_rows)
+    gram /= len(parts)
+    np.clip(gram, 0.0, 1.0, out=gram)
 
     return DocView(
         doc_id=doc.id,
         sentences=doc.sentences,
         word_counts=tuple(len(s.tokens) for s in doc.sentences),
-        rel=rel,
-        sim=sim,
+        rel=gram[0, 1:],
+        sim=gram[1:, 1:],
     )
 
 
@@ -184,13 +241,10 @@ def sentence_given_subtheme(sim: np.ndarray) -> np.ndarray:
     only with all-zero vectors) stays all-zero rather than uniform: such a
     sub-theme should attract nothing.
     """
-    n = sim.shape[0]
-    p = np.zeros((n, n))
-    for k in range(n):
-        mass = np.sum(sim[:, k])
-        if mass > 0.0:
-            p[:, k] = sim[:, k] / mass
-    return p
+    # Row sums of the transpose: the same pairwise summation as np.sum of
+    # one column, which a reduction over axis 0 would not be.
+    mass = np.ascontiguousarray(sim.T).sum(axis=1)
+    return np.divide(sim, mass, out=np.zeros(sim.shape), where=mass > 0.0)
 
 
 def subtheme_given_doc(rel: np.ndarray) -> np.ndarray:
@@ -205,90 +259,63 @@ def subtheme_given_doc(rel: np.ndarray) -> np.ndarray:
     return np.full(len(rel), 1.0 / len(rel))
 
 
-def build_subthemes(view: DocView) -> SubThemeModel:
-    return SubThemeModel(
-        sentence_given_subtheme=sentence_given_subtheme(view.sim),
-        subtheme_given_doc=subtheme_given_doc(view.rel),
-    )
-
-
-def cov_mmr(sim: np.ndarray, selected: list[int], s: int) -> float:
-    """Negated mean similarity to the selected set; 0 while nothing is selected."""
-    if not selected:
-        return 0.0
-    return -math.fsum(sim[sp, s] for sp in selected) / len(selected)
-
-
-def cov_xdtd(themes: SubThemeModel, s: int) -> float:
-    """Expected coverage sum_k P(S|T_k) P(T_k|D); independent of the selection."""
-    return float(np.sum(themes.sentence_given_subtheme[s] * themes.subtheme_given_doc))
-
-
-def dissatisfaction(themes: SubThemeModel, selected: list[int]) -> np.ndarray:
-    """Per-sub-theme prod(1 - P(S'|T_k)) over the selected sentences."""
-    dis = np.ones(len(themes.subtheme_given_doc))
+def dissatisfaction(p_sent: np.ndarray, selected: list[int]) -> np.ndarray:
+    """Per-sub-theme prod(1 - P(S'|T_k)) over the selected sentences S',
+    given ``p_sent`` = P(S|T) from :func:`sentence_given_subtheme`."""
+    dis = np.ones(len(p_sent))
     for sp in selected:
-        dis = dis * (1.0 - themes.sentence_given_subtheme[sp])
+        dis = dis * (1.0 - p_sent[sp])
     return dis
 
 
-def cov_jxdtd(themes: SubThemeModel, dis: np.ndarray, s: int) -> float:
-    """XDTD weighted by current dissatisfaction; equals XDTD when nothing
-    is selected yet."""
-    return float(
-        np.sum(themes.sentence_given_subtheme[s] * dis * themes.subtheme_given_doc)
-    )
+def subtheme_coverage(p_sent: np.ndarray, p_theme: np.ndarray, dis: np.ndarray) -> np.ndarray:
+    """sum_k P(S|T_k) dis_k P(T_k|D) for every sentence S. With ``dis`` all
+    ones (nothing selected) this is XDTD; with the current dissatisfaction, JXDTD."""
+    terms = p_sent * dis
+    terms *= p_theme
+    return np.sum(terms, axis=1)
 
 
 def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
     """Select sentences under the word budget.
 
-    RELEVANCE_ONLY and XDTD scores never change as the selection grows, so
-    those run as a single sort; MMR and JXDTD re-score every remaining
-    sentence each step. Both paths share the budget rule: keep picking
-    while the words used so far are below ceil(ratio * total words), and
-    keep the pick that crosses the line.
+    Each step scores every sentence, masks the ones already taken and picks
+    the best, ties to the lower index. RELEVANCE_ONLY and XDTD scores never
+    change as the selection grows, so they are computed once; MMR and JXDTD
+    re-score every step. Picking goes on while the words used so far are
+    below ceil(ratio * total words), and the pick that crosses the line is kept.
     """
     n = len(view.word_counts)
     budget = math.ceil(config.ratio * sum(view.word_counts))
     method = config.method
-
-    themes = build_subthemes(view) if method in ("XDTD", "JXDTD") else None
+    if method in ("XDTD", "JXDTD"):
+        p_sent = sentence_given_subtheme(view.sim)
+        p_theme = subtheme_given_doc(view.rel)
 
     selected: list[int] = []
     scores: list[float] = []
     words_used = 0
 
-    if method in ("RELEVANCE_ONLY", "XDTD"):
-        if method == "XDTD":
-            base = [view.rel[s] + config.alpha * cov_xdtd(themes, s) for s in range(n)]
-        else:
-            base = [view.rel[s] + config.alpha * 0.0 for s in range(n)]
-        for s in sorted(range(n), key=lambda s: (-base[s], s)):
-            if words_used >= budget:
-                break
-            selected.append(s)
-            scores.append(float(base[s]))
-            words_used += view.word_counts[s]
-    else:
-        remaining = list(range(n))
-        dis = np.ones(n)
-        while remaining and words_used < budget:
-            best, best_score = None, None
-            for s in remaining:
-                if method == "MMR":
-                    cov = cov_mmr(view.sim, selected, s)
-                else:
-                    cov = cov_jxdtd(themes, dis, s)
-                score = view.rel[s] + config.alpha * cov
-                if best_score is None or score > best_score:
-                    best, best_score = s, score
-            selected.append(best)
-            scores.append(float(best_score))
-            remaining.remove(best)
-            words_used += view.word_counts[best]
-            if method == "JXDTD":
-                dis = dis * (1.0 - themes.sentence_given_subtheme[best])
+    def coverage():
+        if method == "MMR" and selected:
+            # Exactly rounded means (math.fsum), as the oracle takes them.
+            k = len(selected)
+            return np.array([-math.fsum(c) / k for c in view.sim[selected].T.tolist()])
+        if method in ("XDTD", "JXDTD"):
+            # XDTD is JXDTD with nothing selected yet.
+            dis = dissatisfaction(p_sent, selected if method == "JXDTD" else [])
+            return subtheme_coverage(p_sent, p_theme, dis)
+        return 0.0
+
+    score = None
+    while len(selected) < n and words_used < budget:
+        if score is None or method in ("MMR", "JXDTD"):
+            score = view.rel + config.alpha * coverage()
+        score[selected] = -np.inf
+        best = int(np.argmax(score))
+        selected.append(best)
+        scores.append(float(score[best]))
+        words_used += view.word_counts[best]
 
     return Summary(
         doc_id=view.doc_id,

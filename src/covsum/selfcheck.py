@@ -23,6 +23,7 @@ from . import oracles
 from .corpus import Document, Sentence, build_vocabulary, load_bundled_corpus
 from .embedding import (
     EmbeddingModel,
+    ParagraphIds,
     TrainConfig,
     TrainingParagraph,
     build_training_paragraphs,
@@ -37,15 +38,15 @@ from .selection import (
     DocView,
     SelectorConfig,
     build_docview,
-    build_subthemes,
-    cov_jxdtd,
-    cov_xdtd,
     dissatisfaction,
     greedy_select,
+    parse_representation,
+    sentence_given_subtheme,
+    subtheme_coverage,
+    subtheme_given_doc,
     summary_sentences,
 )
 from .synthetic import random_documents
-from .vectors import DenseVector, cosine
 
 ORACLE_SEED = 101
 ORACLE_DOCS = 50
@@ -138,26 +139,28 @@ def check_probability_invariants(docs: list[Document] | None = None) -> CheckRes
     checked = 0
     for doc in docs:
         view = build_docview(doc, "BOW", vocab)
-        themes = build_subthemes(view)
+        p_sent = sentence_given_subtheme(view.sim)
+        p_theme = subtheme_given_doc(view.rel)
         n = len(view.rel)
-        if abs(float(np.sum(themes.subtheme_given_doc)) - 1.0) > tol:
+        if abs(float(np.sum(p_theme)) - 1.0) > tol:
             return CheckResult(
                 "probability-invariants", False, f"{doc.id}: P(T|D) does not sum to 1"
             )
-        for k in range(n):
-            colsum = float(np.sum(themes.sentence_given_subtheme[:, k]))
-            if not (abs(colsum) <= tol or abs(colsum - 1.0) <= tol):
-                return CheckResult(
-                    "probability-invariants",
-                    False,
-                    f"{doc.id}: column {k} sums to {colsum}",
-                )
+        colsums = p_sent.sum(axis=0)
+        bad = np.flatnonzero((np.abs(colsums) > tol) & (np.abs(colsums - 1.0) > tol))
+        if bad.size:
+            return CheckResult(
+                "probability-invariants",
+                False,
+                f"{doc.id}: column {bad[0]} sums to {colsums[bad[0]]}",
+            )
         picks = greedy_select(
             view, SelectorConfig(method="JXDTD", alpha=1.0, ratio=0.4)
         ).selected
+        xdtd = subtheme_coverage(p_sent, p_theme, np.ones(n))
         prev = np.ones(n)
         for t in range(len(picks) + 1):
-            dis = dissatisfaction(themes, list(picks[:t]))
+            dis = dissatisfaction(p_sent, list(picks[:t]))
             if np.any(dis < 0.0) or np.any(dis > 1.0):
                 return CheckResult(
                     "probability-invariants", False, f"{doc.id}: dissatisfaction outside [0,1]"
@@ -166,14 +169,13 @@ def check_probability_invariants(docs: list[Document] | None = None) -> CheckRes
                 return CheckResult(
                     "probability-invariants", False, f"{doc.id}: dissatisfaction increased"
                 )
-            for s in range(n):
-                for cov in (cov_xdtd(themes, s), cov_jxdtd(themes, dis, s)):
-                    if not (0.0 <= cov <= 1.0 + tol):
-                        return CheckResult(
-                            "probability-invariants",
-                            False,
-                            f"{doc.id}: coverage {cov} outside [0,1]",
-                        )
+            for cov in (xdtd, subtheme_coverage(p_sent, p_theme, dis)):
+                if not ((cov >= 0.0) & (cov <= 1.0 + tol)).all():
+                    return CheckResult(
+                        "probability-invariants",
+                        False,
+                        f"{doc.id}: coverage {cov.min()}..{cov.max()} outside [0,1]",
+                    )
             prev = dis
         checked += 1
     return CheckResult(
@@ -312,8 +314,8 @@ def check_dbow_invariances() -> CheckResult:
         context_size=0,
     )
     for j in range(len(par.tokens)):
-        h_dm = dm_context(dm, par, j).values
-        h_db = dm_context(dbow, par, j).values
+        h_dm = dm_context(dm, par, j)
+        h_db = dm_context(dbow, par, j)
         if not (np.array_equal(h_dm, dbow.para_matrix[0]) and np.array_equal(h_db, h_dm)):
             return CheckResult(
                 "dbow-invariances", False, f"predictor at position {j} not bitwise equal"
@@ -324,19 +326,16 @@ def check_dbow_invariances() -> CheckResult:
 
 
 def _duplicate_view() -> DocView:
-    u1 = DenseVector(np.array([1.0, 0.0, 0.0]))
-    u2 = DenseVector(np.array([1.0, 0.0, 0.0]))
-    w = DenseVector(np.array([0.0, 1.0, 0.0]))
-    doc = DenseVector(np.array([0.6, 0.5, math.sqrt(0.39)]))
-    vecs = [u1, u2, w]
-    rel = np.array([cosine(v, doc) for v in vecs])
-    sim = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            sim[i, j] = cosine(vecs[i], vecs[j])
+    """A {u, u, w} document with orthogonal u and w, as DBOW paragraph rows."""
+    rows = np.array(
+        [[0.6, 0.5, math.sqrt(0.39)], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    )
+    model = EmbeddingModel(
+        kind="dbow", para_matrix=rows, word_out=np.zeros((1, 3)), word_in=None, context_size=0
+    )
     sentences = (Sentence(0, ("u",)), Sentence(1, ("u",)), Sentence(2, ("w",)))
-    return DocView(
-        doc_id="dup", sentences=sentences, word_counts=(1, 1, 1), rel=rel, sim=sim
+    return build_docview(
+        Document("dup", sentences), "DBOW", model=model, para_ids=ParagraphIds(0, (1, 2, 3))
     )
 
 
@@ -403,8 +402,7 @@ def _pipeline_bytes(docs: list[Document], seed: int) -> bytes:
     records = []
     for doc in docs:
         for representation in ("BOW", "DM", "DBOW", "BOW+DM", "BOW+DBOW"):
-            kind = representation.split("+")[-1].lower()
-            model = models[kind] if kind in models else None
+            model = models.get(parse_representation(representation)[1])
             view = build_docview(
                 doc,
                 representation,

@@ -167,10 +167,10 @@ def test_dm_context_predictor():
     )
     par = TrainingParagraph(0, (2, 0, 4))
     # no context at position 0: predictor is the bare paragraph row
-    assert np.array_equal(dm_context(model, par, 0).values, model.para_matrix[0])
+    assert np.array_equal(dm_context(model, par, 0), model.para_matrix[0])
     # two context words at position 2
     want = (model.para_matrix[0] + model.word_in[2] + model.word_in[0]) / 3.0
-    assert np.array_equal(dm_context(model, par, 2).values, want)
+    assert np.array_equal(dm_context(model, par, 2), want)
     with pytest.raises(IndexError):
         dm_context(model, par, 3)
 
@@ -178,8 +178,8 @@ def test_dm_context_predictor():
 def test_paragraph_vector_is_a_copy():
     model = train(_paras(), TrainConfig(dim=4, epochs=1), "dbow", vocab_size=5)
     vec = paragraph_vector(model, 1)
-    vec.values[0] += 100.0
-    assert paragraph_vector(model, 1).values[0] != vec.values[0]
+    vec[0] += 100.0
+    assert paragraph_vector(model, 1)[0] != vec[0]
     with pytest.raises(IndexError):
         paragraph_vector(model, 3)
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from covsum import oracles
 from covsum.corpus import Sentence, build_vocabulary
-from covsum.embedding import TrainConfig, build_training_paragraphs, train
+from covsum.embedding import ParagraphIds, TrainConfig, build_training_paragraphs, train
 from covsum.selection import (
     METHODS,
     DocView,
     SelectorConfig,
     Summary,
     build_docview,
-    build_subthemes,
     dissatisfaction,
     greedy_select,
     rank_by_relevance,
@@ -23,6 +22,7 @@ from covsum.selection import (
     subtheme_given_doc,
     summary_sentences,
 )
+from covsum.selfcheck import _duplicate_view
 from covsum.synthetic import random_documents
 
 from conftest import make_doc
@@ -42,7 +42,6 @@ def test_selector_config_validation():
         dict(alpha=math.inf),
         dict(ratio=0.0),
         dict(ratio=1.5),
-        dict(budget_unit="SENTENCES"),
     ):
         with pytest.raises(ValueError):
             SelectorConfig(**bad)
@@ -78,6 +77,9 @@ def test_build_docview_rejects_wrong_model_kind(tiny_docs):
     dbow = train(paragraphs, TrainConfig(dim=4, epochs=1), "dbow", vocab.size)
     with pytest.raises(ValueError, match="kind"):
         build_docview(tiny_docs[0], "DM", vocab, model=dbow, para_ids=index["d0"])
+    short = ParagraphIds(index["d0"].document, index["d0"].sentences[:-1])
+    with pytest.raises(ValueError, match="sentence paragraphs"):
+        build_docview(tiny_docs[0], "DBOW", vocab, model=dbow, para_ids=short)
 
 
 def test_build_docview_tables(tiny_docs):
@@ -208,19 +210,8 @@ def test_summary_sentences_returns_tokens_in_pick_order():
 def test_duplicate_suppression_scenario():
     # two copies of one sentence plus an orthogonal one: relevance keeps the
     # duplicate, coverage-aware methods switch
-    from covsum.vectors import DenseVector, cosine
-
-    u = DenseVector(np.array([1.0, 0.0, 0.0]))
-    w = DenseVector(np.array([0.0, 1.0, 0.0]))
-    dv = DenseVector(np.array([0.6, 0.5, math.sqrt(0.39)]))
-    vecs = [u, u, w]
-    view = DocView(
-        doc_id="dup",
-        sentences=(Sentence(0, ("u",)), Sentence(1, ("u",)), Sentence(2, ("w",))),
-        word_counts=(1, 1, 1),
-        rel=np.array([cosine(v, dv) for v in vecs]),
-        sim=np.array([[cosine(a, b) for b in vecs] for a in vecs]),
-    )
+    view = _duplicate_view()
+    assert view.rel[0] == view.rel[1] and view.sim[0, 1] == 1.0 and view.sim[0, 2] == 0.0
     pick = lambda m: greedy_select(view, SelectorConfig(method=m, alpha=1.0, ratio=0.5)).selected
     assert pick("RELEVANCE_ONLY") == (0, 1)
     assert pick("MMR") == (0, 2)
@@ -236,11 +227,11 @@ def test_dissatisfaction_monotone_along_any_selection_order():
     rng = np.random.default_rng(4)
     for doc in docs:
         view = build_docview(doc, "BOW", vocab)
-        themes = build_subthemes(view)
+        p_sent = sentence_given_subtheme(view.sim)
         order = rng.permutation(len(doc.sentences))
         prev = np.ones(len(doc.sentences))
         for t in range(len(order) + 1):
-            dis = dissatisfaction(themes, [int(s) for s in order[:t]])
+            dis = dissatisfaction(p_sent, [int(s) for s in order[:t]])
             assert ((dis >= 0.0) & (dis <= 1.0)).all()
             assert (dis <= prev).all()
             prev = dis

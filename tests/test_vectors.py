@@ -1,3 +1,7 @@
+"""Relevance and similarity tables: every representation part is a matrix
+(the document, then its sentences) scaled to unit rows, and the tables are
+the clamped mean of the parts' Gram matrices."""
+
 import math
 
 import numpy as np
@@ -7,40 +11,81 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covsum.corpus import build_vocabulary
-from covsum.vectors import (
-    ConcatVector,
-    DenseVector,
-    SparseVector,
-    bow_vector,
-    concat,
-    cosine,
-    idf,
-    normalize,
-)
+from covsum.embedding import EmbeddingModel, ParagraphIds
+from covsum.selection import _bow_entries, build_docview, unit_rows
 
 from conftest import make_doc
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# Entries below the normal range carry absolute, not relative, precision.
+SUBNORMAL_ULPS = 4 * np.finfo(np.float64).smallest_subnormal
 
 
-def dense(n=4):
-    return hnp.arrays(np.float64, n, elements=finite).map(DenseVector)
+def dbow(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    return EmbeddingModel(
+        kind="dbow",
+        para_matrix=rows,
+        word_out=np.zeros((1, rows.shape[1])),
+        word_in=None,
+        context_size=0,
+    )
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector({5: 1.0}, dim=3)  # id out of range
-    with pytest.raises(ValueError):
-        SparseVector({0: 0.0}, dim=3)  # explicit zero entry
-    with pytest.raises(ValueError):
-        SparseVector({0: math.inf}, dim=3)
+def dense_view(rows, representation="DBOW", doc=None, vocab=None):
+    """DocView whose embedding rows are ``rows``: the document, then one per sentence."""
+    n = len(rows) - 1
+    doc = doc or make_doc("d", [["w"]] * n)
+    ids = ParagraphIds(0, tuple(range(1, n + 1)))
+    return build_docview(doc, representation, vocab, model=dbow(rows), para_ids=ids)
+
+
+def bow_matrix(doc, vocab):
+    row, col, w, n_cols = _bow_entries(doc, vocab)
+    m = np.zeros((len(doc.sentences) + 1, n_cols))
+    m[row, col] = w
+    return m
+
+
+def unit_matrix(m):
+    """unit_rows on a dense matrix, as a scaled copy."""
+    row = np.repeat(np.arange(m.shape[0]), m.shape[1])
+    return unit_rows(row, m.ravel().copy(), m.shape[0]).reshape(m.shape)
+
+
+def tables(view):
+    return np.concatenate([view.rel, view.sim.ravel()])
+
+
+def reference_bow_cosine(a, b, vocab):
+    """Clamped cosine of two token lists' TF-IDF vectors, pair by pair."""
+
+    def vector(tokens):
+        counts = {}
+        for tid in vocab.ids(tokens):
+            counts[tid] = counts.get(tid, 0) + 1
+        weights = {
+            tid: tf * math.log(vocab.num_docs / vocab.doc_freq[tid])
+            for tid, tf in counts.items()
+        }
+        return {tid: w for tid, w in weights.items() if w != 0.0}
+
+    va, vb = vector(a), vector(b)
+    na = math.sqrt(math.fsum(w * w for w in va.values()))
+    nb = math.sqrt(math.fsum(w * w for w in vb.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    dot = math.fsum(w * vb[tid] for tid, w in va.items() if tid in vb)
+    return min(1.0, max(0.0, dot / (na * nb)))
 
 
 def test_dense_vector_validation():
-    with pytest.raises(ValueError):
-        DenseVector(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        DenseVector(np.array([np.nan]))
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_view([[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(IndexError):  # paragraph id beyond the model's rows
+        build_docview(
+            make_doc("d", [["w"]]), "DBOW", model=dbow([[1.0]]), para_ids=ParagraphIds(0, (1,))
+        )
 
 
 def test_idf_and_bow_weights():
@@ -49,88 +94,118 @@ def test_idf_and_bow_weights():
         make_doc("b", [["common"]]),
     ]
     vocab = build_vocabulary(docs)
-    cid, rid = vocab.term_to_id["common"], vocab.term_to_id["rare"]
-    assert idf(vocab, cid) == 0.0  # in every document
-    assert idf(vocab, rid) == pytest.approx(math.log(2.0))
-
-    vec = bow_vector(["rare", "rare", "common"], vocab)
-    # tf * idf; the zero-idf term is dropped entirely
-    assert vec.entries == {rid: pytest.approx(2.0 * math.log(2.0))}
-    assert vec.dim == vocab.size
+    row, col, w, n_cols = _bow_entries(make_doc("q", [["rare", "rare", "common"], ["rare"]]), vocab)
+    # tf * ln(N / df), the document row first; "common" is in every document,
+    # weighs 0 and is not stored
+    assert n_cols == vocab.size
+    assert list(row) == [0, 1, 2]
+    assert list(col) == [vocab.term_to_id["rare"]] * 3
+    assert w == pytest.approx([3.0 * math.log(2.0), 2.0 * math.log(2.0), math.log(2.0)])
 
 
 def test_bow_vector_skips_oov():
-    vocab = build_vocabulary([make_doc("a", [["x"]]), make_doc("b", [["y"]])])
-    vec = bow_vector(["x", "zzz"], vocab)
-    assert set(vec.entries) == {vocab.term_to_id["x"]}
+    vocab = build_vocabulary([make_doc("a", [["x", "y"]]), make_doc("b", [["y", "z"]])])
+    with_oov = build_docview(make_doc("q", [["x", "zzz"], ["z"]]), "BOW", vocab)
+    without = build_docview(make_doc("q", [["x"], ["z"]]), "BOW", vocab)
+    assert np.array_equal(tables(with_oov), tables(without))
 
 
 def test_cosine_golden():
-    a = DenseVector(np.array([1.0, 0.0]))
-    b = DenseVector(np.array([0.0, 1.0]))
-    assert cosine(a, a) == 1.0
-    assert cosine(a, b) == 0.0
-    c = DenseVector(np.array([1.0, 1.0]))
-    assert cosine(a, c) == pytest.approx(1 / math.sqrt(2))
+    view = dense_view([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    h = 1 / math.sqrt(2)
+    assert view.rel == pytest.approx([h, h, 1.0])
+    assert view.sim[0, 0] == 1.0
+    assert view.sim[0, 1] == 0.0
+    assert view.sim[:2, 2] == pytest.approx([h, h])
 
 
 def test_cosine_mixed_sparse_dense_agree():
-    s = SparseVector({0: 2.0, 2: 1.0}, dim=3)
-    d = DenseVector(np.array([2.0, 0.0, 1.0]))
-    probe = DenseVector(np.array([1.0, 0.5, -0.25]))
-    assert cosine(s, probe) == pytest.approx(cosine(d, probe))
-    assert cosine(s, d) == pytest.approx(1.0)
+    # the BOW part and a dense part holding the same TF-IDF rows give one table
+    docs = [make_doc("a", [["x", "y", "y"], ["y", "z"], ["w"]]), make_doc("b", [["z", "v"]])]
+    vocab = build_vocabulary(docs)
+    bow = build_docview(docs[0], "BOW", vocab)
+    dense = dense_view(bow_matrix(docs[0], vocab), doc=docs[0])
+    assert tables(bow) == pytest.approx(tables(dense), abs=1e-15)
 
 
 def test_cosine_zero_vector_is_zero():
-    z = DenseVector(np.zeros(3))
-    a = DenseVector(np.array([1.0, 2.0, 3.0]))
-    assert cosine(z, a) == 0.0
-    assert cosine(z, z) == 0.0
+    view = dense_view([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [3.0, 2.0, 1.0]])
+    assert view.rel[0] == 0.0
+    assert (view.sim[0] == 0.0).all() and (view.sim[:, 0] == 0.0).all()
+    assert view.sim[1, 1] == 1.0
+    no_doc = dense_view([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    assert (no_doc.rel == 0.0).all()
 
 
-@given(dense(), dense())
-def test_cosine_symmetric_and_clamped(a, b):
-    ab, ba = cosine(a, b), cosine(b, a)
-    assert ab == ba
-    assert 0.0 <= ab <= 1.0
+@given(hnp.arrays(np.float64, (5, 4), elements=finite))
+def test_cosine_symmetric_and_clamped(rows):
+    view = dense_view(rows)
+    assert np.array_equal(view.sim, view.sim.T)
+    assert ((tables(view) >= 0.0) & (tables(view) <= 1.0)).all()
 
 
-@given(dense(), st.floats(1e-3, 1e3))
-def test_cosine_scale_invariant(a, scale):
-    assume(a.norm() > 1e-6)
-    b = DenseVector(a.values * scale)
-    assert cosine(a, b) == pytest.approx(1.0)
+@given(hnp.arrays(np.float64, (4, 3), elements=finite), st.floats(1e-3, 1e3))
+def test_cosine_scale_invariant(rows, scale):
+    assume((np.abs(rows).max(axis=1) > 1e-6).all())
+    assert tables(dense_view(rows * scale)) == pytest.approx(tables(dense_view(rows)), abs=1e-12)
 
 
-@given(dense())
-def test_normalize_idempotent(v):
+@given(hnp.arrays(np.float64, (3, 4), elements=finite))
+def test_normalize_idempotent(m):
     # renormalizing can shift the last ulp (the first norm lands at 1 +/- 1ulp),
     # so idempotence holds to rounding, not bitwise
-    n1 = normalize(v)
-    n2 = normalize(n1)
-    assert np.allclose(n1.values, n2.values, rtol=1e-14, atol=0.0)
-    if v.norm() > 0.0:
-        assert n1.norm() == pytest.approx(1.0)
+    once = unit_matrix(m)
+    twice = unit_matrix(once)
+    assert np.allclose(once, twice, rtol=1e-14, atol=SUBNORMAL_ULPS)
+    norms = np.sqrt(np.sum(once * once, axis=1))
+    nonzero = (m != 0.0).any(axis=1)
+    assert norms[nonzero] == pytest.approx(1.0, rel=1e-14)
+    assert (once[~nonzero] == 0.0).all()
 
 
 def test_concat_normalizes_parts():
-    c = concat([DenseVector(np.array([3.0, 4.0])), DenseVector(np.zeros(2))])
-    assert isinstance(c, ConcatVector)
-    assert c.parts[0].norm() == pytest.approx(1.0)
-    assert c.parts[1].norm() == 0.0
+    # each part is scaled to unit rows on its own, so one part's magnitude
+    # cannot outweigh the other's
+    docs = [make_doc("a", [["x", "y"], ["y", "z"]]), make_doc("b", [["z"]])]
+    vocab = build_vocabulary(docs)
+    rows = np.array([[1.0, 2.0], [2.0, -1.0], [1.0, 1.0]])
+    small = dense_view(rows, "BOW+DBOW", docs[0], vocab)
+    large = dense_view(rows * np.array([[1e6], [1.0], [1e-6]]), "BOW+DBOW", docs[0], vocab)
+    assert tables(small) == pytest.approx(tables(large), abs=1e-12)
 
 
 def test_concat_cosine_is_mean_of_part_cosines():
-    a1, a2 = DenseVector(np.array([1.0, 0.0])), DenseVector(np.array([1.0, 1.0]))
-    b1, b2 = DenseVector(np.array([1.0, 1.0])), DenseVector(np.array([0.0, 1.0]))
-    got = cosine(concat([a1, a2]), concat([b1, b2]))
-    want = (cosine(a1, b1) + cosine(a2, b2)) / 2.0
-    assert got == pytest.approx(want)
+    docs = [make_doc("a", [["x", "y"], ["y", "z"], ["v"]]), make_doc("b", [["z", "w"]])]
+    vocab = build_vocabulary(docs)
+    # sentence 2 shares no term with the others and points against them in
+    # the dense part, so its raw mean goes negative and is clamped
+    rows = np.array([[1.0, 0.5], [1.0, 0.0], [1.0, 1.0], [-1.0, -0.2]])
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    dense_cos = unit @ unit.T
+    bow = build_docview(docs[0], "BOW", vocab)
+    got = dense_view(rows, "BOW+DBOW", docs[0], vocab)
+    want_sim = np.clip((bow.sim + dense_cos[1:, 1:]) / 2.0, 0.0, 1.0)
+    want_rel = np.clip((bow.rel + dense_cos[0, 1:]) / 2.0, 0.0, 1.0)
+    assert got.sim == pytest.approx(want_sim, abs=1e-12)
+    assert got.rel == pytest.approx(want_rel, abs=1e-12)
+    assert got.sim[2, 0] == 0.0 and dense_cos[3, 1] < 0.0
 
 
-def test_concat_rejects_mismatched_arity():
-    a = concat([DenseVector(np.array([1.0])), DenseVector(np.array([1.0]))])
-    b = concat([DenseVector(np.array([1.0]))])
-    with pytest.raises(ValueError):
-        cosine(a, b)
+sentences = st.lists(
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6), min_size=1, max_size=5
+)
+
+
+@given(st.lists(sentences, min_size=1, max_size=3))
+def test_bow_tables_match_reference_cosine(corpus):
+    docs = [make_doc(f"d{i}", sents) for i, sents in enumerate(corpus)]
+    vocab = build_vocabulary(docs)
+    for doc in docs:
+        view = build_docview(doc, "BOW", vocab)
+        tokens = [s.tokens for s in doc.sentences]
+        everything = doc.all_tokens()
+        want_rel = [reference_bow_cosine(t, everything, vocab) for t in tokens]
+        want_sim = [[reference_bow_cosine(a, b, vocab) for b in tokens] for a in tokens]
+        assert np.array_equal(view.sim, view.sim.T)
+        assert view.rel == pytest.approx(want_rel, abs=1e-12)
+        assert view.sim == pytest.approx(np.array(want_sim), abs=1e-12)
