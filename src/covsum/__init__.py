@@ -50,11 +50,9 @@ from .selection import (
     Summary,
     build_docview,
     greedy_select,
-    rank_by_relevance,
     summary_sentences,
 )
 from .selfcheck import CheckResult, run_all
-from .synthetic import build_selftest_corpus, random_documents
 
 __all__ = [
     "CorpusError",
@@ -96,10 +94,7 @@ __all__ = [
     "Summary",
     "build_docview",
     "greedy_select",
-    "rank_by_relevance",
     "summary_sentences",
     "CheckResult",
     "run_all",
-    "build_selftest_corpus",
-    "random_documents",
 ]

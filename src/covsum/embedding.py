@@ -10,7 +10,14 @@ approximated with negative sampling: one positive pair per target word plus
 ``unigram_power``.
 
 Training is single-threaded, seeded, and bitwise reproducible: identical
-seed, config, and input produce an identical model.
+seed, config, and input produce an identical model. The loop is exact
+per-target SGD in which only the bookkeeping is batched: targets are taken in
+chunks, each with one negative-sampler draw, one array of learning rates and
+vectorised flags for targets whose negatives or context repeat a row (those
+scatter with ``np.add.at``, the rest assign their rows). The result is
+bit-identical to the one-target-at-a-time loop kept as
+``oracles.train_reference``; ``test_train_matches_per_target_reference`` in
+``tests/test_embedding.py`` guards this with ``==`` on every matrix.
 
 Model files are flat binary (little-endian):
 
@@ -42,6 +49,10 @@ KINDS = ("dm", "dbow")
 
 _MAGIC = b"CVEM"
 _VERSION = 1
+
+# Targets per chunk of the SGD loop. Negatives, learning rates and
+# repeated-row flags are computed a chunk at a time.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -127,12 +138,16 @@ def pair_loss(score: float, label: int) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    # never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _has_repeat(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of an integer matrix holds some value twice."""
+    rows = np.sort(rows, axis=1)
+    return (rows[:, 1:] == rows[:, :-1]).any(axis=1)
 
 
 class NegativeSampler:
@@ -248,43 +263,89 @@ def train(
     word_in = rng_init.uniform(-0.5 / d, 0.5 / d, (vocab_size, d)) if kind == "dm" else None
     word_out = np.zeros((vocab_size, d))
 
-    counts = np.bincount(
-        np.concatenate([np.asarray(p.tokens) for p in paragraphs]),
-        minlength=vocab_size,
+    lengths = np.array([len(p.tokens) for p in paragraphs])
+    tok = np.concatenate([np.asarray(p.tokens, dtype=np.int64) for p in paragraphs])
+    pid = np.repeat(np.arange(num_paragraphs), lengths)
+    # Flat index of the first token of each target's paragraph.
+    par_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    sampler = NegativeSampler(
+        np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg
     )
-    sampler = NegativeSampler(counts, cfg.unigram_power, seed_neg)
 
-    targets = [(pi, j) for pi, par in enumerate(paragraphs) for j in range(len(par.tokens))]
-    total_steps = cfg.epochs * len(targets)
+    num_targets = len(tok)
+    total_steps = cfg.epochs * num_targets
     lr_start, lr_end = cfg.learning_rate, cfg.learning_rate / 100.0
+    k = cfg.negatives
+    c = cfg.context_size if kind == "dm" else 0
 
-    labels = np.zeros(cfg.negatives + 1)
+    labels = np.zeros(k + 1)
     labels[0] = 1.0
-    out_idx = np.empty(cfg.negatives + 1, dtype=np.int64)
+    # Padding for context slots before the paragraph start: negative, so
+    # never a term id, and distinct, so never a repeat.
+    ctx_pad = -1 - np.arange(c)
+    ctx_back = np.arange(c, 0, -1)
 
     step = 0
     for _ in range(cfg.epochs):
-        for t in rng_order.permutation(len(targets)):
+        order = rng_order.permutation(num_targets)
+        for lo in range(0, num_targets, _CHUNK):
+            t = order[lo : lo + _CHUNK]
+            m = len(t)
             if total_steps > 1:
-                lr = lr_start + (lr_end - lr_start) * (step / (total_steps - 1))
+                steps = np.arange(step, step + m)
+                lr = lr_start + (lr_end - lr_start) * (steps / (total_steps - 1))
             else:
-                lr = lr_start
-            pi, j = targets[t]
-            par = paragraphs[pi]
-            h, ctx = _predictor(kind, para_matrix, word_in, par, j, cfg.context_size)
+                lr = np.full(m, lr_start)
+            step += m
 
-            out_idx[0] = par.tokens[j]
-            out_idx[1:] = sampler.draw(cfg.negatives)
-            out_rows = word_out[out_idx]  # fancy index: snapshot before update
-            g = _sigmoid(out_rows @ h) - labels
-            grad_h = g @ out_rows
-            np.add.at(word_out, out_idx, (-lr) * g[:, None] * h[None, :])
+            out_idx = np.empty((m, k + 1), dtype=np.int64)
+            out_idx[:, 0] = tok[t]
+            out_idx[:, 1:] = sampler.draw(k * m).reshape(m, k)
+            out_repeats = _has_repeat(out_idx)
 
-            shared = (lr / (1 + len(ctx))) * grad_h
-            para_matrix[par.paragraph_id] -= shared
-            if ctx:
-                np.add.at(word_in, np.asarray(ctx), -shared)
-            step += 1
+            ctx_lo = np.maximum(t - c, par_start[t])
+            num_ctx = t - ctx_lo
+            window = t[:, None] - ctx_back
+            ctx_repeats = _has_repeat(
+                np.where(window >= ctx_lo[:, None], tok[np.maximum(window, 0)], ctx_pad)
+            )
+            share_lr = lr / (1 + num_ctx)
+
+            for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
+                pid[t].tolist(),
+                t.tolist(),
+                ctx_lo.tolist(),
+                num_ctx.tolist(),
+                (-lr).tolist(),
+                share_lr.tolist(),
+                out_idx,
+                out_repeats.tolist(),
+                ctx_repeats.tolist(),
+            ):
+                row = para_matrix[p]
+                if nc:
+                    ctx = tok[ci:ti]
+                    ctx_rows = word_in[ctx]
+                    h = (row + ctx_rows.sum(axis=0)) / (1 + nc)
+                else:
+                    h = row  # a view: read before the row is updated below
+
+                out_rows = word_out[idx]
+                g = _sigmoid(np.dot(out_rows, h)) - labels
+                grad_h = np.dot(g, out_rows)
+                upd = (nlr * g)[:, None] * h
+                if out_rep:
+                    np.add.at(word_out, idx, upd)
+                else:
+                    word_out[idx] = out_rows + upd
+
+                shared = slr * grad_h
+                row -= shared
+                if nc:
+                    if ctx_rep:
+                        np.add.at(word_in, ctx, -shared)
+                    else:
+                        word_in[ctx] = ctx_rows - shared
 
     for name, mat in (("para", para_matrix), ("word_in", word_in), ("word_out", word_out)):
         if mat is not None and not np.isfinite(mat).all():
@@ -417,12 +478,12 @@ def load_model(path: str | Path) -> EmbeddingModel:
 
     def take(rows: int) -> np.ndarray:
         nonlocal offset
-        nbytes = rows * d * 8
-        block = raw[offset : offset + nbytes]
-        if len(block) != nbytes:
+        count = rows * d
+        if offset + count * 8 > len(raw):
             raise ValueError(f"{path}: truncated model file")
-        offset += nbytes
-        return np.frombuffer(block, dtype="<f8").reshape(rows, d).copy()
+        block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        offset += count * 8
+        return block.reshape(rows, d).copy()
 
     para_matrix = take(p)
     word_in = take(v) if kind == "dm" else None

@@ -40,7 +40,6 @@ from .selection import (
     build_docview,
     greedy_select,
     parse_representation,
-    summary_sentences,
 )
 from .selfcheck import run_all
 

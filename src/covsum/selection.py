@@ -291,6 +291,9 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
     if method in ("XDTD", "JXDTD"):
         p_sent = sentence_given_subtheme(view.sim)
         p_theme = subtheme_given_doc(view.rel)
+        # Dissatisfaction of the picks so far, folded in pick order as
+        # dissatisfaction() does. XDTD keeps it at ones.
+        dis = np.ones(n)
 
     selected: list[int] = []
     scores: list[float] = []
@@ -302,8 +305,6 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
             k = len(selected)
             return np.array([-math.fsum(c) / k for c in view.sim[selected].T.tolist()])
         if method in ("XDTD", "JXDTD"):
-            # XDTD is JXDTD with nothing selected yet.
-            dis = dissatisfaction(p_sent, selected if method == "JXDTD" else [])
             return subtheme_coverage(p_sent, p_theme, dis)
         return 0.0
 
@@ -313,6 +314,8 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
             score = view.rel + config.alpha * coverage()
         score[selected] = -np.inf
         best = int(np.argmax(score))
+        if method == "JXDTD":
+            dis = dis * (1.0 - p_sent[best])
         selected.append(best)
         scores.append(float(score[best]))
         words_used += view.word_counts[best]

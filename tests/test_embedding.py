@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covsum import embedding
 from covsum.corpus import build_vocabulary
 from covsum.embedding import (
+    KINDS,
     EmbeddingModel,
     NegativeSampler,
     TrainConfig,
@@ -18,6 +22,7 @@ from covsum.embedding import (
     save_model,
     train,
 )
+from covsum.oracles import train_reference
 
 from conftest import make_doc
 
@@ -145,6 +150,66 @@ def test_train_steps_apply_batch_gradients():
                              (got.word_in, model.word_in),
                              (got.word_out, model.word_out)):
         assert np.allclose(got_mat, sim_mat, rtol=1e-9, atol=1e-15)
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.para_matrix, want.para_matrix)
+    assert np.array_equal(got.word_out, want.word_out)
+    if want.word_in is None:
+        assert got.word_in is None
+    else:
+        assert np.array_equal(got.word_in, want.word_in)
+
+
+@st.composite
+def _training_runs(draw):
+    """Small corpora over 1-8 terms, so negatives often hit the target and
+    DM contexts often repeat a token."""
+    vocab = draw(st.integers(1, 8))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)
+    paragraphs = [
+        TrainingParagraph(i, tuple(toks))
+        for i, toks in enumerate(draw(st.lists(tokens, min_size=1, max_size=5)))
+    ]
+    cfg = TrainConfig(
+        dim=draw(st.integers(1, 6)),
+        context_size=draw(st.integers(0, 4)),
+        epochs=draw(st.integers(1, 3)),
+        negatives=draw(st.integers(1, 6)),
+        learning_rate=draw(st.sampled_from([0.025, 0.5, 2.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return paragraphs, cfg, draw(st.sampled_from(KINDS)), vocab
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_runs())
+def test_train_matches_per_target_reference(run):
+    paragraphs, cfg, kind, vocab = run
+    _assert_same_model(
+        train(paragraphs, cfg, kind, vocab_size=vocab),
+        train_reference(paragraphs, cfg, kind, vocab_size=vocab),
+    )
+
+
+def test_train_matches_reference_on_a_single_target():
+    par = [TrainingParagraph(0, (2,))]
+    cfg = TrainConfig(dim=5, context_size=3, epochs=1, negatives=4, seed=9)
+    for kind in KINDS:  # total_steps == 1: the learning rate never decays
+        _assert_same_model(train(par, cfg, kind, vocab_size=4),
+                           train_reference(par, cfg, kind, vocab_size=4))
+
+
+def test_train_matches_reference_across_chunks():
+    rng = np.random.default_rng(4)
+    paragraphs = [
+        TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 40, rng.integers(1, 30))))
+        for i in range(160)
+    ]
+    assert sum(len(p.tokens) for p in paragraphs) > 2 * embedding._CHUNK
+    cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
+    for kind in KINDS:
+        _assert_same_model(train(paragraphs, cfg, kind), train_reference(paragraphs, cfg, kind))
 
 
 def test_degenerate_single_term_vocab_runs():
