@@ -26,28 +26,23 @@ from .harness import (
     load_experiment_config,
 )
 
-_FLAG_TO_KEY = {
-    "corpus": "corpus",
-    "out": "out",
-    "method": "methods",
-    "repr": "representations",
-    "alpha": "alpha",
-    "ratio": "ratio",
-    "seed": "seed",
-    "split": "split",
+# flag -> (config key it overrides, help text)
+_FLAGS = {
+    "corpus": ("corpus", "JSONL corpus path"),
+    "out": ("out", "output directory (default out)"),
+    "method": ("methods", "comma-separated selection methods"),
+    "repr": ("representations", "comma-separated sentence representations"),
+    "alpha": ("alpha", "coverage weight"),
+    "ratio": ("ratio", "word-budget ratio in (0, 1]"),
+    "seed": ("seed", "experiment seed (also seeds training)"),
+    "split": ("split", "hold out the first N documents as a dev set"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value experiment config file")
-    parser.add_argument("--corpus", help="JSONL corpus path")
-    parser.add_argument("--out", help="output directory (default out)")
-    parser.add_argument("--method", help="comma-separated selection methods")
-    parser.add_argument("--repr", help="comma-separated sentence representations")
-    parser.add_argument("--alpha", help="coverage weight")
-    parser.add_argument("--ratio", help="word-budget ratio in (0, 1]")
-    parser.add_argument("--seed", help="experiment seed (also seeds training)")
-    parser.add_argument("--split", help="hold out the first N documents as a dev set")
+    for flag, (_, text) in _FLAGS.items():
+        parser.add_argument(f"--{flag}", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_selftest()
         overrides = {
             key: getattr(args, flag)
-            for flag, key in _FLAG_TO_KEY.items()
+            for flag, (key, _) in _FLAGS.items()
             if getattr(args, flag) is not None
         }
         config = load_experiment_config(args.config, overrides)

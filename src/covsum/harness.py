@@ -11,21 +11,24 @@ overrides, and runs in three stages that share one output directory:
 ``results.tsv`` holds corpus-mean ROUGE-1/2/L F per grid cell, one row per
 (method, representation). Everything downstream of the corpus file and the
 seed is deterministic, byte for byte.
+
+Documents share models by group (:func:`_model_groups`): all of them, or one
+each with ``per_document_training``. Output files are written as ``.part``
+files and renamed when complete; a failed stage deletes its ``.part`` files,
+so it leaves no half-written file and the previous outputs as they were.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
-from contextlib import ExitStack
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Document, Vocabulary, build_vocabulary, load_bundled_corpus, load_corpus
+from .corpus import Document, build_vocabulary, load_bundled_corpus, load_corpus
 from .embedding import (
-    EmbeddingModel,
-    ParagraphIds,
     TrainConfig,
     build_training_paragraphs,
     load_model,
@@ -213,58 +216,34 @@ def _check_model_names(docs: list[Document]) -> None:
             )
 
 
-def _model_path(out_dir: Path, kind: str, doc_id: str | None = None) -> Path:
-    if doc_id is None:
+def _model_groups(
+    config: ExperimentConfig, docs: list[Document]
+) -> list[tuple[str | None, list[Document]]]:
+    """(owner, documents) pairs of documents sharing a model: ``[(None, docs)]``
+    for a corpus model, one ``(doc.id, [doc])`` per document otherwise."""
+    if not config.per_document_training:
+        return [(None, docs)]
+    _check_model_names(docs)
+    return [(doc.id, [doc]) for doc in docs]
+
+
+def _model_path(out_dir: Path, kind: str, owner: str | None = None) -> Path:
+    if owner is None:
         return out_dir / "models" / f"{kind}.cvem"
-    return out_dir / "models" / kind / f"{_safe_name(doc_id)}.cvem"
+    return out_dir / "models" / kind / f"{_safe_name(owner)}.cvem"
 
 
-class _ModelStore:
-    """Lazy access to trained models for one experiment directory.
-
-    Holds at most one model per kind: the corpus model, or in per-document
-    mode the model of the last document asked for, which is dropped as soon
-    as another document's model of that kind is needed.
-    """
-
-    def __init__(
-        self, config: ExperimentConfig, docs: list[Document], vocab: Vocabulary
-    ) -> None:
-        self._out = Path(config.output_dir)
-        self._per_doc = config.per_document_training
-        self._docs = docs
-        self._vocab = vocab
-        if self._per_doc:
-            _check_model_names(docs)
-        self._models: dict[str, tuple[str | None, EmbeddingModel]] = {}
-        self._index: dict[str, ParagraphIds] | None = None
-
-    def _para_ids(self, doc: Document) -> ParagraphIds:
-        if self._per_doc:
-            _, index = build_training_paragraphs([doc], self._vocab)
-            return index[doc.id]
-        if self._index is None:
-            _, self._index = build_training_paragraphs(self._docs, self._vocab)
-        return self._index[doc.id]
-
-    def model_for(self, representation: str, doc: Document) -> tuple[
-        EmbeddingModel | None, ParagraphIds | None
-    ]:
-        _, kind = parse_representation(representation)
-        if kind is None:
-            return None, None
-        owner = doc.id if self._per_doc else None
-        cached = self._models.get(kind)
-        if cached is None or cached[0] != owner:
-            self._models.pop(kind, None)
-            path = _model_path(self._out, kind, owner)
-            if not path.is_file():
-                raise FileNotFoundError(
-                    f"representation {representation} needs a trained {kind} model "
-                    f"at {path}; run the train subcommand first"
-                )
-            cached = self._models[kind] = (owner, load_model(path))
-        return cached[1], self._para_ids(doc)
+@contextmanager
+def _written(path: Path) -> Iterator[Path]:
+    """Yield ``path.part`` to write; rename it onto ``path`` on success and
+    unlink it on an error, so a failed stage leaves no half-written file."""
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +261,14 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         print("no embedding representations configured; nothing to train")
         return saved
 
-    if config.per_document_training:
-        _check_model_names(docs)
-        for kind in kinds:
-            for doc in docs:
-                paragraphs, _ = build_training_paragraphs([doc], vocab)
-                model = train(paragraphs, config.embed, kind, vocab.size)
-                path = _model_path(out_dir, kind, doc.id)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                save_model(model, path)
-                saved.append(path)
-    else:
-        paragraphs, _ = build_training_paragraphs(docs, vocab)
+    for owner, group in _model_groups(config, docs):
+        paragraphs, _ = build_training_paragraphs(group, vocab)
         for kind in kinds:
             model = train(paragraphs, config.embed, kind, vocab.size)
-            path = _model_path(out_dir, kind)
+            path = _model_path(out_dir, kind, owner)
             path.parent.mkdir(parents=True, exist_ok=True)
-            save_model(model, path)
+            with _written(path) as part:
+                save_model(model, part)
             saved.append(path)
     for path in saved:
         print(f"wrote {path}")
@@ -312,16 +282,31 @@ def _cell_path(out_dir: Path, representation: str, method: str) -> Path:
 def cmd_summarize(config: ExperimentConfig) -> list[Path]:
     """Summarize every document under the full method x representation grid.
 
-    Documents are the outer loop, with every grid cell's file open, so a
-    per-document model is loaded once and dropped after its document. Cells
-    are written to ``.part`` files and renamed once every document is done,
-    so a failed run never leaves a cell that holds only some documents.
+    Model groups are the outer loop, with every grid cell's file open: a
+    group's models are loaded once and replace the previous group's, so at
+    most two models per kind are alive, and only while one is loading. Only
+    groups holding an evaluated document are loaded, and every model file is
+    checked to exist before any cell is opened.
     """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
-    targets = _eval_docs(config, docs)
-    store = _ModelStore(config, docs, vocab)
+    targets = {doc.id for doc in _eval_docs(config, docs)}
+    kinds = _required_kinds(config.representations)
     out_dir = Path(config.output_dir)
+    groups = [
+        (owner, group)
+        for owner, group in _model_groups(config, docs)
+        if any(doc.id in targets for doc in group)
+    ]
+    for owner, _ in groups:
+        for representation in config.representations:
+            kind = parse_representation(representation)[1]
+            path = _model_path(out_dir, kind, owner) if kind else None
+            if path is not None and not path.is_file():
+                raise FileNotFoundError(
+                    f"representation {representation} needs a trained {kind} model "
+                    f"at {path}; run the train subcommand first"
+                )
     selectors = [
         SelectorConfig(method=method, alpha=config.alpha, ratio=config.ratio)
         for method in config.methods
@@ -331,32 +316,47 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
         for representation in config.representations
         for method in config.methods
     }
-    parts = {cell: path.with_name(path.name + ".part") for cell, path in cells.items()}
     (out_dir / "summaries").mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         files = {
-            cell: stack.enter_context(open(part, "w", encoding="utf-8"))
-            for cell, part in parts.items()
+            cell: stack.enter_context(
+                open(stack.enter_context(_written(path)), "w", encoding="utf-8")
+            )
+            for cell, path in cells.items()
         }
-        for doc in targets:
-            for representation in config.representations:
-                model, para_ids = store.model_for(representation, doc)
-                view = build_docview(
-                    doc, representation, vocab, model=model, para_ids=para_ids
-                )
-                for cfg in selectors:
-                    record = {"representation": representation}
-                    record.update(greedy_select(view, cfg).to_dict())
-                    files[representation, cfg.method].write(json.dumps(record) + "\n")
-    for cell, path in cells.items():
-        parts[cell].replace(path)
+        for owner, group in groups:
+            # Replaces the previous group's models only once these are loaded:
+            # freeing them first made every load fault in fresh pages.
+            models = {kind: load_model(_model_path(out_dir, kind, owner)) for kind in kinds}
+            index = build_training_paragraphs(group, vocab)[1] if kinds else {}
+            for doc in (d for d in group if d.id in targets):
+                for representation in config.representations:
+                    kind = parse_representation(representation)[1]
+                    view = build_docview(
+                        doc,
+                        representation,
+                        vocab,
+                        model=models.get(kind),
+                        para_ids=index.get(doc.id),
+                    )
+                    for cfg in selectors:
+                        record = {"representation": representation}
+                        record.update(greedy_select(view, cfg).to_dict())
+                        files[representation, cfg.method].write(json.dumps(record) + "\n")
     written = list(cells.values())
     print(f"wrote {len(written)} grid cells x {len(targets)} documents")
     return written
 
 
+# ROUGE-1/2/L F: keys of per_document.jsonl records, columns of results.tsv
+_SCORE_COLUMNS = ("rouge1_f", "rouge2_f", "rougeL_f")
+
+
 def cmd_evaluate(config: ExperimentConfig) -> Path:
-    """Score every stored summary and write the corpus-mean ROUGE table."""
+    """Score every stored summary and write the corpus-mean ROUGE table.
+
+    Every cell is checked to exist before anything is written.
+    """
     docs = _load_docs(config)
     targets = _eval_docs(config, docs)
     by_id = {doc.id: doc for doc in targets}
@@ -365,62 +365,47 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
             raise ConfigError(f"document {doc.id!r} has no reference summaries")
 
     out_dir = Path(config.output_dir)
+    cells = [
+        (method, representation, _cell_path(out_dir, representation, method))
+        for method in config.methods
+        for representation in config.representations
+    ]
+    for method, representation, path in cells:
+        if not path.is_file():
+            raise FileNotFoundError(
+                f"no summaries for {representation}/{method} at {path}; "
+                "run the summarize subcommand first"
+            )
     per_doc_path = out_dir / "evaluation" / "per_document.jsonl"
     per_doc_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
-    with open(per_doc_path, "w", encoding="utf-8") as fh:
-        for method in config.methods:
-            for representation in config.representations:
-                path = _cell_path(out_dir, representation, method)
-                if not path.is_file():
-                    raise FileNotFoundError(
-                        f"no summaries for {representation}/{method} at {path}; "
-                        "run the summarize subcommand first"
-                    )
-                sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
-                count = 0
-                with open(path, encoding="utf-8") as cell:
-                    for line in cell:
-                        record = json.loads(line)
-                        doc = by_id.get(record["id"])
-                        if doc is None:
-                            continue  # summarized before a stricter split
-                        picked = [doc.sentences[s].tokens for s in record["selected"]]
-                        report = evaluate(picked, doc.references)
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "id": doc.id,
-                                    "method": method,
-                                    "representation": representation,
-                                    "rouge1_f": report.rouge1.f,
-                                    "rouge2_f": report.rouge2.f,
-                                    "rougeL_f": report.rougeL.f,
-                                }
-                            )
-                            + "\n"
-                        )
-                        sums["rouge1"] += report.rouge1.f
-                        sums["rouge2"] += report.rouge2.f
-                        sums["rougeL"] += report.rougeL.f
-                        count += 1
-                if count == 0:
-                    raise ConfigError(f"{path} holds no summaries for the evaluated documents")
-                rows.append(
-                    (
-                        method,
-                        representation,
-                        sums["rouge1"] / count,
-                        sums["rouge2"] / count,
-                        sums["rougeL"] / count,
-                    )
-                )
+    with _written(per_doc_path) as part, open(part, "w", encoding="utf-8") as fh:
+        for method, representation, path in cells:
+            totals = [0.0, 0.0, 0.0]
+            count = 0
+            with open(path, encoding="utf-8") as cell:
+                for line in cell:
+                    record = json.loads(line)
+                    doc = by_id.get(record["id"])
+                    if doc is None:
+                        continue  # summarized before a stricter split
+                    picked = [doc.sentences[s].tokens for s in record["selected"]]
+                    report = evaluate(picked, doc.references)
+                    scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
+                    scored = {"id": doc.id, "method": method, "representation": representation}
+                    scored.update(zip(_SCORE_COLUMNS, scores))
+                    fh.write(json.dumps(scored) + "\n")
+                    totals = [t + f for t, f in zip(totals, scores)]
+                    count += 1
+            if count == 0:
+                raise ConfigError(f"{path} holds no summaries for the evaluated documents")
+            rows.append((method, representation, *(t / count for t in totals)))
 
     tsv_path = out_dir / "results.tsv"
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("method\trepresentation\trouge1_f\trouge2_f\trougeL_f\n")
-        for method, representation, r1, r2, rl in rows:
-            fh.write(f"{method}\t{representation}\t{r1:.4f}\t{r2:.4f}\t{rl:.4f}\n")
+    with _written(tsv_path) as part, open(part, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(("method", "representation", *_SCORE_COLUMNS)) + "\n")
+        for method, representation, *means in rows:
+            fh.write("\t".join((method, representation, *(f"{m:.4f}" for m in means))) + "\n")
     print(f"wrote {tsv_path}")
     return tsv_path
 
@@ -438,17 +423,13 @@ def cmd_selftest() -> int:
 
 def config_to_pairs(config: ExperimentConfig) -> dict[str, str]:
     """Flatten a config back to its file representation (for provenance dumps)."""
-    pairs = {
-        "corpus": config.corpus_path,
-        "out": config.output_dir,
-        "methods": ",".join(config.methods),
-        "representations": ",".join(config.representations),
-        "alpha": repr(config.alpha),
-        "ratio": repr(config.ratio),
-        "seed": str(config.seed),
-        "split": str(config.split),
-        "per_document_training": str(config.per_document_training).lower(),
-    }
-    for f in dataclasses.fields(TrainConfig):
-        pairs[f"embed.{f.name}"] = str(getattr(config.embed, f.name))
+
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return ",".join(value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    pairs = {key: text(getattr(config, name)) for key, (name, _) in _TOP_KEYS.items()}
+    for key, (name, _) in _EMBED_KEYS.items():
+        pairs[key] = text(getattr(config.embed, name))
     return pairs

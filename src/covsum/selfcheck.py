@@ -442,30 +442,19 @@ def check_determinism(docs: list[Document] | None = None) -> CheckResult:
 def run_all(docs: list[Document] | None = None) -> list[CheckResult]:
     """Run every check; a crash inside one becomes a failed result."""
     docs = docs if docs is not None else load_bundled_corpus()
-    checks = (
-        check_greedy_matches_oracle,
-        check_first_pick_reduction,
-        lambda: check_probability_invariants(docs),
-        check_rouge_golden,
-        check_gradients,
-        check_dbow_invariances,
-        check_duplicate_suppression,
-        lambda: check_coverage_beats_relevance(docs),
-        lambda: check_determinism(docs),
-    )
-    names = (
-        "greedy-oracle-equivalence",
-        "first-pick-reduction",
-        "probability-invariants",
-        "rouge-golden-and-lcs",
-        "embedding-gradients",
-        "dbow-invariances",
-        "duplicate-suppression",
-        "coverage-beats-relevance",
-        "determinism",
-    )
+    checks = {
+        "greedy-oracle-equivalence": check_greedy_matches_oracle,
+        "first-pick-reduction": check_first_pick_reduction,
+        "probability-invariants": lambda: check_probability_invariants(docs),
+        "rouge-golden-and-lcs": check_rouge_golden,
+        "embedding-gradients": check_gradients,
+        "dbow-invariances": check_dbow_invariances,
+        "duplicate-suppression": check_duplicate_suppression,
+        "coverage-beats-relevance": lambda: check_coverage_beats_relevance(docs),
+        "determinism": lambda: check_determinism(docs),
+    }
     results = []
-    for name, fn in zip(names, checks):
+    for name, fn in checks.items():
         try:
             results.append(fn())
         except Exception as exc:  # pragma: no cover - defensive

@@ -1,4 +1,5 @@
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -258,30 +259,105 @@ def test_per_document_model_name_collision_names_both_ids(tmp_path):
 
 def test_per_document_models_load_once_one_per_kind(tmp_path, monkeypatch):
     config = run_config(
-        tmp_path, grid_docs(), representations="BOW,DBOW,BOW+DBOW",
+        tmp_path, grid_docs(), representations="BOW,DM,DBOW,BOW+DBOW",
         per_document_training="true",
     )
     saved = cmd_train(config)
     loads = Counter()
+    alive = {"dm": [], "dbow": []}
+    earlier_alive = []
     real_load = harness.load_model
 
-    def counting_load(path):
+    def tracking_load(path):
         loads[path] += 1
-        return real_load(path)
+        model = real_load(path)
+        refs = alive[model.kind]
+        earlier_alive.append(sum(1 for ref in refs if ref() is not None))
+        refs.append(weakref.ref(model))
+        return model
 
-    held = []
-
-    class Probe(harness._ModelStore):
-        def model_for(self, representation, doc):
-            result = super().model_for(representation, doc)
-            held.append(len(self._models))
-            return result
-
-    monkeypatch.setattr(harness, "load_model", counting_load)
-    monkeypatch.setattr(harness, "_ModelStore", Probe)
+    monkeypatch.setattr(harness, "load_model", tracking_load)
     cmd_summarize(config)
     assert loads == Counter(saved)  # every per-document model exactly once
-    assert max(held) == 1  # one kind, so never more than one model held
+    # while a model loads, at most the previous document's of that kind is alive
+    assert len(earlier_alive) == 6 and max(earlier_alive) == 1
+
+
+def test_per_document_split_loads_only_evaluated_models(tmp_path, monkeypatch):
+    config = run_config(
+        tmp_path, grid_docs(), representations="DBOW", methods="XDTD",
+        per_document_training="true", split="1",
+    )
+    cmd_train(config)
+    loaded = []
+    real_load = harness.load_model
+
+    def recording_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(harness, "load_model", recording_load)
+    cmd_summarize(config)
+    models = tmp_path / "out" / "models" / "dbow"
+    assert loaded == [models / "gb.cvem", models / "gc.cvem"]
+
+
+def snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_summarize_missing_per_document_model_writes_nothing(tmp_path):
+    config = run_config(tmp_path, grid_docs(), per_document_training="true")
+    saved = cmd_train(config)
+    saved[-1].unlink()
+    with pytest.raises(FileNotFoundError, match="DBOW needs a trained dbow model.*gc.cvem"):
+        cmd_summarize(config)
+    assert not (tmp_path / "out" / "summaries").exists()
+
+
+def test_failed_summarize_keeps_earlier_summaries(tmp_path):
+    config = run_config(tmp_path, grid_docs(), per_document_training="true")
+    saved = cmd_train(config)
+    cmd_summarize(config)
+    summaries = tmp_path / "out" / "summaries"
+    before = snapshot(summaries)
+    saved[-1].write_bytes(b"not a model")  # fails after the first documents
+    with pytest.raises(ValueError, match="not a model"):
+        cmd_summarize(config)
+    assert snapshot(summaries) == before  # no .part file, cells untouched
+
+
+def test_failed_evaluate_keeps_earlier_outputs(tmp_path):
+    config = run_config(tmp_path, grid_docs(), representations="BOW")
+    cmd_summarize(config)
+    cmd_evaluate(config)
+    out = tmp_path / "out"
+    before = snapshot(out)
+    cell = out / "summaries" / "BOW__JXDTD.jsonl"  # the last cell evaluated
+    cell.unlink()
+    with pytest.raises(FileNotFoundError, match="BOW/JXDTD"):
+        cmd_evaluate(config)
+    cell.write_text("")  # fails after the other cell's rows are written
+    with pytest.raises(ConfigError, match="holds no summaries"):
+        cmd_evaluate(config)
+    cell.write_bytes(before[cell.relative_to(out)])
+    assert snapshot(out) == before
+
+
+def test_failed_train_keeps_earlier_models(tmp_path, monkeypatch):
+    config = run_config(tmp_path, grid_docs(), representations="DBOW")
+    cmd_train(config)
+    models = tmp_path / "out" / "models"
+    before = snapshot(models)
+
+    def failing_save(model, path):
+        path.write_bytes(b"CVEM")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_model", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_train(run_config(tmp_path, grid_docs(), representations="DBOW", seed="4"))
+    assert snapshot(models) == before
 
 
 def test_missing_corpus_errors_with_path(tmp_path):
