@@ -19,6 +19,14 @@ bit-identical to the one-target-at-a-time loop kept as
 ``oracles.train_reference``; ``test_train_matches_per_target_reference`` in
 ``tests/test_embedding.py`` guards this with ``==`` on every matrix.
 
+:func:`train_each` fits one model per paragraph group (per-document
+training) in lockstep: one batched step advances every unfinished fit by
+one target. Fits share no row, so the batch is exact, and every model is
+bit-identical to a separate :func:`train` call on its group;
+``test_train_each_matches_separate_fits`` guards this with ``==`` on every
+matrix. Groups run in consecutive waves of bounded size, so memory does
+not grow with the number of groups.
+
 Model files are flat binary (little-endian):
 
     magic  b"CVEM"          4 bytes
@@ -36,8 +44,9 @@ Model files are flat binary (little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,8 +98,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not math.isfinite(self.unigram_power):
+            raise ValueError("unigram_power must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -234,6 +247,57 @@ def _validate_paragraphs(
     return vocab_size
 
 
+def _check_kind(kind: str) -> str:
+    kind = kind.lower()
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    return kind
+
+
+def _flatten(
+    paragraphs: Sequence[TrainingParagraph],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Term id, paragraph index and flat index of the paragraph's first
+    token, for every target in paragraph order."""
+    lengths = np.array([len(p.tokens) for p in paragraphs])
+    tok = np.concatenate([np.asarray(p.tokens, dtype=np.int64) for p in paragraphs])
+    pid = np.repeat(np.arange(len(paragraphs)), lengths)
+    par_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return tok, pid, par_start
+
+
+def _learning_rates(
+    steps: np.ndarray, total_steps: int | np.ndarray, cfg: TrainConfig
+) -> np.ndarray:
+    """Rates of the given steps of runs of ``total_steps`` steps (broadcast
+    against ``steps``): linear decay from ``cfg.learning_rate`` to 1% of it
+    at step ``total_steps - 1``."""
+    lr_start, lr_end = cfg.learning_rate, cfg.learning_rate / 100.0
+    total_steps = np.asarray(total_steps)
+    frac = steps / np.maximum(total_steps - 1, 1)
+    return np.where(total_steps > 1, lr_start + (lr_end - lr_start) * frac, lr_start)
+
+
+def _finished(
+    kind: str,
+    cfg: TrainConfig,
+    para_matrix: np.ndarray,
+    word_in: np.ndarray | None,
+    word_out: np.ndarray,
+) -> EmbeddingModel:
+    for name, mat in (("para", para_matrix), ("word_in", word_in), ("word_out", word_out)):
+        # finite iff min and max are (NaN propagates), with no temporary array
+        if mat is not None and not np.isfinite([mat.min(), mat.max()]).all():
+            raise ArithmeticError(f"{name} matrix diverged; lower the learning rate")
+    return EmbeddingModel(
+        kind=kind,
+        para_matrix=para_matrix,
+        word_out=word_out,
+        word_in=word_in,
+        context_size=cfg.context_size if kind == "dm" else 0,
+    )
+
+
 def train(
     paragraphs: Sequence[TrainingParagraph],
     cfg: TrainConfig,
@@ -247,9 +311,7 @@ def train(
     out-vectors; the sampled stream may repeat the target itself. Target
     order is reshuffled every epoch from the seeded generator.
     """
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    kind = _check_kind(kind)
     vocab_size = _validate_paragraphs(paragraphs, vocab_size)
 
     d = cfg.dim
@@ -263,18 +325,13 @@ def train(
     word_in = rng_init.uniform(-0.5 / d, 0.5 / d, (vocab_size, d)) if kind == "dm" else None
     word_out = np.zeros((vocab_size, d))
 
-    lengths = np.array([len(p.tokens) for p in paragraphs])
-    tok = np.concatenate([np.asarray(p.tokens, dtype=np.int64) for p in paragraphs])
-    pid = np.repeat(np.arange(num_paragraphs), lengths)
-    # Flat index of the first token of each target's paragraph.
-    par_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tok, pid, par_start = _flatten(paragraphs)
     sampler = NegativeSampler(
         np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg
     )
 
     num_targets = len(tok)
     total_steps = cfg.epochs * num_targets
-    lr_start, lr_end = cfg.learning_rate, cfg.learning_rate / 100.0
     k = cfg.negatives
     c = cfg.context_size if kind == "dm" else 0
 
@@ -291,11 +348,7 @@ def train(
         for lo in range(0, num_targets, _CHUNK):
             t = order[lo : lo + _CHUNK]
             m = len(t)
-            if total_steps > 1:
-                steps = np.arange(step, step + m)
-                lr = lr_start + (lr_end - lr_start) * (steps / (total_steps - 1))
-            else:
-                lr = np.full(m, lr_start)
+            lr = _learning_rates(np.arange(step, step + m), total_steps, cfg)
             step += m
 
             out_idx = np.empty((m, k + 1), dtype=np.int64)
@@ -347,17 +400,253 @@ def train(
                     else:
                         word_in[ctx] = ctx_rows - shared
 
-    for name, mat in (("para", para_matrix), ("word_in", word_in), ("word_out", word_out)):
-        if mat is not None and not np.isfinite(mat).all():
-            raise ArithmeticError(f"{name} matrix diverged; lower the learning rate")
+    return _finished(kind, cfg, para_matrix, word_in, word_out)
 
-    return EmbeddingModel(
-        kind=kind,
-        para_matrix=para_matrix,
-        word_out=word_out,
-        word_in=word_in,
-        context_size=cfg.context_size if kind == "dm" else 0,
-    )
+
+# Targets per chunk of the lockstep schedule, over all fits: every fit
+# takes about _LOCKSTEP_TARGETS / (fits still training) steps per chunk.
+_LOCKSTEP_TARGETS = 2 * _CHUNK
+
+# Values (rows x dim) of the shared word_out matrix one lockstep wave may
+# hold: groups are trained in consecutive waves of about equal size within
+# this bound, so memory does not grow with the number of groups.
+_WAVE_VALUES = 2**17
+
+
+class _Fit:
+    """One group's fit inside :func:`train_each`: its own order and negative
+    streams, its step count, and where its rows sit in the shared arrays."""
+
+    def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg,
+                 seed_order, seed_neg):
+        self.terms, counts = np.unique(tok, return_counts=True)
+        self.vocab_size = vocab_size
+        self.base = base  # flat index of the fit's first target
+        self.row_off = row_off  # shared row of self.terms[0]
+        self.para_off = para_off  # shared row of the fit's paragraph 0
+        self.num_paragraphs = num_paragraphs
+        self.num_targets = len(tok)
+        self.total_steps = cfg.epochs * len(tok)
+        self.rng_order = np.random.default_rng(seed_order)
+        # Draws local ids of exactly the terms a sampler over all vocab_size
+        # counts draws: the other terms' bins have zero width, and leaving
+        # zeros out of a running sum changes none of its values.
+        self.sampler = NegativeSampler(counts, cfg.unigram_power, seed_neg)
+        self.pending = np.empty(0, dtype=np.int64)
+
+    def next_targets(self, n: int) -> np.ndarray:
+        """Flat indices of the next ``n`` targets, one permutation per epoch,
+        drawn when the previous epoch's targets run out."""
+        while len(self.pending) < n:
+            perm = self.rng_order.permutation(self.num_targets)
+            self.pending = np.concatenate([self.pending, perm])
+        t, self.pending = self.pending[:n], self.pending[n:]
+        return self.base + t
+
+
+def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
+    """``ctx_rows[i, :num_ctx[i]].sum(axis=0)`` for every fit i, rounded as
+    that sum is. With d > 1 numpy adds the rows of an (n, d) array in
+    order, starting from 0.0, so the slots are folded in order; the pad
+    slots after a context hold +0.0, which leaves such a sum unchanged (it
+    is never -0.0). A single column numpy sums pairwise, so that case is
+    summed fit by fit."""
+    if ctx_rows.shape[2] == 1:
+        return np.array([r[:n].sum(axis=0) for r, n in zip(ctx_rows, num_ctx.tolist())])
+    acc = np.zeros((ctx_rows.shape[0], ctx_rows.shape[2]))
+    for j in range(ctx_rows.shape[1]):
+        acc += ctx_rows[:, j]
+    return acc
+
+
+def _scatter(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, delta: np.ndarray,
+             repeats: np.ndarray) -> None:
+    """``mat[idx[i]] += delta[i]`` for every fit i, where ``rows`` is
+    ``mat[idx]`` as gathered before the step.
+
+    Every fit's rows are assigned ``rows + delta``. A fit whose ``idx[i]``
+    holds a row twice then gets its gathered rows back and adds its deltas
+    with ``np.add.at``, in slot order, as ``train`` does. The adds go
+    through the flat view of ``mat`` (which must be C-contiguous), one
+    index per element: ``np.add.at`` takes that 3-4x faster than row
+    indices, and it adds to each element in the same order.
+    """
+    mat[idx] = rows + delta
+    if repeats.any():
+        rep_idx = idx[repeats]
+        mat[rep_idx] = rows[repeats]
+        cells = rep_idx[..., None] * mat.shape[1] + np.arange(mat.shape[1])
+        values = delta[repeats]
+        if values.shape != cells.shape:  # one delta for every slot
+            values = np.broadcast_to(values, cells.shape)
+        np.add.at(mat.reshape(-1), cells.ravel(), values.ravel())
+
+
+def train_each(
+    groups: Sequence[Sequence[TrainingParagraph]],
+    cfg: TrainConfig,
+    kind: str,
+    vocab_size: int | None = None,
+) -> Iterator[EmbeddingModel]:
+    """Train one model per paragraph group, all fits in lockstep, and yield
+    the models in group order.
+
+    Every model is bit-identical to ``train(group, cfg, kind, vocab_size)``.
+    Each fit keeps that call's seeded streams, epoch permutations, negative
+    draws and learning-rate schedule; step s of every fit still training
+    runs as one batched step. Fits share no row, so batching them changes
+    no sum: gathers and scatters touch disjoint rows, the scores and
+    predictor gradients come from stacked ``np.matmul`` (the BLAS gemv that
+    ``np.dot`` calls), and the rest is elementwise. Only the rows of the
+    terms a group uses are held; the others never change (zero ``word_out``
+    rows, seeded ``word_in`` rows), and a model is expanded to
+    ``vocab_size`` rows when it is yielded. Groups run in consecutive waves
+    (:func:`_waves`), so memory does not grow with their number.
+    """
+    kind = _check_kind(kind)
+    sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
+    for wave in _waves(groups, cfg.dim):
+        yield from _lockstep(groups[wave], sizes[wave], cfg, kind)
+
+
+def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slice]:
+    """Consecutive runs of groups for :func:`train_each`: the fewest runs
+    whose mean size is within ``_WAVE_VALUES`` term-row values, cut where
+    the running count of distinct terms passes each multiple of that mean,
+    so a run exceeds the mean by less than its last group."""
+    if not groups:
+        return []
+    rows = np.cumsum([len({t for p in group for t in p.tokens}) for group in groups])
+    n = -(-int(rows[-1]) * dim // _WAVE_VALUES)
+    cuts = np.searchsorted(rows, rows[-1] * np.arange(1, n) / n) + 1
+    bounds = [0, *cuts.tolist(), len(groups)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _lockstep(
+    groups: Sequence[Sequence[TrainingParagraph]],
+    sizes: Sequence[int],
+    cfg: TrainConfig,
+    kind: str,
+) -> Iterator[EmbeddingModel]:
+    """Train one wave of :func:`train_each` in lockstep, then yield its
+    models in group order."""
+    d, k = cfg.dim, cfg.negatives
+    c = cfg.context_size if kind == "dm" else 0
+    seed_init, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
+    # Every fit's init stream is the same seed_init stream: P x d paragraph
+    # values, then V x d word_in values for DM. One draw as long as the
+    # longest holds each fit's init as a prefix.
+    init_len = max(len(g) + (v if kind == "dm" else 0) for g, v in zip(groups, sizes))
+    init = np.random.default_rng(seed_init).uniform(-0.5 / d, 0.5 / d, (init_len, d))
+
+    fits: list[_Fit] = []
+    # Shared rows of each target's term and flat index of each paragraph's
+    # first target, over all fits; paragraph i's row in ``para`` is row i.
+    tok_rows, par_firsts, para_parts, in_parts = [], [], [], []
+    base = row_off = para_off = 0
+    for group, size in zip(groups, sizes):
+        tok, _, par_start = _flatten(group)
+        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order, seed_neg)
+        fits.append(fit)
+        tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
+        par_firsts.append(base + np.unique(par_start))
+        para_parts.append(init[: len(group)])
+        if kind == "dm":
+            in_parts.append(init[len(group) + fit.terms])
+        base += len(tok)
+        row_off += len(fit.terms)
+        para_off += len(group)
+    tok_rows = np.concatenate(tok_rows)
+    par_firsts = np.concatenate(par_firsts)
+    para = np.concatenate(para_parts)
+    word_out = np.zeros((row_off, d))
+    # Context slots past a target's context point at one pad row after the
+    # fits' rows, which is set back to +0.0 after every step.
+    pad = row_off
+    word_in = np.concatenate(in_parts + [np.zeros((1, d))]) if kind == "dm" else None
+
+    labels = np.zeros(k + 1)
+    labels[0] = 1.0
+    slots = np.arange(c)
+    # Longest fit first, so the fits still training are a prefix.
+    order = sorted(fits, key=lambda f: -f.total_steps)
+    totals = np.array([f.total_steps for f in order])
+    step = 0
+    while step < totals[0]:
+        active = int(np.count_nonzero(totals > step))
+        m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
+        t = np.zeros((m, active), dtype=np.int64)
+        negs = np.zeros((m, active, k), dtype=np.int64)
+        for col, fit in enumerate(order[:active]):
+            n = min(m, fit.total_steps - step)
+            t[:n, col] = fit.next_targets(n)
+            negs[:n, col] = fit.row_off + fit.sampler.draw(k * n).reshape(n, k)
+        steps = np.arange(step, step + m)[:, None]
+        lr = _learning_rates(steps, totals[:active], cfg)
+        live = np.count_nonzero(totals[:active] > steps, axis=1)
+
+        out_idx = np.concatenate([tok_rows[t][..., None], negs], axis=2)
+        out_repeats = _has_repeat(out_idx.reshape(-1, k + 1)).reshape(m, active)
+        p_rows = np.searchsorted(par_firsts, t, side="right") - 1
+        share_lr = lr  # lr / 1 when no context shares the predictor
+        if c:
+            ctx_lo = np.maximum(t - c, par_firsts[p_rows])
+            num_ctx = t - ctx_lo
+            share_lr = lr / (1 + num_ctx)
+            window = ctx_lo[..., None] + slots
+            in_ctx = window < t[..., None]
+            ctx_idx = np.where(in_ctx, tok_rows[np.minimum(window, t[..., None])], pad)
+            ctx_repeats = _has_repeat(
+                np.where(in_ctx, ctx_idx, -1 - slots).reshape(-1, c)
+            ).reshape(m, active)
+        neg_lr = -lr
+        step += m
+
+        for j, a in enumerate(live.tolist()):
+            p = p_rows[j, :a]
+            row = para[p]
+            if c:
+                nc, ctx = num_ctx[j, :a], ctx_idx[j, :a]
+                ctx_rows = word_in[ctx]
+                h = np.where(
+                    nc[:, None] > 0,
+                    (row + _context_sums(ctx_rows, nc)) / (1 + nc)[:, None],
+                    row,
+                )
+            else:
+                h = row
+
+            idx = out_idx[j, :a]
+            out_rows = word_out[idx]
+            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0]) - labels
+            grad_h = np.matmul(g[:, None, :], out_rows)[:, 0]
+            upd = (neg_lr[j, :a, None] * g)[:, :, None] * h[:, None, :]
+            _scatter(word_out, idx, out_rows, upd, out_repeats[j, :a])
+
+            shared = share_lr[j, :a, None] * grad_h
+            para[p] = row - shared
+            if c:
+                _scatter(word_in, ctx, ctx_rows, -shared[:, None, :], ctx_repeats[j, :a])
+                word_in[pad] = 0.0
+    for fit in fits:
+        yield _expand(fit, kind, cfg, init, para, word_in, word_out)
+
+
+def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.ndarray,
+            word_in: np.ndarray | None, word_out: np.ndarray) -> EmbeddingModel:
+    """A lockstep fit as the model ``train`` returns: the rows of terms the
+    fit never saw keep their initial values, zero in ``word_out`` and the
+    seeded draw in ``word_in``."""
+    rows = slice(fit.row_off, fit.row_off + len(fit.terms))
+    para_matrix = para[fit.para_off : fit.para_off + fit.num_paragraphs].copy()
+    full_in = None
+    if kind == "dm":
+        full_in = init[fit.num_paragraphs : fit.num_paragraphs + fit.vocab_size].copy()
+        full_in[fit.terms] = word_in[rows]
+    full_out = np.zeros((fit.vocab_size, cfg.dim))
+    full_out[fit.terms] = word_out[rows]
+    return _finished(kind, cfg, para_matrix, full_in, full_out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,49 +742,50 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         model.num_paragraphs,
         model.dim,
     )
+    matrices = [model.para_matrix, model.word_out]
+    if model.kind == "dm":
+        matrices.insert(1, model.word_in)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(model.para_matrix, dtype=np.float64).tobytes())
-        if model.kind == "dm":
-            fh.write(np.ascontiguousarray(model.word_in, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(model.word_out, dtype=np.float64).tobytes())
+        for mat in matrices:  # written from the array's own buffer, not a copy
+            fh.write(np.ascontiguousarray(mat, dtype="<f8").data)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    """Inverse of :func:`save_model`; round-trips are lossless."""
+    """Inverse of :func:`save_model`; round-trips are lossless. The file size
+    is checked against the header first, then each matrix is read straight
+    into its array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a model file")
-    magic, version, kind_code, context_size, v, p, d = _HEADER.unpack_from(raw)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    kind = _CODE_KINDS.get(kind_code)
-    if kind is None:
-        raise ValueError(f"{path}: unknown model kind code {kind_code}")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a model file")
+        _, version, kind_code, context_size, v, p, d = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported model version {version}")
+        kind = _CODE_KINDS.get(kind_code)
+        if kind is None:
+            raise ValueError(f"{path}: unknown model kind code {kind_code}")
 
-    offset = _HEADER.size
-
-    def take(rows: int) -> np.ndarray:
-        nonlocal offset
-        count = rows * d
-        if offset + count * 8 > len(raw):
+        row_counts = (p, v, v) if kind == "dm" else (p, v)
+        size = _HEADER.size + 8 * d * sum(row_counts)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < size:
             raise ValueError(f"{path}: truncated model file")
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return block.reshape(rows, d).copy()
+        if actual > size:
+            raise ValueError(f"{path}: trailing bytes in model file")
+        matrices = []
+        for rows in row_counts:
+            block = np.empty((rows, d), dtype="<f8")
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: truncated model file")
+            matrices.append(block)
 
-    para_matrix = take(p)
-    word_in = take(v) if kind == "dm" else None
-    word_out = take(v)
-    if offset != len(raw):
-        raise ValueError(f"{path}: trailing bytes in model file")
-
+    para_matrix, *word_in, word_out = matrices
     return EmbeddingModel(
         kind=kind,
         para_matrix=para_matrix,
         word_out=word_out,
-        word_in=word_in,
+        word_in=word_in[0] if word_in else None,
         context_size=context_size,
     )
 

@@ -13,7 +13,10 @@ overrides, and runs in three stages that share one output directory:
 seed is deterministic, byte for byte.
 
 Documents share models by group (:func:`_model_groups`): all of them, or one
-each with ``per_document_training``. Output files are written as ``.part``
+each with ``per_document_training``. Per-document models are trained in
+lockstep by ``embedding.train_each``, bit-identical to one ``train`` call per
+document (``tests/test_embedding.py::test_train_each_matches_separate_fits``).
+Output files are written as ``.part``
 files and renamed when complete; a failed stage deletes its ``.part`` files,
 so it leaves no half-written file and the previous outputs as they were.
 """
@@ -21,6 +24,7 @@ so it leaves no half-written file and the previous outputs as they were.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
@@ -34,6 +38,7 @@ from .embedding import (
     load_model,
     save_model,
     train,
+    train_each,
 )
 from .rouge import evaluate
 from .selection import (
@@ -77,6 +82,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown representation {r!r}; choose from {REPRESENTATIONS}"
                 )
+        for name in ("methods", "representations"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} lists a value twice: {', '.join(values)}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError("alpha must be finite")
         if not 0.0 < self.ratio <= 1.0:
             raise ConfigError("ratio must be in (0, 1]")
         if self.split < 0:
@@ -217,13 +228,16 @@ def _check_model_names(docs: list[Document]) -> None:
 
 
 def _model_groups(
-    config: ExperimentConfig, docs: list[Document]
+    config: ExperimentConfig, docs: list[Document], kinds: list[str]
 ) -> list[tuple[str | None, list[Document]]]:
     """(owner, documents) pairs of documents sharing a model: ``[(None, docs)]``
-    for a corpus model, one ``(doc.id, [doc])`` per document otherwise."""
+    for a corpus model, one ``(doc.id, [doc])`` per document otherwise.
+    Per-document model file names are checked only when ``kinds`` needs a
+    model."""
     if not config.per_document_training:
         return [(None, docs)]
-    _check_model_names(docs)
+    if kinds:
+        _check_model_names(docs)
     return [(doc.id, [doc]) for doc in docs]
 
 
@@ -251,7 +265,12 @@ def _written(path: Path) -> Iterator[Path]:
 
 
 def cmd_train(config: ExperimentConfig) -> list[Path]:
-    """Train every embedding kind the configured grid needs and persist it."""
+    """Train every embedding kind the configured grid needs and persist it.
+
+    Several model groups are trained in lockstep by ``train_each``, whose
+    models are bit-identical to one ``train`` call per group; a single group
+    goes through ``train``, which is faster for one fit.
+    """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
     kinds = _required_kinds(config.representations)
@@ -261,15 +280,20 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         print("no embedding representations configured; nothing to train")
         return saved
 
-    for owner, group in _model_groups(config, docs):
-        paragraphs, _ = build_training_paragraphs(group, vocab)
-        for kind in kinds:
-            model = train(paragraphs, config.embed, kind, vocab.size)
+    groups = _model_groups(config, docs, kinds)
+    paragraphs = [build_training_paragraphs(group, vocab)[0] for _, group in groups]
+    for kind in kinds:
+        if len(groups) == 1:
+            models = [train(paragraphs[0], config.embed, kind, vocab.size)]
+        else:
+            models = train_each(paragraphs, config.embed, kind, vocab.size)
+        for (owner, _), model in zip(groups, models):
             path = _model_path(out_dir, kind, owner)
             path.parent.mkdir(parents=True, exist_ok=True)
             with _written(path) as part:
                 save_model(model, part)
             saved.append(path)
+            del model  # freed before the next model is built
     for path in saved:
         print(f"wrote {path}")
     return saved
@@ -295,7 +319,7 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
     out_dir = Path(config.output_dir)
     groups = [
         (owner, group)
-        for owner, group in _model_groups(config, docs)
+        for owner, group in _model_groups(config, docs, kinds)
         if any(doc.id in targets for doc in group)
     ]
     for owner, _ in groups:
@@ -422,7 +446,11 @@ def cmd_selftest() -> int:
 
 
 def config_to_pairs(config: ExperimentConfig) -> dict[str, str]:
-    """Flatten a config back to its file representation (for provenance dumps)."""
+    """Flatten a config back to its file representation (for provenance dumps).
+
+    A key whose value is empty (no corpus) is left out: a config file has no
+    empty values, and a missing key means the same default.
+    """
 
     def text(value) -> str:
         if isinstance(value, tuple):
@@ -432,4 +460,4 @@ def config_to_pairs(config: ExperimentConfig) -> dict[str, str]:
     pairs = {key: text(getattr(config, name)) for key, (name, _) in _TOP_KEYS.items()}
     for key, (name, _) in _EMBED_KEYS.items():
         pairs[key] = text(getattr(config.embed, name))
-    return pairs
+    return {key: value for key, value in pairs.items() if value}

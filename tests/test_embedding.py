@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from covsum.embedding import (
     paragraph_vector,
     save_model,
     train,
+    train_each,
 )
 from covsum.oracles import train_reference
 
@@ -43,7 +46,9 @@ def test_training_paragraph_requires_tokens():
 
 
 def test_train_config_validation():
-    for bad in (dict(dim=0), dict(epochs=0), dict(negatives=0), dict(learning_rate=0.0)):
+    for bad in (dict(dim=0), dict(epochs=0), dict(negatives=0), dict(learning_rate=0.0),
+                dict(learning_rate=math.inf), dict(learning_rate=math.nan),
+                dict(unigram_power=math.nan), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(context_size=0)  # zero context is legal (DBOW-style DM)
@@ -212,6 +217,101 @@ def test_train_matches_reference_across_chunks():
         _assert_same_model(train(paragraphs, cfg, kind), train_reference(paragraphs, cfg, kind))
 
 
+@st.composite
+def _lockstep_runs(draw):
+    """1-8 groups of unequal length over at most 8 terms, sometimes with a
+    single-target group, so rows repeat and fits finish at different steps."""
+    vocab = draw(st.integers(1, 8))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)
+    groups = [
+        [TrainingParagraph(i, tuple(toks)) for i, toks in enumerate(paragraphs)]
+        for paragraphs in draw(
+            st.lists(st.lists(tokens, min_size=1, max_size=4), min_size=1, max_size=8)
+        )
+    ]
+    if draw(st.booleans()):
+        single = [TrainingParagraph(0, (draw(st.integers(0, vocab - 1)),))]
+        groups.insert(draw(st.integers(0, len(groups))), single)
+    cfg = TrainConfig(
+        dim=draw(st.integers(1, 6)),
+        context_size=draw(st.integers(0, 4)),
+        epochs=draw(st.integers(1, 4)),
+        negatives=draw(st.integers(1, 6)),
+        learning_rate=draw(st.sampled_from([0.025, 0.5, 2.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    size = draw(st.sampled_from([vocab, vocab + 3, None]))
+    # one wave, a few, or one group per wave
+    wave_values = draw(st.sampled_from([embedding._WAVE_VALUES, 24, 1]))
+    return groups, cfg, draw(st.sampled_from(KINDS)), size, wave_values
+
+
+def _assert_lockstep_matches_separate_fits(groups, cfg, kind, size):
+    got = list(train_each(groups, cfg, kind, vocab_size=size))
+    assert len(got) == len(groups)
+    for model, group in zip(got, groups):
+        _assert_same_model(model, train(group, cfg, kind, vocab_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lockstep_runs())
+def test_train_each_matches_separate_fits(run):
+    *run, wave_values = run
+    with mock.patch.object(embedding, "_WAVE_VALUES", wave_values):
+        _assert_lockstep_matches_separate_fits(*run)
+
+
+def test_waves_cover_the_groups_in_order():
+    groups = [[TrainingParagraph(0, tuple(range(n)))] for n in (5, 1, 3, 3, 8, 2, 2)]
+    rows = [5, 1, 3, 3, 8, 2, 2]  # distinct terms per group, 24 in all
+    for wave_values, sizes in ((10**6, [7]), (24 * 4 // 2, [4, 3]), (24 * 4 // 3, [3, 2, 2]),
+                               (1, [1] * 7)):
+        with mock.patch.object(embedding, "_WAVE_VALUES", wave_values):
+            waves = embedding._waves(groups, 4)
+        assert [w.stop - w.start for w in waves] == sizes
+        assert waves[0].start == 0 and waves[-1].stop == len(groups)
+        assert all(a.stop == b.start for a, b in zip(waves, waves[1:]))
+        mean = sum(rows) / len(waves)
+        assert all(sum(rows[w]) < mean + rows[w.stop - 1] for w in waves)
+    assert embedding._waves([], 4) == []
+
+
+def test_train_each_matches_separate_fits_across_chunks():
+    rng = np.random.default_rng(8)
+    groups = [
+        [
+            TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 60, rng.integers(1, 30))))
+            for i in range(count)
+        ]
+        for count in (300, 90, 12, 1)
+    ]
+    cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
+    steps = [cfg.epochs * sum(len(p.tokens) for p in g) for g in groups]
+    # the first chunk gives each of the 4 fits this many steps
+    assert max(steps) > embedding._LOCKSTEP_TARGETS // len(groups)
+    for kind in KINDS:
+        _assert_lockstep_matches_separate_fits(groups, cfg, kind, 70)
+
+
+def test_train_each_validates_every_group():
+    cfg = TrainConfig(dim=4, epochs=1)
+    with pytest.raises(ValueError, match="term id 4"):
+        list(train_each([_paras()[:1], _paras()], cfg, "dbow", vocab_size=3))
+    with pytest.raises(ValueError, match="kind"):
+        list(train_each([_paras()], cfg, "skipgram"))
+    assert list(train_each([], cfg, "dm")) == []
+
+
+def test_diverged_training_is_refused():
+    cfg = TrainConfig(dim=4, epochs=3, negatives=2, learning_rate=1e200, seed=1)
+    for kind in KINDS:
+        with np.errstate(all="ignore"):
+            with pytest.raises(ArithmeticError, match="diverged"):
+                train(_paras(), cfg, kind, vocab_size=5)
+            with pytest.raises(ArithmeticError, match="diverged"):
+                list(train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5))
+
+
 def test_degenerate_single_term_vocab_runs():
     par = TrainingParagraph(0, (0, 0, 0))
     cfg = TrainConfig(dim=4, epochs=2, negatives=1, seed=1)
@@ -281,13 +381,50 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(ValueError, match="not a model file"):
         load_model(bad)
 
+    bad.write_bytes(raw[:10])
+    with pytest.raises(ValueError, match="not a model file"):
+        load_model(bad)
+
+    bad.write_bytes(raw[:4] + b"\x02" + raw[5:])
+    with pytest.raises(ValueError, match="unsupported model version 2"):
+        load_model(bad)
+
+    bad.write_bytes(raw[:5] + b"\x07" + raw[6:])
+    with pytest.raises(ValueError, match="unknown model kind code 7"):
+        load_model(bad)
+
     bad.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated"):
+        load_model(bad)
+
+    bad.write_bytes(raw[:5] + b"\x00" + raw[6:])  # a DM header needs word_in too
+    with pytest.raises(ValueError, match="truncated"):
         load_model(bad)
 
     bad.write_bytes(raw + b"\x00" * 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trailing bytes"):
         load_model(bad)
+
+
+def test_load_reads_matrices_without_a_whole_file_copy(tmp_path):
+    rng = np.random.default_rng(0)
+    model = EmbeddingModel(
+        kind="dm",
+        para_matrix=rng.normal(size=(40, 32)),
+        word_out=rng.normal(size=(3000, 32)),
+        word_in=rng.normal(size=(3000, 32)),
+        context_size=2,
+    )
+    path = tmp_path / "m.cvem"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_model(loaded, model)
+    assert peak < 1.2 * path.stat().st_size
 
 
 def test_build_training_paragraphs_layout(tiny_docs):

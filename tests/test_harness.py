@@ -1,8 +1,12 @@
 import json
+import tempfile
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsum import harness
 from covsum.corpus import save_corpus
@@ -97,12 +101,20 @@ def test_unknown_keys_are_named():
 def test_bad_values_are_reported():
     with pytest.raises(ConfigError, match="alpha"):
         build_experiment_config({"alpha": "lots"})
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        build_experiment_config({"alpha": "nan"})
+    with pytest.raises(ConfigError, match="seed"):
+        build_experiment_config({"seed": "-1"})
     with pytest.raises(ConfigError, match="boolean"):
         build_experiment_config({"per_document_training": "maybe"})
     with pytest.raises(ConfigError, match="ratio"):
         build_experiment_config({"ratio": "0"})
     with pytest.raises(ConfigError, match="method"):
         build_experiment_config({"methods": "MMR,BOGUS"})
+    with pytest.raises(ConfigError, match="methods lists a value twice"):
+        build_experiment_config({"methods": "XDTD,MMR,XDTD"})
+    with pytest.raises(ConfigError, match="representations lists a value twice"):
+        build_experiment_config({"representations": "BOW,BOW"})
     with pytest.raises(ConfigError):
         build_experiment_config({"embed.dim": "0"})
 
@@ -129,6 +141,47 @@ def test_experiment_config_validation():
         ExperimentConfig(representations=("LSA",))
     with pytest.raises(ConfigError):
         ExperimentConfig(split=-1)
+
+
+_CONFIG_KEYS = tuple(config_to_pairs(ExperimentConfig()))
+_LINE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r")
+_VALUE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r#")
+
+
+@st.composite
+def _config_texts(draw):
+    """Config file text: ``key = value`` lines over real and made-up keys,
+    with values that are numbers, special floats, lists or any text, mixed
+    with arbitrary lines."""
+    value = st.one_of(
+        st.sampled_from(["nan", "-inf", "inf", "1e500", "0", "-1", "1_000", " 3 ", "yes",
+                         "MMR, XDTD", "BOW+DM,DBOW", "JXDTD,JXDTD", "", "="]),
+        st.integers(-3, 10**6).map(str),
+        st.floats().map(repr),
+        st.text(_VALUE_CHARS, max_size=12),
+    )
+    key = st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(_VALUE_CHARS, max_size=8))
+    line = st.one_of(
+        st.tuples(key, value).map(" = ".join),
+        st.text(_LINE_CHARS, max_size=20),
+    )
+    return "\n".join(draw(st.lists(line, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_config_text_is_refused_or_round_trips(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = build_experiment_config(parse_config_file(path))
+        except ConfigError:
+            return
+        pairs = config_to_pairs(config)
+        assert build_experiment_config(pairs) == config
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
+        assert build_experiment_config(parse_config_file(path)) == config
 
 
 # --- pipeline commands -------------------------------------------------------
@@ -254,6 +307,22 @@ def test_per_document_model_name_collision_names_both_ids(tmp_path):
         cmd_train(config)
     with pytest.raises(ConfigError, match="'a/b' and 'a_b'.*a_b.cvem"):
         cmd_summarize(config)
+    assert not (tmp_path / "out" / "models").exists()
+
+
+def test_per_document_bow_only_needs_no_model_names(tmp_path):
+    docs = [
+        make_doc("a/b", [["alpha", "beta"], ["gamma", "delta"]], refs=[[["alpha", "beta"]]]),
+        make_doc("a_b", [["red", "blue"], ["green", "blue"]], refs=[[["red", "blue"]]]),
+    ]
+    config = run_config(
+        tmp_path, docs, representations="BOW", methods="XDTD",
+        per_document_training="true",
+    )
+    assert cmd_train(config) == []
+    (cell,) = cmd_summarize(config)
+    assert [json.loads(line)["id"] for line in cell.read_text().splitlines()] == ["a/b", "a_b"]
+    assert len(cmd_evaluate(config).read_text().splitlines()) == 2
     assert not (tmp_path / "out" / "models").exists()
 
 
