@@ -52,7 +52,17 @@ from .selection import (
     greedy_select,
     summary_sentences,
 )
-from .selfcheck import CheckResult, run_all
+
+
+def __getattr__(name: str):
+    # The diagnostics pull in the oracles and the synthetic corpus generator,
+    # which no pipeline stage uses, so they load on first access (PEP 562).
+    if name in ("CheckResult", "run_all"):
+        from . import selfcheck
+
+        return getattr(selfcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CorpusError",

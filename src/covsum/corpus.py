@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import re
 import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 
@@ -46,10 +48,17 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Matches exactly the characters for which str.isspace() is true, and is
+# several times faster than testing them one by one.
+_SPACE = re.compile(r"\s")
+
+
 def _check_token(tok: str, where: str) -> str:
+    if not isinstance(tok, str):
+        raise CorpusError(f"{where}: token {tok!r} is not a string")
     if not tok:
         raise CorpusError(f"{where}: empty token")
-    if any(c.isspace() for c in tok):
+    if _SPACE.search(tok):
         raise CorpusError(f"{where}: token {tok!r} contains whitespace")
     return tok.lower()
 
@@ -143,13 +152,13 @@ def _parse_document(record: dict, line_no: int) -> Document:
         raw = record["sentences"]
         if not isinstance(raw, list) or not raw:
             raise CorpusError(f"{where}: 'sentences' must be a non-empty list")
-        sent_tokens = [
-            tuple(_check_token(t, where) for t in sent) for sent in raw
-        ]
+        sent_tokens = _token_lists(raw, where, "sentence")
     elif "raw_sentences" in record:
         raw = record["raw_sentences"]
         if not isinstance(raw, list) or not raw:
             raise CorpusError(f"{where}: 'raw_sentences' must be a non-empty list")
+        if not all(isinstance(text, str) for text in raw):
+            raise CorpusError(f"{where}: 'raw_sentences' must hold strings")
         sent_tokens = [tuple(tokenize(text)) for text in raw]
     else:
         raise CorpusError(f"{where}: missing 'sentences' key")
@@ -158,20 +167,34 @@ def _parse_document(record: dict, line_no: int) -> Document:
         if not toks:
             raise CorpusError(f"{where}: sentence {i} has no tokens")
 
+    refs = record.get("references", [])
+    if not isinstance(refs, list):
+        raise CorpusError(f"{where}: 'references' must be a list")
     references = []
-    for r, ref in enumerate(record.get("references", ())):
+    for r, ref in enumerate(refs):
         if not isinstance(ref, list) or not ref:
             raise CorpusError(f"{where}: reference {r} must be a non-empty list")
-        references.append(
-            ReferenceSummary(
-                tuple(
-                    tuple(_check_token(t, where) for t in sent) for sent in ref
-                )
-            )
-        )
+        sents = _token_lists(ref, where, f"reference {r} sentence")
+        references.append(ReferenceSummary(tuple(sents)))
+
+    # A lone surrogate, from a \ud800 escape or an undecodable byte, has no
+    # UTF-8 form, so the document could not be written back.
+    ref_tokens = chain.from_iterable(chain.from_iterable(r.sentences for r in references))
+    try:
+        "".join(chain([doc_id], chain.from_iterable(sent_tokens), ref_tokens)).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"{where}: text is not valid UTF-8") from None
 
     sentences = tuple(Sentence(i, toks) for i, toks in enumerate(sent_tokens))
     return Document(id=doc_id, sentences=sentences, references=tuple(references))
+
+
+def _token_lists(raw: list, where: str, what: str) -> list[tuple[str, ...]]:
+    """Check that every item of ``raw`` is a list of tokens; lowercase them."""
+    for i, sent in enumerate(raw):
+        if not isinstance(sent, list):
+            raise CorpusError(f"{where}: {what} {i} must be a list of tokens")
+    return [tuple(_check_token(t, where) for t in sent) for sent in raw]
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -183,7 +206,8 @@ def load_corpus(path: str | Path) -> list[Document]:
     """
     docs = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, refused with the line's number.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -191,6 +215,8 @@ def load_corpus(path: str | Path) -> list[Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+                raise CorpusError(f"line {line_no}: unreadable JSON ({exc})") from None
             doc = _parse_document(record, line_no)
             seen = first_line.setdefault(doc.id, line_no)
             if seen != line_no:

@@ -49,7 +49,6 @@ from .selection import (
     greedy_select,
     parse_representation,
 )
-from .selfcheck import run_all
 
 
 class ConfigError(ValueError):
@@ -436,6 +435,8 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
 
 def cmd_selftest() -> int:
     """Run the built-in diagnostics against the bundled corpus; 0 iff all pass."""
+    from .selfcheck import run_all  # loads the oracles, which only selftest needs
+
     results = run_all(load_bundled_corpus())
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -20,6 +20,16 @@ stops attracting near-duplicates.
 Selection stops once the selected word count reaches ceil(ratio * doc
 words); the sentence that crosses the budget is kept. Ties go to the
 lower sentence index.
+
+Picks and scores equal those of ``oracles.brute_force_select`` bit for bit.
+MMR and JXDTD get there by filter and verify: after the first pick, a cheap
+floating-point score of every sentence (a running column sum for MMR, one
+matrix-vector product for JXDTD) is within a proven bound delta of the exact
+score, so only the sentences within 2 * delta of the best cheap score can
+attain the exact maximum, and only those are scored exactly (``math.fsum``
+for MMR, numpy's row sum for JXDTD). :func:`greedy_select` derives the bound;
+``tests/test_selection.py::test_filter_matches_brute_force_on_near_ties``
+checks the engine against the oracle on planted near-ties.
 """
 
 from __future__ import annotations
@@ -140,15 +150,14 @@ def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
     return row, col, tf * np.log(n_docs / np.asarray(df, dtype=np.float64)[col]), vocab.size
 
 
-def _paragraph_entries(model: EmbeddingModel, para_ids: ParagraphIds) -> Entries:
-    """The model's paragraph vectors for the document and its sentences, dense."""
+def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarray:
+    """The model's paragraph vectors for the document and its sentences, one per row."""
     m = np.stack(
         [paragraph_vector(model, p) for p in (para_ids.document, *para_ids.sentences)]
     )
     if not np.isfinite(m).all():
         raise ValueError(f"{model.kind} model has non-finite paragraph vectors")
-    n_rows, dim = m.shape
-    return np.repeat(np.arange(n_rows), dim), np.tile(np.arange(dim), n_rows), m.ravel(), dim
+    return m
 
 
 def _cosines(
@@ -173,6 +182,23 @@ def _cosines(
     return g
 
 
+def _dense_cosines(u: np.ndarray) -> np.ndarray:
+    """Cosines between all pairs of rows of a dense matrix with unit rows.
+
+    The Gram matrix is built from zeros one column at a time, in column
+    order: ``g += outer(u[:, t], u[:, t])``. Entry (a, b) so adds up
+    u[a, t] * u[b, t] in the same order as :func:`_cosines` on a matrix that
+    stores every column, with the same bits, and it equals entry (b, a)
+    exactly because IEEE multiplication commutes.
+    """
+    g = np.zeros((len(u), len(u)))
+    product = np.empty_like(g)
+    for column in np.ascontiguousarray(u.T):
+        np.multiply(column[:, None], column, out=product)
+        g += product
+    return g
+
+
 def build_docview(
     doc: Document,
     representation: str,
@@ -187,6 +213,12 @@ def build_docview(
     the mean of the parts' Gram matrices (cosines), clamped into [0, 1]:
     ``rel`` is its document row and ``sim`` its sentence block. A zero row
     scores 0 against everything.
+
+    BOW is stored sparse and its Gram goes row by row over the stored
+    entries (:func:`_cosines`). DM and DBOW store every column, so theirs is
+    summed one column at a time over all rows (:func:`_dense_cosines`); both
+    add each entry's products in column order from 0.0, so the tables are
+    exactly symmetric and independent of BLAS.
     """
     parts, kind = parse_representation(representation)
     if not doc.sentences:
@@ -214,9 +246,11 @@ def build_docview(
     for part in parts:
         if part == "BOW":
             row, col, w, n_cols = _bow_entries(doc, vocab)
+            gram += _cosines(row, col, unit_rows(row, w, n_rows), n_cols, n_rows)
         else:
-            row, col, w, n_cols = _paragraph_entries(model, para_ids)
-        gram += _cosines(row, col, unit_rows(row, w, n_rows), n_cols, n_rows)
+            m = _paragraph_matrix(model, para_ids)
+            row = np.repeat(np.arange(n_rows), m.shape[1])
+            gram += _dense_cosines(unit_rows(row, m.ravel(), n_rows).reshape(m.shape))
     gram /= len(parts)
     np.clip(gram, 0.0, 1.0, out=gram)
 
@@ -276,54 +310,138 @@ def subtheme_coverage(p_sent: np.ndarray, p_theme: np.ndarray, dis: np.ndarray) 
     return np.sum(terms, axis=1)
 
 
+# Unit roundoff of float64: a rounded +, -, *, / is within a factor
+# (1 + e), |e| <= U, of the exact result.
+_U = 2.0**-53
+
+
+def _slack(method: str, n: int, k: int, alpha: float) -> float:
+    """delta of :func:`greedy_select`: twice the first-order bound on
+    |exact - approximate score| with n sentences and k picks made."""
+    ops = k + 6 if method == "MMR" else 2 * n + 6
+    return 2.0 * ops * _U * (1.0 + alpha)
+
+
 def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
     """Select sentences under the word budget.
 
-    Each step scores every sentence, masks the ones already taken and picks
-    the best, ties to the lower index. RELEVANCE_ONLY and XDTD scores never
-    change as the selection grows, so they are computed once; MMR and JXDTD
-    re-score every step. Picking goes on while the words used so far are
-    below ceil(ratio * total words), and the pick that crosses the line is kept.
+    Each step takes the sentence with the best score among those not yet
+    picked, ties to the lower index. RELEVANCE_ONLY and XDTD scores never
+    change as the selection grows, so they are computed once. So is the
+    first pick of MMR and JXDTD. Picking goes on while the words used so
+    far are below ceil(ratio * total words), and the pick that crosses the
+    line is kept.
+
+    From the second pick on, MMR and JXDTD filter and verify. With k picks
+    made, an approximate score ``a[s]`` of every sentence comes first:
+
+    - MMR: ``rel - (alpha / k) * colsum``, where colsum adds up the picked
+      rows of ``sim`` with plain additions, in pick order;
+    - JXDTD: ``rel + alpha * (p_sent @ (dis * p_theme))``, one gemv.
+
+    Picked sentences get -inf. The candidates are
+    C = {s : a[s] >= max a - 2 delta}, in index order. Only they get the
+    exact score ``e[s]``, computed as the oracle does: MMR's mean with
+    ``math.fsum``, JXDTD's coverage as the row sum of
+    ``(p_sent[C] * dis) * p_theme``. A numpy row sum of a row subset equals
+    the same rows' sums over the whole matrix (pinned by
+    ``test_row_subset_sums_equal_full_row_sums``). The pick is the first
+    maximum of ``e`` over C, and its score is that exact value.
+
+    The bound. Let u = 2**-53; below, "~<=" drops O(u**2) terms. Every
+    input lies in [0, 1]: ``rel``, ``sim``, the mean of k entries of
+    ``sim``, P(S|T) (an entry over a column sum of nonnegative entries,
+    which is at least the entry), and ``dis`` (a product of factors in
+    [0, 1]). P(T|D) sums to 1 + n u at most, so a JXDTD coverage is at most
+    that too. A sum of m nonnegative terms, in any order and with or without
+    fused multiply-adds, has relative error at most (m - 1) u, and every
+    other rounding adds u.
+
+    - MMR: the exact ``alpha * mean`` carries three roundings (fsum, / k,
+      alpha *), the approximate ``(alpha / k) * colsum`` k + 1 (k - 1
+      additions, alpha / k, *), and the last addition adds u (1 + alpha)
+      to each. So
+      |e[s] - a[s]| ~<= alpha (k + 4) u + 2 u (1 + alpha) <= (k + 6)(1 + alpha) u.
+    - JXDTD: every exact term is rounded twice and n terms are summed, for
+      n + 1 roundings; the approximate rounds ``dis * p_theme`` once, then
+      takes an n-term dot product, also n + 1. With ``alpha *`` and the
+      addition, |e[s] - a[s]| ~<= alpha (2n + 4) u + 2 u (1 + alpha)
+      <= (2n + 6)(1 + alpha) u.
+
+    delta is twice these (:func:`_slack`). Let b be the full bound on
+    |e - a|, with the O(u**2) terms and underflow (at most 3n absolute
+    errors of 2**-1075) in it. For every n below 2**40, 2b plus the
+    rounding of ``max a - 2 delta`` (at most u (1 + alpha + 2 delta)) stays
+    below 2 delta, so the computed threshold is at most max a - 2b.
+
+    C holds every sentence that attains the exact maximum. Let s* attain
+    max e and t attain max a. Then a[s*] >= e[s*] - b >= e[t] - b >=
+    a[t] - 2b >= the threshold, so s* is in C. The first maximum of e over
+    C is therefore the first maximum over all unpicked sentences: ties
+    still go to the lower index, and pick and score are those of scoring
+    every sentence exactly.
     """
     n = len(view.word_counts)
     budget = math.ceil(config.ratio * sum(view.word_counts))
-    method = config.method
+    method, alpha, rel, sim = config.method, config.alpha, view.rel, view.sim
     if method in ("XDTD", "JXDTD"):
-        p_sent = sentence_given_subtheme(view.sim)
-        p_theme = subtheme_given_doc(view.rel)
+        p_sent = sentence_given_subtheme(sim)
+        p_theme = subtheme_given_doc(rel)
         # Dissatisfaction of the picks so far, folded in pick order as
         # dissatisfaction() does. XDTD keeps it at ones.
         dis = np.ones(n)
+    if method == "MMR":
+        colsum = np.zeros(n)
+        picked_rows: list[list[float]] = []
+    barrier = np.zeros(n)  # -inf at the picks, added to scores before an argmax
 
     selected: list[int] = []
     scores: list[float] = []
     words_used = 0
 
-    def coverage():
-        if method == "MMR" and selected:
-            # Exactly rounded means (math.fsum), as the oracle takes them.
-            k = len(selected)
-            return np.array([-math.fsum(c) / k for c in view.sim[selected].T.tolist()])
+    def exact(cand: np.ndarray | slice) -> np.ndarray:
+        """Scores of the sentences ``cand`` as the oracle computes them."""
+        k = len(selected)
+        if method == "MMR" and k:
+            cov = [-math.fsum([row[c] for row in picked_rows]) / k for c in cand.tolist()]
+            return rel[cand] + alpha * np.array(cov)
         if method in ("XDTD", "JXDTD"):
-            return subtheme_coverage(p_sent, p_theme, dis)
-        return 0.0
+            return rel[cand] + alpha * subtheme_coverage(p_sent[cand], p_theme, dis)
+        return rel[cand] + alpha * 0.0
 
     score = None
     while len(selected) < n and words_used < budget:
-        if score is None or method in ("MMR", "JXDTD"):
-            score = view.rel + config.alpha * coverage()
-        score[selected] = -np.inf
-        best = int(np.argmax(score))
+        k = len(selected)
+        if k and method in ("MMR", "JXDTD"):
+            if method == "MMR":
+                approx = rel - (alpha / k) * colsum
+            else:
+                approx = rel + alpha * (p_sent @ (dis * p_theme))
+            approx += barrier
+            threshold = approx.max() - 2.0 * _slack(method, n, k, alpha)
+            cand = np.flatnonzero(approx >= threshold)
+            cand_score = exact(cand)
+            j = int(np.argmax(cand_score))
+            best, best_score = int(cand[j]), cand_score[j]
+        else:
+            if score is None:
+                score = exact(slice(None))
+            best = int(np.argmax(score + barrier))
+            best_score = score[best]
         if method == "JXDTD":
             dis = dis * (1.0 - p_sent[best])
+        elif method == "MMR":
+            colsum += sim[best]
+            picked_rows.append(sim[best].tolist())
+        barrier[best] = -np.inf
         selected.append(best)
-        scores.append(float(score[best]))
+        scores.append(float(best_score))
         words_used += view.word_counts[best]
 
     return Summary(
         doc_id=view.doc_id,
         method=method,
-        alpha=config.alpha,
+        alpha=alpha,
         selected=tuple(selected),
         scores=tuple(scores),
         budget_words=budget,

@@ -1,10 +1,14 @@
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsum.corpus import (
+    _SPACE,
     CorpusError,
     Document,
     Sentence,
@@ -90,6 +94,31 @@ def test_load_errors_name_the_line(tmp_path):
     with pytest.raises(CorpusError, match="whitespace"):
         load_corpus(path)
 
+    # Each of these once escaped as TypeError, AttributeError, ValueError,
+    # RecursionError or UnicodeDecodeError, or a string sentence loaded as
+    # one token per character.
+    bad = {
+        b'{"id": "x", "sentences": ["ab"]}': "sentence 0 must be a list",
+        b'{"id": "x", "sentences": [["a", 1]]}': "not a string",
+        b'{"id": "x", "raw_sentences": [1]}': "must hold strings",
+        b'{"id": "x", "sentences": [["a"]], "references": null}': "'references' must be a list",
+        b'{"id": "x", "sentences": [["a"]], "references": [["b"]]}': "reference 0 sentence 0",
+        b'{"id": "x", "sentences": [["\xff"]]}': "not valid UTF-8",
+        b'{"id": "x\\ud800", "sentences": [["a"]]}': "not valid UTF-8",
+        b"1" * 5000: "unreadable JSON",
+        b"[" * 100_000: "unreadable JSON",
+    }
+    for data, message in bad.items():
+        path.write_bytes(b'{"id": "ok", "sentences": [["a"]]}\n' + data + b"\n")
+        with pytest.raises(CorpusError, match=f"line 2: .*{message}"):
+            load_corpus(path)
+
+
+def test_token_whitespace_check_is_isspace():
+    # load_corpus refuses a token containing a character str.isspace() accepts
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_SPACE.findall(everything)) == "".join(filter(str.isspace, everything))
+
 
 def test_duplicate_ids_name_both_lines(tmp_path):
     path = tmp_path / "dup.jsonl"
@@ -142,3 +171,59 @@ def test_bundled_corpus_loads():
     assert all(doc.references for doc in docs)
     ids = [doc.id for doc in docs]
     assert len(set(ids)) == 20
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6)
+)
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Tokens as a corpus might hold them, plus empty, spaced, cased and lone-surrogate ones.
+token = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["a", "B", "a b", "", " ", "x\ud800", "\udfff", "\x85"]),
+    json_scalar,
+)
+token_lists = st.one_of(
+    st.lists(st.one_of(st.lists(token, max_size=3), json_value), max_size=3), json_value
+)
+raw_sentences = st.one_of(
+    st.lists(st.one_of(st.text(max_size=12), json_value), max_size=3), json_value
+)
+record = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.one_of(st.text(max_size=4), st.just("\ud800"), json_value),
+        "sentences": token_lists,
+        "raw_sentences": raw_sentences,
+        "references": st.one_of(st.lists(token_lists, max_size=2), json_value),
+    },
+)
+odd_lines = ["", "  ", "[" * 100_000, "1" * 5000, "\ufeff{}", '{"id": "x",\r"sentences": [["a"]]}']
+line = st.one_of(
+    st.tuples(record, st.booleans()).map(lambda r: json.dumps(r[0], ensure_ascii=r[1])),
+    json_value.map(json.dumps),
+    st.text(max_size=20),
+    st.sampled_from(odd_lines),
+).map(lambda text: text.encode("utf-8", "surrogatepass"))
+corpus_bytes = st.lists(st.one_of(line, st.binary(max_size=20)), max_size=4).map(b"\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_bytes)
+def test_any_file_is_refused_or_round_trips(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "in.jsonl"), Path(tmp, "out.jsonl")
+        path.write_bytes(data)
+        try:
+            docs = load_corpus(path)
+        except CorpusError:
+            return
+        save_corpus(docs, again)
+        assert load_corpus(again) == docs

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from collections import Counter
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covsum
 from covsum import harness
 from covsum.corpus import save_corpus
 from covsum.harness import (
@@ -435,3 +439,21 @@ def test_missing_corpus_errors_with_path(tmp_path):
         cmd_train(config)
     with pytest.raises(ConfigError, match="corpus"):
         cmd_train(build_experiment_config({}))
+
+
+def test_pipeline_imports_leave_the_diagnostics_unloaded():
+    # selfcheck, oracles and synthetic serve only `covsum selftest`; the
+    # package still exports run_all and CheckResult, loaded on first use.
+    code = (
+        "import sys, covsum.harness\n"
+        "loaded = {'covsum.selfcheck', 'covsum.oracles', 'covsum.synthetic'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from covsum import CheckResult, run_all\n"
+        "assert run_all.__module__ == CheckResult.__module__ == 'covsum.selfcheck'\n"
+    )
+    src = str(Path(covsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

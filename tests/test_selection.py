@@ -265,3 +265,92 @@ def test_greedy_matches_brute_force(sents, method, alpha, ratio):
         )
     assert list(got.selected) == want_sel
     assert list(got.scores) == [float(s) for s in want_scores]
+
+
+# --- filter and verify -------------------------------------------------------
+
+# 1.0 absorbs 2**-53 in a running sum (ties to even) but not 2 * 2**-53.
+SIM_POOL = np.array([0.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 1.0])
+REL_POOL = np.array([0.0, 0.25, 1.0 / 3.0, 0.5, 0.75])
+
+
+def _nudge(x: float, up: bool) -> float:
+    return float(np.clip(np.nextafter(x, 2.0 if up else -1.0), 0.0, 1.0))
+
+
+@st.composite
+def near_tie_views(draw):
+    """A DocView straight from a random symmetric ``sim`` in [0, 1] and a
+    ``rel``, full of exact and near ties:
+
+    - sentences come in a few kinds, and sentences of one kind start as
+      duplicates: equal rows and columns of ``sim``, equal ``rel``;
+    - a head of sentences with rel 1 and no similarity among themselves,
+      which MMR picks first; in the head's rows every other column holds a
+      permutation of one multiset, so exact sums tie while running sums in
+      pick order need not;
+    - entries and relevances one ulp apart, zeroed sentences, rows of ones
+      and some uniform noise.
+    """
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.integers(1, 4))
+    kind = rng.integers(kinds, size=n)
+    table = rng.choice(SIM_POOL, size=(kinds, kinds))
+    sim = np.maximum(table, table.T)[kind][:, kind]
+    rel = rng.choice(REL_POOL, size=kinds)[kind]
+    noisy = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    sim[noisy] = rng.random(int(noisy.sum()))
+    sim = np.triu(sim) + np.triu(sim, 1).T
+
+    head = np.sort(rng.choice(n, size=min(n, draw(st.integers(0, 5))), replace=False))
+    multiset = rng.choice(SIM_POOL, size=len(head))
+    sim[np.ix_(head, head)] = np.eye(len(head))
+    for c in np.setdiff1d(np.arange(n), head):
+        sim[head, c] = sim[c, head] = rng.permutation(multiset)
+    rel[head] = 1.0
+
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        plant = draw(st.sampled_from(["ulp", "zero", "ones"]))
+        if plant == "ulp":
+            sim[i, j] = sim[j, i] = _nudge(sim[i, j], rng.random() < 0.5)
+            rel[j] = _nudge(rel[i], rng.random() < 0.5)
+        elif plant == "zero":
+            sim[i, :] = sim[:, i] = 0.0
+            rel[i] = 0.0
+        else:
+            sim[i, :] = sim[:, i] = 1.0
+    word_counts = rng.integers(1, 5, size=n)
+    word_counts[head] = 1
+    return DocView("near-ties", (), tuple(int(w) for w in word_counts), rel, sim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    near_tie_views(),
+    st.sampled_from(["MMR", "JXDTD"]),
+    st.sampled_from([0.0, 0.3, 1.0, 4.0, 1e3]),
+    st.sampled_from([0.1, 0.3, 0.6]),
+)
+def test_filter_matches_brute_force_on_near_ties(view, method, alpha, ratio):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero relevance mass falls back to uniform
+        got = greedy_select(view, SelectorConfig(method=method, alpha=alpha, ratio=ratio))
+        want_sel, want_scores = oracles.brute_force_select(
+            view.rel, view.sim, list(view.word_counts), method, alpha, ratio
+        )
+    assert list(got.selected) == want_sel
+    assert list(got.scores) == [float(s) for s in want_scores]
+
+
+def test_row_subset_sums_equal_full_row_sums():
+    # JXDTD's exact step sums the rows of a subset of the term matrix; its
+    # scores are the full matrix's row sums only if both reduce alike.
+    rng = np.random.default_rng(5)
+    for n in range(1, 301):
+        t = rng.random((n, n)) * rng.choice([1.0, 1e-9, 1e9], size=(n, 1))
+        full = np.sum(t, axis=1)
+        for size in {1, 2, n // 3, n - 1, n} & set(range(1, n + 1)):
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            assert np.array_equal(np.sum(t[rows], axis=1), full[rows]), (n, rows)

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from covsum.corpus import build_vocabulary
 from covsum.embedding import EmbeddingModel, ParagraphIds
-from covsum.selection import _bow_entries, build_docview, unit_rows
+from covsum.selection import _bow_entries, _dense_cosines, build_docview, unit_rows
 
 from conftest import make_doc
 
@@ -135,6 +135,48 @@ def test_cosine_zero_vector_is_zero():
     assert view.sim[1, 1] == 1.0
     no_doc = dense_view([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
     assert (no_doc.rel == 0.0).all()
+
+
+def column_order_gram(u):
+    """Entry (a, b) is u[a, 0] * u[b, 0] + u[a, 1] * u[b, 1] + ..., added
+    one product at a time in column order, starting from 0.0."""
+    rows = u.tolist()
+    gram = []
+    for ra in rows:
+        line = []
+        for rb in rows:
+            total = 0.0
+            for x, y in zip(ra, rb):
+                total += x * y
+            line.append(total)
+        gram.append(line)
+    return np.array(gram)
+
+
+# Zeros and negatives together give -0.0 products, which a sum started from
+# 0.0 absorbs.
+gram_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0))
+
+
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n_rows: hnp.arrays(
+            np.float64, st.tuples(st.just(n_rows), st.integers(1, 6)), elements=gram_entry
+        )
+    ),
+    st.integers(0, 6),
+)
+def test_dense_gram_is_its_column_order_definition(m, zero_row):
+    m[min(zero_row, len(m) - 1)] = 0.0
+    for u in (m, unit_matrix(m)):
+        got = _dense_cosines(u)
+        assert got.tobytes() == column_order_gram(u).tobytes()  # bits, signs of zeros too
+        assert got.tobytes() == got.T.copy().tobytes()
+    # a DBOW view is the unit-row Gram, clamped; n_rows = 2 is a one-sentence document
+    gram = np.clip(column_order_gram(unit_matrix(m)), 0.0, 1.0)
+    view = dense_view(m)
+    assert view.rel.tobytes() == gram[0, 1:].tobytes()
+    assert view.sim.tobytes() == gram[1:, 1:].tobytes()
 
 
 @given(hnp.arrays(np.float64, (5, 4), elements=finite))
