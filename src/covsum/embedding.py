@@ -800,16 +800,23 @@ def build_training_paragraphs(
     document first, then each of its sentences. Returns the paragraphs plus
     a per-document map of row indices."""
     paragraphs: list[TrainingParagraph] = []
-    index: dict[str, ParagraphIds] = {}
     for doc in docs:
-        doc_pid = len(paragraphs)
         paragraphs.append(
-            TrainingParagraph(doc_pid, tuple(vocab.ids(doc.all_tokens())))
+            TrainingParagraph(len(paragraphs), tuple(vocab.ids(doc.all_tokens())))
         )
-        sent_ids = []
         for sent in doc.sentences:
-            pid = len(paragraphs)
-            paragraphs.append(TrainingParagraph(pid, tuple(vocab.ids(sent.tokens))))
-            sent_ids.append(pid)
-        index[doc.id] = ParagraphIds(document=doc_pid, sentences=tuple(sent_ids))
-    return paragraphs, index
+            paragraphs.append(TrainingParagraph(len(paragraphs), tuple(vocab.ids(sent.tokens))))
+    return paragraphs, paragraph_index(docs)
+
+
+def paragraph_index(docs: Sequence[Document]) -> dict[str, ParagraphIds]:
+    """Per-document row indices of :func:`build_training_paragraphs`' paragraphs,
+    laid out from sentence counts alone: each document's row, then one row
+    per sentence, document after document."""
+    index: dict[str, ParagraphIds] = {}
+    pid = 0
+    for doc in docs:
+        n = len(doc.sentences)
+        index[doc.id] = ParagraphIds(document=pid, sentences=tuple(range(pid + 1, pid + 1 + n)))
+        pid += n + 1
+    return index

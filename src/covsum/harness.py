@@ -12,6 +12,14 @@ overrides, and runs in three stages that share one output directory:
 (method, representation). Everything downstream of the corpus file and the
 seed is deterministic, byte for byte.
 
+Each stage does a document's work once, not once per grid cell.
+``summarize`` hands one dict per document to ``build_docview``, so every
+part's Gram matrix (BOW, DM, DBOW) is built once and reused by each
+representation holding it. ``evaluate`` checks every summary record
+against its cell and its document, then scores each distinct (document,
+ordered picks) pair once with ROUGE; every cell that made the same picks
+reuses those scores.
+
 Documents share models by group (:func:`_model_groups`): all of them, or one
 each with ``per_document_training``. Per-document models are trained in
 lockstep by ``embedding.train_each``, bit-identical to one ``train`` call per
@@ -36,6 +44,7 @@ from .embedding import (
     TrainConfig,
     build_training_paragraphs,
     load_model,
+    paragraph_index,
     save_model,
     train,
     train_each,
@@ -351,8 +360,9 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
             # Replaces the previous group's models only once these are loaded:
             # freeing them first made every load fault in fresh pages.
             models = {kind: load_model(_model_path(out_dir, kind, owner)) for kind in kinds}
-            index = build_training_paragraphs(group, vocab)[1] if kinds else {}
+            index = paragraph_index(group)
             for doc in (d for d in group if d.id in targets):
+                parts = {}  # each part's Gram, shared by the representations holding it
                 for representation in config.representations:
                     kind = parse_representation(representation)[1]
                     view = build_docview(
@@ -360,12 +370,14 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
                         representation,
                         vocab,
                         model=models.get(kind),
-                        para_ids=index.get(doc.id),
+                        para_ids=index[doc.id],
+                        parts=parts,
                     )
                     for cfg in selectors:
                         record = {"representation": representation}
                         record.update(greedy_select(view, cfg).to_dict())
                         files[representation, cfg.method].write(json.dumps(record) + "\n")
+                    del view  # its table is freed before the next one is built
     written = list(cells.values())
     print(f"wrote {len(written)} grid cells x {len(targets)} documents")
     return written
@@ -373,12 +385,55 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
 
 # ROUGE-1/2/L F: keys of per_document.jsonl records, columns of results.tsv
 _SCORE_COLUMNS = ("rouge1_f", "rouge2_f", "rougeL_f")
+# Keys of a summary record that evaluate reads
+_RECORD_KEYS = ("id", "representation", "method", "selected")
+
+
+def _summary_record(
+    line: str, where: str, representation: str, method: str, by_id: dict[str, Document]
+) -> tuple[Document, tuple[int, ...]] | None:
+    """The document and the ordered picks of one summaries line, or None
+    for a document not evaluated. Raises ConfigError, naming ``where``
+    (``path:line``), for a record that is not one of this cell's summaries."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: not a JSON record ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: not a JSON object")
+    missing = [key for key in _RECORD_KEYS if key not in record]
+    if missing:
+        raise ConfigError(f"{where}: document {record.get('id')!r}: missing {', '.join(missing)}")
+    doc_id = record["id"]
+    for key, want in (("representation", representation), ("method", method)):
+        if record[key] != want:
+            raise ConfigError(
+                f"{where}: document {doc_id!r}: {key} is {record[key]!r}, not the cell's {want!r}"
+            )
+    doc = by_id.get(doc_id) if isinstance(doc_id, str) else None
+    if doc is None:
+        return None  # summarized before a stricter split
+    selected = record["selected"]
+    n = len(doc.sentences)
+    if not (
+        isinstance(selected, list)
+        and all(type(s) is int and 0 <= s < n for s in selected)
+        and len(set(selected)) == len(selected)
+    ):
+        raise ConfigError(
+            f"{where}: document {doc_id!r}: selected {selected!r} is not a list of "
+            f"distinct sentence indices in [0, {n})"
+        )
+    return doc, tuple(selected)
 
 
 def cmd_evaluate(config: ExperimentConfig) -> Path:
     """Score every stored summary and write the corpus-mean ROUGE table.
 
-    Every cell is checked to exist before anything is written.
+    Every cell is checked to exist before anything is written, and every
+    record must be a summary of its cell (see :func:`_summary_record`).
+    Cells often pick the same sentences for a document, so each distinct
+    (document, ordered picks) pair is scored once and its scores reused.
     """
     docs = _load_docs(config)
     targets = _eval_docs(config, docs)
@@ -402,19 +457,25 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
     per_doc_path = out_dir / "evaluation" / "per_document.jsonl"
     per_doc_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
+    scored_once: dict[tuple[str, tuple[int, ...]], tuple[float, float, float]] = {}
     with _written(per_doc_path) as part, open(part, "w", encoding="utf-8") as fh:
         for method, representation, path in cells:
             totals = [0.0, 0.0, 0.0]
             count = 0
             with open(path, encoding="utf-8") as cell:
-                for line in cell:
-                    record = json.loads(line)
-                    doc = by_id.get(record["id"])
-                    if doc is None:
-                        continue  # summarized before a stricter split
-                    picked = [doc.sentences[s].tokens for s in record["selected"]]
-                    report = evaluate(picked, doc.references)
-                    scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
+                for line_no, line in enumerate(cell, start=1):
+                    found = _summary_record(
+                        line, f"{path}:{line_no}", representation, method, by_id
+                    )
+                    if found is None:
+                        continue
+                    doc, selected = found
+                    scores = scored_once.get((doc.id, selected))
+                    if scores is None:
+                        picked = [doc.sentences[s].tokens for s in selected]
+                        report = evaluate(picked, doc.references)
+                        scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
+                        scored_once[doc.id, selected] = scores
                     scored = {"id": doc.id, "method": method, "representation": representation}
                     scored.update(zip(_SCORE_COLUMNS, scores))
                     fh.write(json.dumps(scored) + "\n")

@@ -21,6 +21,16 @@ Selection stops once the selected word count reaches ceil(ratio * doc
 words); the sentence that crosses the budget is kept. Ties go to the
 lower sentence index.
 
+``rel`` and ``sim`` come from :func:`build_docview`: the clamped mean of
+the Gram matrices of the representation's parts (BOW, DM, DBOW). Every
+Gram entry adds its products in column order from 0.0. The sparse BOW Gram
+is one product over the pairs of stored entries that share a column
+(:func:`_cosines`), so its work is the sum over columns of the squared
+number of rows storing that column; DM and DBOW add one outer product per
+column (:func:`_dense_cosines`). A caller building several representations
+of one document passes one ``parts`` dict to every call, and each part's
+Gram is built once and shared by every representation holding the part.
+
 Picks and scores equal those of ``oracles.brute_force_select`` bit for bit.
 MMR and JXDTD get there by filter and verify: after the first pick, a cheap
 floating-point score of every sentence (a running column sum for MMR, one
@@ -131,9 +141,9 @@ def unit_rows(row: np.ndarray, w: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 # A representation part as a sparse matrix: (row, column, weight) of every
-# stored entry in row-major order, plus the number of columns. Row 0 is the
-# document, rows 1..n its sentences.
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+# stored entry in row-major order. Row 0 is the document, rows 1..n its
+# sentences.
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
@@ -147,7 +157,7 @@ def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
     # Every token counts once in its sentence's row and once in the document's.
     keys, tf = np.unique(np.concatenate([terms, rows * vocab.size + terms]), return_counts=True)
     row, col = np.divmod(keys, vocab.size)
-    return row, col, tf * np.log(n_docs / np.asarray(df, dtype=np.float64)[col]), vocab.size
+    return row, col, tf * np.log(n_docs / np.asarray(df, dtype=np.float64)[col])
 
 
 def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarray:
@@ -160,26 +170,40 @@ def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarr
     return m
 
 
-def _cosines(
-    row: np.ndarray, col: np.ndarray, u: np.ndarray, n_cols: int, n_rows: int
-) -> np.ndarray:
+# Products per np.add.at call in _cosines: bounds its pair arrays.
+_PAIR_BLOCK = 1 << 16
+
+
+def _cosines(row: np.ndarray, col: np.ndarray, u: np.ndarray, n_rows: int) -> np.ndarray:
     """Cosines between all pairs of rows of a sparse matrix with unit rows.
 
-    Entry (a, b) adds up u[a, t] * u[b, t] one product at a time, in column
-    order, over the columns t that row b stores. Where row a stores nothing
-    the product is a zero, which leaves the sum as it is. So the entry only
-    depends on the columns both rows store: it equals entry (b, a) exactly,
-    and equal rows get equal entries wherever they sit.
+    The stored entries are sorted by (column, row), and every pair of
+    entries that share a column gives one product. All products go into the
+    flat Gram with ``np.add.at``, which adds them one at a time in the order
+    given: column by column, in blocks of whole columns. Entry (a, b) so
+    adds up u[a, t] * u[b, t] over the columns t both rows store, in column
+    order, from 0.0. It equals entry (b, a) exactly, and equal rows get
+    equal entries wherever they sit. The work is the sum over columns of
+    the squared number of rows storing it.
     """
-    g = np.zeros((n_rows, n_rows))
-    dense = np.zeros(n_cols)
-    starts = np.searchsorted(row, np.arange(n_rows + 1))
-    for a in range(n_rows):
-        own = slice(starts[a], starts[a + 1])
-        dense[col[own]] = u[own]
-        np.add.at(g[a], row, u * dense[col])
-        dense[col[own]] = 0.0
-    return g
+    order = np.lexsort((row, col))
+    row, col, u = row[order], col[order], u[order]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    sizes = np.diff(starts, append=len(col))
+    ends = np.cumsum(sizes * sizes)  # products up to and including each column
+    g = np.zeros(n_rows * n_rows)
+    first = 0
+    while first < len(starts):
+        done = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        size = sizes[first:last]
+        reps = np.repeat(size, size)  # each entry pairs with every entry of its column
+        left = np.repeat(np.arange(starts[first], starts[first] + len(reps)), reps)
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
+        right = np.repeat(np.repeat(starts[first:last], size), reps) + offset
+        np.add.at(g, row[left] * n_rows + row[right], u[left] * u[right])
+        first = last
+    return g.reshape(n_rows, n_rows)
 
 
 def _dense_cosines(u: np.ndarray) -> np.ndarray:
@@ -199,12 +223,30 @@ def _dense_cosines(u: np.ndarray) -> np.ndarray:
     return g
 
 
+def _part_gram(
+    part: str,
+    doc: Document,
+    vocab: Vocabulary | None,
+    model: EmbeddingModel | None,
+    para_ids: ParagraphIds | None,
+) -> np.ndarray:
+    """The unclamped Gram matrix of one representation part of a document."""
+    n_rows = len(doc.sentences) + 1
+    if part == "BOW":
+        row, col, w = _bow_entries(doc, vocab)
+        return _cosines(row, col, unit_rows(row, w, n_rows), n_rows)
+    m = _paragraph_matrix(model, para_ids)
+    row = np.repeat(np.arange(n_rows), m.shape[1])
+    return _dense_cosines(unit_rows(row, m.ravel(), n_rows).reshape(m.shape))
+
+
 def build_docview(
     doc: Document,
     representation: str,
     vocab: Vocabulary | None = None,
     model: EmbeddingModel | None = None,
     para_ids: ParagraphIds | None = None,
+    parts: dict[str, np.ndarray] | None = None,
 ) -> DocView:
     """Vectorize a document and precompute its relevance/similarity tables.
 
@@ -214,16 +256,24 @@ def build_docview(
     ``rel`` is its document row and ``sim`` its sentence block. A zero row
     scores 0 against everything.
 
-    BOW is stored sparse and its Gram goes row by row over the stored
-    entries (:func:`_cosines`). DM and DBOW store every column, so theirs is
-    summed one column at a time over all rows (:func:`_dense_cosines`); both
-    add each entry's products in column order from 0.0, so the tables are
-    exactly symmetric and independent of BLAS.
+    BOW is stored sparse, and its Gram is one sparse product over the pairs
+    of stored entries that share a column (:func:`_cosines`). DM and DBOW
+    store every column, so theirs is summed one column at a time over all
+    rows (:func:`_dense_cosines`); both add each entry's products in column
+    order from 0.0, so the tables are exactly symmetric and independent of
+    BLAS.
+
+    ``parts``, if given, caches each part's Gram by part name (``"BOW"``,
+    ``"DM"``, ``"DBOW"``): a part found there is reused, one not found is
+    built and stored. Pass one fresh dict per document and model set, and
+    every representation of the document builds each of its parts once.
+    The table is the same either way: zeros plus the part Grams in part
+    order, divided by the number of parts, then clamped.
     """
-    parts, kind = parse_representation(representation)
+    names, kind = parse_representation(representation)
     if not doc.sentences:
         raise ValueError(f"document {doc.id!r} has no sentences")
-    if "BOW" in parts and vocab is None:
+    if "BOW" in names and vocab is None:
         raise ValueError("BOW representation requires a vocabulary")
     if kind is not None:
         if model is None or para_ids is None:
@@ -243,15 +293,12 @@ def build_docview(
 
     n_rows = len(doc.sentences) + 1
     gram = np.zeros((n_rows, n_rows))
-    for part in parts:
-        if part == "BOW":
-            row, col, w, n_cols = _bow_entries(doc, vocab)
-            gram += _cosines(row, col, unit_rows(row, w, n_rows), n_cols, n_rows)
-        else:
-            m = _paragraph_matrix(model, para_ids)
-            row = np.repeat(np.arange(n_rows), m.shape[1])
-            gram += _dense_cosines(unit_rows(row, m.ravel(), n_rows).reshape(m.shape))
-    gram /= len(parts)
+    cache = {} if parts is None else parts
+    for name in names:
+        if name not in cache:
+            cache[name] = _part_gram(name, doc, vocab, model, para_ids)
+        gram += cache[name]
+    gram /= len(names)
     np.clip(gram, 0.0, 1.0, out=gram)
 
     return DocView(

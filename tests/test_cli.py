@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from covsum.cli import main
@@ -46,6 +48,20 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     save_corpus([make_doc("d", [["a", "b"]])], corpus)
     assert main(["summarize", "--corpus", str(corpus), "--ratio", "7"]) == 2
     assert "ratio" in capsys.readouterr().err
+
+
+def test_cli_reports_an_out_of_range_pick(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    save_corpus(grid_docs(), corpus)
+    common = ["--corpus", str(corpus), "--out", str(tmp_path / "out"), "--repr", "BOW",
+              "--method", "RELEVANCE_ONLY"]
+    assert main(["summarize", *common]) == 0
+    cell = tmp_path / "out" / "summaries" / "BOW__RELEVANCE_ONLY.jsonl"
+    record = json.loads(cell.read_text().splitlines()[0])
+    cell.write_text(json.dumps(dict(record, selected=[999])) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", *common]) == 2  # not an IndexError traceback
+    assert "BOW__RELEVANCE_ONLY.jsonl:1: document 'ga'" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_flags():

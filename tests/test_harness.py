@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covsum
-from covsum import harness
+from covsum import harness, rouge
 from covsum.corpus import save_corpus
 from covsum.harness import (
     ConfigError,
@@ -25,6 +26,7 @@ from covsum.harness import (
     load_experiment_config,
     parse_config_file,
 )
+from covsum.selection import METHODS, REPRESENTATIONS
 
 from conftest import make_doc
 
@@ -377,6 +379,105 @@ def test_per_document_split_loads_only_evaluated_models(tmp_path, monkeypatch):
 
 def snapshot(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_full_grid_summaries_equal_one_run_per_representation(tmp_path):
+    # one run shares each document's part tables across representations
+    grid = {"methods": ",".join(METHODS), "representations": ",".join(REPRESENTATIONS)}
+    cmd_train(run_config(tmp_path, grid_docs(), **grid))
+    cmd_summarize(run_config(tmp_path, grid_docs(), **grid))
+    summaries = tmp_path / "out" / "summaries"
+    together = snapshot(summaries)
+    assert len(together) == len(METHODS) * len(REPRESENTATIONS)
+    shutil.rmtree(summaries)
+    for representation in REPRESENTATIONS:
+        single = dict(grid, representations=representation)
+        cmd_summarize(run_config(tmp_path, grid_docs(), **single))
+    assert snapshot(summaries) == together
+
+
+def test_evaluate_scores_each_distinct_summary_once(tmp_path, monkeypatch):
+    grid = {"methods": ",".join(METHODS), "representations": "BOW,DBOW,BOW+DBOW"}
+    config = run_config(tmp_path, grid_docs(), **grid)
+    cmd_train(config)
+    cmd_summarize(config)
+    out = tmp_path / "out"
+    by_id = {doc.id: doc for doc in grid_docs()}
+
+    # the definition: every record scored on its own, cell by cell
+    lines, rows = [], ["method\trepresentation\trouge1_f\trouge2_f\trougeL_f"]
+    distinct = set()
+    for method in config.methods:
+        for representation in config.representations:
+            cell = out / "summaries" / f"{representation}__{method}.jsonl"
+            totals = [0.0, 0.0, 0.0]
+            records = [json.loads(line) for line in cell.read_text().splitlines()]
+            for record in records:
+                doc = by_id[record["id"]]
+                distinct.add((doc.id, tuple(record["selected"])))
+                picked = [doc.sentences[s].tokens for s in record["selected"]]
+                report = rouge.evaluate(picked, doc.references)
+                scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
+                lines.append(json.dumps({
+                    "id": doc.id, "method": method, "representation": representation,
+                    "rouge1_f": scores[0], "rouge2_f": scores[1], "rougeL_f": scores[2],
+                }))
+                totals = [t + f for t, f in zip(totals, scores)]
+            means = (f"{t / len(records):.4f}" for t in totals)
+            rows.append("\t".join((method, representation, *means)))
+    assert len(distinct) < len(lines)  # cells do repeat summaries
+
+    calls = Counter()
+    real_evaluate = harness.evaluate
+
+    def counting_evaluate(summary_sentences, references):
+        calls[tuple(summary_sentences), references] += 1
+        return real_evaluate(summary_sentences, references)
+
+    monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+    tsv = cmd_evaluate(config)
+    assert len(calls) == len(distinct) and set(calls.values()) == {1}
+    per_doc = out / "evaluation" / "per_document.jsonl"
+    assert per_doc.read_text() == "\n".join(lines) + "\n"
+    assert tsv.read_text() == "\n".join(rows) + "\n"
+
+
+def _drop(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _set(key, value):
+    return lambda record: dict(record, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_set("selected", [-1, -2]), "selected \\[-1, -2\\] is not a list of distinct"),
+        (_set("selected", [0, 0, 0]), "selected \\[0, 0, 0\\] is not a list of distinct"),
+        (_set("selected", [999]), "selected \\[999\\] is not .* in \\[0, 3\\)"),
+        (_set("selected", [0.0]), "selected \\[0.0\\] is not"),
+        (_set("selected", [True]), "selected \\[True\\] is not"),
+        (_set("selected", "0"), "selected '0' is not"),
+        (_drop("selected"), "missing selected"),
+        (_drop("method"), "missing method"),
+        (_set("representation", "DBOW"), "representation is 'DBOW', not the cell's 'BOW'"),
+        (_set("method", "MMR"), "method is 'MMR', not the cell's 'JXDTD'"),
+    ],
+    ids=["negative", "repeated", "out-of-range", "float", "bool", "not-a-list",
+         "no-selected", "no-method", "other-representation", "other-method"],
+)
+def test_evaluate_refuses_malformed_records(tmp_path, edit, problem):
+    config = run_config(tmp_path, grid_docs(), representations="BOW")
+    cmd_summarize(config)
+    cell = tmp_path / "out" / "summaries" / "BOW__JXDTD.jsonl"
+    lines = cell.read_text().splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))  # document gb, 3 sentences
+    cell.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"BOW__JXDTD.jsonl:2: document 'gb': {problem}"):
+        cmd_evaluate(config)
+    assert not (tmp_path / "out" / "results.tsv").exists()
+
 
 
 def test_summarize_missing_per_document_model_writes_nothing(tmp_path):

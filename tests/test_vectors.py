@@ -3,6 +3,7 @@
 the clamped mean of the parts' Gram matrices."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covsum.corpus import build_vocabulary
+from covsum import selection
 from covsum.embedding import EmbeddingModel, ParagraphIds
-from covsum.selection import _bow_entries, _dense_cosines, build_docview, unit_rows
+from covsum.selection import _bow_entries, _cosines, _dense_cosines, build_docview, unit_rows
 
 from conftest import make_doc
 
@@ -41,8 +43,8 @@ def dense_view(rows, representation="DBOW", doc=None, vocab=None):
 
 
 def bow_matrix(doc, vocab):
-    row, col, w, n_cols = _bow_entries(doc, vocab)
-    m = np.zeros((len(doc.sentences) + 1, n_cols))
+    row, col, w = _bow_entries(doc, vocab)
+    m = np.zeros((len(doc.sentences) + 1, vocab.size))
     m[row, col] = w
     return m
 
@@ -94,10 +96,9 @@ def test_idf_and_bow_weights():
         make_doc("b", [["common"]]),
     ]
     vocab = build_vocabulary(docs)
-    row, col, w, n_cols = _bow_entries(make_doc("q", [["rare", "rare", "common"], ["rare"]]), vocab)
+    row, col, w = _bow_entries(make_doc("q", [["rare", "rare", "common"], ["rare"]]), vocab)
     # tf * ln(N / df), the document row first; "common" is in every document,
     # weighs 0 and is not stored
-    assert n_cols == vocab.size
     assert list(row) == [0, 1, 2]
     assert list(col) == [vocab.term_to_id["rare"]] * 3
     assert w == pytest.approx([3.0 * math.log(2.0), 2.0 * math.log(2.0), math.log(2.0)])
@@ -179,6 +180,78 @@ def test_dense_gram_is_its_column_order_definition(m, zero_row):
     assert view.sim.tobytes() == gram[1:, 1:].tobytes()
 
 
+sentences = st.lists(
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6), min_size=1, max_size=5
+)
+
+
+def shared_column_gram(stored):
+    """Entry (a, b) adds up u[a, t] * u[b, t] over the columns t that both
+    rows store, one product at a time in column order, starting from 0.0.
+    ``stored`` maps each row to its {column: value} entries."""
+    gram = []
+    for ra in stored:
+        line = []
+        for rb in stored:
+            total = 0.0
+            for t in sorted(ra.keys() & rb.keys()):
+                total += ra[t] * rb[t]
+            line.append(total)
+        gram.append(line)
+    return np.array(gram)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Stored entries of a sparse matrix, row-major: (row, col, weight).
+    Stored entries may be zero or negative; one row may repeat another, then
+    one row is stored empty and one is cut to a single entry."""
+    n_rows = draw(st.integers(2, 7))  # 2 rows: a one-sentence document
+    n_cols = draw(st.integers(1, 8))
+    # mostly stored, so that rows share enough columns for the order to matter
+    stored = st.sampled_from([True, True, True, False])
+    mask = draw(hnp.arrays(np.bool_, (n_rows, n_cols), elements=stored))
+    values = draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=gram_entry))
+    empty, single, copy_from, copy_to = (
+        draw(st.integers(0, n_rows - 1)) for _ in range(4)
+    )
+    mask[copy_to], values[copy_to] = mask[copy_from], values[copy_from]
+    mask[empty] = False
+    mask[single, 1:] = False
+    mask[single, 0] = True
+    row, col = np.nonzero(mask)
+    return row, col, values[row, col], n_rows
+
+
+@given(sparse_matrices(), st.sampled_from([1, 5, selection._PAIR_BLOCK]))
+def test_bow_gram_is_its_shared_column_definition(matrix, block):
+    row, col, w, n_rows = matrix
+    for u in (w, unit_rows(row, w.copy(), n_rows)):
+        stored = [{} for _ in range(n_rows)]
+        for r, c, x in zip(row.tolist(), col.tolist(), u.tolist()):
+            stored[r][c] = x
+        with mock.patch.object(selection, "_PAIR_BLOCK", block):  # products per np.add.at
+            got = _cosines(row, col, u, n_rows)
+        assert got.tobytes() == shared_column_gram(stored).tobytes()  # bits, signs of zeros too
+        assert got.tobytes() == got.T.copy().tobytes()
+
+
+@given(st.lists(sentences, min_size=1, max_size=3), st.integers(0, 2))
+def test_bow_view_is_the_clamped_shared_column_gram(corpus, pick):
+    docs = [make_doc(f"d{i}", sents) for i, sents in enumerate(corpus)]
+    vocab = build_vocabulary(docs)
+    doc = docs[pick % len(docs)]
+    row, col, w = _bow_entries(doc, vocab)
+    u = unit_rows(row, w, len(doc.sentences) + 1)
+    stored = [{} for _ in range(len(doc.sentences) + 1)]
+    for r, c, x in zip(row.tolist(), col.tolist(), u.tolist()):
+        stored[r][c] = x
+    gram = np.clip(shared_column_gram(stored), 0.0, 1.0)
+    view = build_docview(doc, "BOW", vocab)
+    assert view.rel.tobytes() == gram[0, 1:].tobytes()
+    assert view.sim.tobytes() == gram[1:, 1:].tobytes()
+
+
 @given(hnp.arrays(np.float64, (5, 4), elements=finite))
 def test_cosine_symmetric_and_clamped(rows):
     view = dense_view(rows)
@@ -231,11 +304,6 @@ def test_concat_cosine_is_mean_of_part_cosines():
     assert got.sim == pytest.approx(want_sim, abs=1e-12)
     assert got.rel == pytest.approx(want_rel, abs=1e-12)
     assert got.sim[2, 0] == 0.0 and dense_cos[3, 1] < 0.0
-
-
-sentences = st.lists(
-    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6), min_size=1, max_size=5
-)
 
 
 @given(st.lists(sentences, min_size=1, max_size=3))
