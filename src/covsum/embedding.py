@@ -15,8 +15,8 @@ per-target SGD in which only the bookkeeping is batched: targets are taken in
 chunks, each with one negative-sampler draw, one array of learning rates and
 vectorised flags for targets whose negatives or context repeat a row (those
 scatter with ``np.add.at``, the rest assign their rows). The result is
-bit-identical to the one-target-at-a-time loop kept as
-``oracles.train_reference``; ``test_train_matches_per_target_reference`` in
+bit-identical to the one-target-at-a-time loop kept as ``train_reference``
+in ``tests/reference.py``; ``test_train_matches_per_target_reference`` in
 ``tests/test_embedding.py`` guards this with ``==`` on every matrix.
 
 :func:`train_each` fits one model per paragraph group (per-document
@@ -24,8 +24,8 @@ training) in lockstep: one batched step advances every unfinished fit by
 one target. Fits share no row, so the batch is exact, and every model is
 bit-identical to a separate :func:`train` call on its group;
 ``test_train_each_matches_separate_fits`` guards this with ``==`` on every
-matrix. Groups run in consecutive waves of bounded size, so memory does
-not grow with the number of groups.
+matrix. Groups run in consecutive waves of at most about 2 MiB of
+``word_out`` rows each, so memory does not grow with the number of groups.
 
 Model files are flat binary (little-endian):
 
@@ -39,6 +39,10 @@ Model files are flat binary (little-endian):
     para_matrix             P*d float64, row-major
     word_in_matrix          V*d float64, row-major (DM only)
     word_out_matrix         V*d float64, row-major
+
+:func:`load_model` reads the paragraph matrix and maps the word matrices
+copy-on-write, so a model loaded for its paragraph rows alone never reads
+its word rows.
 """
 
 from __future__ import annotations
@@ -408,9 +412,10 @@ def train(
 _LOCKSTEP_TARGETS = 2 * _CHUNK
 
 # Values (rows x dim) of the shared word_out matrix one lockstep wave may
-# hold: groups are trained in consecutive waves of about equal size within
-# this bound, so memory does not grow with the number of groups.
-_WAVE_VALUES = 2**17
+# hold, 2 MiB of float64: groups are trained in consecutive waves of about
+# equal size within this bound, so memory does not grow with the number of
+# groups. Fewer, wider waves take fewer lockstep steps in all.
+_WAVE_VALUES = 2**18
 
 
 class _Fit:
@@ -753,8 +758,12 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Inverse of :func:`save_model`; round-trips are lossless. The file size
-    is checked against the header first, then each matrix is read straight
-    into its array."""
+    is checked against the header first. The paragraph matrix is then read
+    straight into its array; ``word_in`` and ``word_out`` are mapped
+    copy-on-write, so a caller that reads only paragraph rows never pages
+    the word matrices in. The mapped arrays are writable, but writes stay
+    private to the process and never reach the file, and they keep their
+    values if the file is later replaced or unlinked."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size or head[:4] != _MAGIC:
@@ -766,26 +775,26 @@ def load_model(path: str | Path) -> EmbeddingModel:
         if kind is None:
             raise ValueError(f"{path}: unknown model kind code {kind_code}")
 
-        row_counts = (p, v, v) if kind == "dm" else (p, v)
-        size = _HEADER.size + 8 * d * sum(row_counts)
+        word_matrices = 2 if kind == "dm" else 1  # word_in (DM only), word_out
+        size = _HEADER.size + 8 * d * (p + word_matrices * v)
         actual = os.fstat(fh.fileno()).st_size
         if actual < size:
             raise ValueError(f"{path}: truncated model file")
         if actual > size:
             raise ValueError(f"{path}: trailing bytes in model file")
-        matrices = []
-        for rows in row_counts:
-            block = np.empty((rows, d), dtype="<f8")
-            if fh.readinto(block) != block.nbytes:
-                raise ValueError(f"{path}: truncated model file")
-            matrices.append(block)
+        para_matrix = np.empty((p, d), dtype="<f8")
+        if fh.readinto(para_matrix) != para_matrix.nbytes:
+            raise ValueError(f"{path}: truncated model file")
+        # One mapping of the word matrices, which follow each other: each
+        # mapping holds a file descriptor while it lives.
+        words = np.memmap(fh, dtype="<f8", mode="c", offset=_HEADER.size + para_matrix.nbytes,
+                          shape=(word_matrices, v, d))
 
-    para_matrix, *word_in, word_out = matrices
     return EmbeddingModel(
         kind=kind,
         para_matrix=para_matrix,
-        word_out=word_out,
-        word_in=word_in[0] if word_in else None,
+        word_out=words[-1],
+        word_in=words[0] if kind == "dm" else None,
         context_size=context_size,
     )
 

@@ -41,6 +41,7 @@ from pathlib import Path
 
 from .corpus import Document, build_vocabulary, load_bundled_corpus, load_corpus
 from .embedding import (
+    EmbeddingModel,
     TrainConfig,
     build_training_paragraphs,
     load_model,
@@ -311,6 +312,24 @@ def _cell_path(out_dir: Path, representation: str, method: str) -> Path:
     return out_dir / "summaries" / f"{representation}__{method}.jsonl"
 
 
+def _checked_model(path: Path, vocab_size: int, num_paragraphs: int) -> EmbeddingModel:
+    """The model at ``path``, refused unless its header fits the corpus: the
+    corpus vocabulary size, and one paragraph per document and sentence of
+    its group. A model that fails either was trained on another corpus, and
+    the group's paragraph ids would pick wrong rows of it without a word."""
+    model = load_model(path)
+    for name, have, want in (
+        ("vocab_size", model.vocab_size, vocab_size),
+        ("num_paragraphs", model.num_paragraphs, num_paragraphs),
+    ):
+        if have != want:
+            raise ConfigError(
+                f"{path}: model {name} is {have} but the corpus needs {want}; "
+                "it was trained on another corpus, so run the train subcommand again"
+            )
+    return model
+
+
 def cmd_summarize(config: ExperimentConfig) -> list[Path]:
     """Summarize every document under the full method x representation grid.
 
@@ -318,7 +337,9 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
     group's models are loaded once and replace the previous group's, so at
     most two models per kind are alive, and only while one is loading. Only
     groups holding an evaluated document are loaded, and every model file is
-    checked to exist before any cell is opened.
+    checked to exist before any cell is opened. A model whose header does
+    not fit the corpus is refused (:func:`_checked_model`). Loading reads
+    only a model's paragraph rows, the only rows a DocView uses.
     """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
@@ -359,8 +380,12 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
         for owner, group in groups:
             # Replaces the previous group's models only once these are loaded:
             # freeing them first made every load fault in fresh pages.
-            models = {kind: load_model(_model_path(out_dir, kind, owner)) for kind in kinds}
             index = paragraph_index(group)
+            num_paragraphs = sum(len(doc.sentences) + 1 for doc in group)
+            models = {
+                kind: _checked_model(_model_path(out_dir, kind, owner), vocab.size, num_paragraphs)
+                for kind in kinds
+            }
             for doc in (d for d in group if d.id in targets):
                 parts = {}  # each part's Gram, shared by the representations holding it
                 for representation in config.representations:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -77,13 +78,24 @@ class SelectorConfig:
 class DocView:
     """Everything selection needs to know about one document: precomputed
     relevance ``rel[s]`` and pairwise similarity ``sim[i, j]``, both in
-    [0, 1], plus per-sentence word counts."""
+    [0, 1], plus per-sentence word counts. The sub-theme tables XDTD and
+    JXDTD share are computed on first use and kept with the view."""
 
     doc_id: str
     sentences: tuple[Sentence, ...]
     word_counts: tuple[int, ...]
     rel: np.ndarray
     sim: np.ndarray
+
+    @cached_property
+    def p_sent(self) -> np.ndarray:
+        """P(S | T_k), from :func:`sentence_given_subtheme`."""
+        return sentence_given_subtheme(self.sim)
+
+    @cached_property
+    def p_theme(self) -> np.ndarray:
+        """P(T_k | D), from :func:`subtheme_given_doc`."""
+        return subtheme_given_doc(self.rel)
 
 
 @dataclass(frozen=True)
@@ -432,8 +444,7 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
     budget = math.ceil(config.ratio * sum(view.word_counts))
     method, alpha, rel, sim = config.method, config.alpha, view.rel, view.sim
     if method in ("XDTD", "JXDTD"):
-        p_sent = sentence_given_subtheme(sim)
-        p_theme = subtheme_given_doc(rel)
+        p_sent, p_theme = view.p_sent, view.p_theme
         # Dissatisfaction of the picks so far, folded in pick order as
         # dissatisfaction() does. XDTD keeps it at ones.
         dis = np.ones(n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsum import embedding
+from covsum import embedding, harness
 from covsum.corpus import build_vocabulary
 from covsum.embedding import (
     KINDS,
@@ -25,9 +25,9 @@ from covsum.embedding import (
     train,
     train_each,
 )
-from covsum.oracles import train_reference
 
 from conftest import make_doc
+from reference import train_reference
 
 
 def test_pair_loss_goldens():
@@ -425,6 +425,58 @@ def test_load_reads_matrices_without_a_whole_file_copy(tmp_path):
         tracemalloc.stop()
     _assert_same_model(loaded, model)
     assert peak < 1.2 * path.stat().st_size
+
+
+def _random_dm_model(seed):
+    rng = np.random.default_rng(seed)
+    return EmbeddingModel(
+        kind="dm",
+        para_matrix=rng.normal(size=(40, 32)),
+        word_out=rng.normal(size=(3000, 32)),
+        word_in=rng.normal(size=(3000, 32)),
+        context_size=2,
+    )
+
+
+def test_load_reads_only_the_paragraph_rows(tmp_path):
+    model = _random_dm_model(1)
+    path = tmp_path / "m.cvem"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_model(loaded, model)
+    assert peak < model.para_matrix.nbytes + 64 * 1024
+
+
+def test_loaded_model_outlives_its_file(tmp_path):
+    first, second = _random_dm_model(2), _random_dm_model(3)
+    path = tmp_path / "m.cvem"
+    save_model(first, path)
+    loaded = load_model(path)
+    with harness._written(path) as part:
+        save_model(second, part)
+    _assert_same_model(load_model(path), second)
+    path.unlink()
+    _assert_same_model(loaded, first)
+
+
+def test_writes_to_a_loaded_model_never_reach_its_file(tmp_path):
+    model = _random_dm_model(4)
+    path = tmp_path / "m.cvem"
+    save_model(model, path)
+    raw = path.read_bytes()
+    loaded = load_model(path)
+    loaded.word_out[:] = 7.0
+    loaded.word_in[0] += 1.0
+    assert (loaded.word_out == 7.0).all()
+    assert np.array_equal(loaded.word_in[0], model.word_in[0] + 1.0)
+    del loaded
+    assert path.read_bytes() == raw
+    _assert_same_model(load_model(path), model)
 
 
 def test_build_training_paragraphs_layout(tiny_docs):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covsum
-from covsum import harness, rouge
+from covsum import embedding, harness, rouge
 from covsum.corpus import save_corpus
 from covsum.harness import (
     ConfigError,
@@ -379,6 +380,50 @@ def test_per_document_split_loads_only_evaluated_models(tmp_path, monkeypatch):
 
 def snapshot(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_per_document_outputs_do_not_depend_on_the_waves(tmp_path, monkeypatch):
+    config = run_config(
+        tmp_path, grid_docs(), methods=",".join(METHODS), representations="DM,BOW+DBOW",
+        per_document_training="true",
+    )
+    waves = Counter()
+    real_lockstep = embedding._lockstep
+
+    def counted(groups, *args):
+        waves[embedding._WAVE_VALUES] += 1
+        return real_lockstep(groups, *args)
+
+    monkeypatch.setattr(embedding, "_lockstep", counted)
+    trees = []
+    for wave_values in (embedding._WAVE_VALUES, 1):
+        monkeypatch.setattr(embedding, "_WAVE_VALUES", wave_values)
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        cmd_train(config)
+        cmd_summarize(config)
+        trees.append(snapshot(tmp_path / "out"))
+    assert sorted(waves.values()) == [2, 6]  # one wave per kind, or one per document
+    assert trees[0] == trees[1]
+
+
+def test_summarize_refuses_a_model_of_another_corpus(tmp_path):
+    docs = grid_docs()
+    renamed = [make_doc("ga", [["alpha", "omega"], ["gamma", "delta"], ["alpha", "gamma"]],
+                        refs=[[["alpha", "beta"]]]), *docs[1:]]
+    longer = [make_doc("ga", [["alpha", "beta"], ["gamma", "delta"], ["alpha", "gamma"],
+                              ["alpha", "beta"]], refs=[[["alpha", "beta"]]]), *docs[1:]]
+    models = tmp_path / "out" / "models"
+    for other, extra, path, problem in (
+        (renamed, {}, models / "dbow.cvem", "vocab_size is 12 but the corpus needs 13"),
+        (longer, {}, models / "dbow.cvem", "num_paragraphs is 11 but the corpus needs 12"),
+        (longer, {"per_document_training": "true"}, models / "dbow" / "ga.cvem",
+         "num_paragraphs is 4 but the corpus needs 5"),
+    ):
+        cmd_train(run_config(tmp_path, docs, **extra))
+        config = run_config(tmp_path, other, **extra)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: model {problem}")):
+            cmd_summarize(config)
+        assert not list((tmp_path / "out" / "summaries").iterdir())
 
 
 def test_full_grid_summaries_equal_one_run_per_representation(tmp_path):

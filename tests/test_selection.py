@@ -1,12 +1,13 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsum import oracles
+from covsum import oracles, selection
 from covsum.corpus import Sentence, build_vocabulary
 from covsum.embedding import ParagraphIds, TrainConfig, build_training_paragraphs, train
 from covsum.selection import (
@@ -187,6 +188,24 @@ def test_alpha_zero_equals_relevance_only():
         for method in ("MMR", "XDTD", "JXDTD"):
             got = greedy_select(view, SelectorConfig(method=method, alpha=0.0))
             assert got.selected == base.selected
+
+
+def test_subtheme_tables_are_computed_once_per_view(monkeypatch):
+    calls = Counter()
+    for name in ("sentence_given_subtheme", "subtheme_given_doc"):
+        def counted(table, name=name, real=getattr(selection, name)):
+            calls[name] += 1
+            return real(table)
+
+        monkeypatch.setattr(selection, name, counted)
+    docs = random_documents(4, seed=12)
+    vocab = build_vocabulary(docs)
+    views = [build_docview(doc, "BOW", vocab) for doc in docs]
+    for view in views:
+        for method in METHODS:
+            want = greedy_select(view, SelectorConfig(method=method))
+            assert greedy_select(view, SelectorConfig(method=method)) == want
+    assert calls == {"sentence_given_subtheme": len(views), "subtheme_given_doc": len(views)}
 
 
 def test_xdtd_scores_are_selection_independent():
