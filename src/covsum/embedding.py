@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, Vocabulary
+from .files import written
 
 KINDS = ("dm", "dbow")
 
@@ -737,7 +738,11 @@ _HEADER = struct.Struct("<4sBBIIII")
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write the model in the flat binary layout documented at module level."""
+    """Write the model in the flat binary layout documented at module level.
+
+    The file is written as ``path.part`` and renamed onto ``path``, never
+    truncated in place: ``path`` may be mapped by a model :func:`load_model`
+    returned, ``model`` itself included."""
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -750,7 +755,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     matrices = [model.para_matrix, model.word_out]
     if model.kind == "dm":
         matrices.insert(1, model.word_in)
-    with open(path, "wb") as fh:
+    with written(path) as part, open(part, "wb") as fh:
         fh.write(header)
         for mat in matrices:  # written from the array's own buffer, not a copy
             fh.write(np.ascontiguousarray(mat, dtype="<f8").data)
@@ -763,7 +768,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
     copy-on-write, so a caller that reads only paragraph rows never pages
     the word matrices in. The mapped arrays are writable, but writes stay
     private to the process and never reach the file, and they keep their
-    values if the file is later replaced or unlinked."""
+    values if the file is later replaced or unlinked. Rewriting the file in
+    place while a loaded model lives is unsupported: truncation drops the
+    mapped pages, even copy-on-write ones, so a later read of them faults.
+    :func:`save_model` replaces the file instead. Each loaded model holds
+    one duplicated file descriptor while it lives."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size or head[:4] != _MAGIC:

@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +49,7 @@ from .embedding import (
     train,
     train_each,
 )
+from .files import written as _written
 from .rouge import evaluate
 from .selection import (
     METHODS,
@@ -256,19 +256,6 @@ def _model_path(out_dir: Path, kind: str, owner: str | None = None) -> Path:
     return out_dir / "models" / kind / f"{_safe_name(owner)}.cvem"
 
 
-@contextmanager
-def _written(path: Path) -> Iterator[Path]:
-    """Yield ``path.part`` to write; rename it onto ``path`` on success and
-    unlink it on an error, so a failed stage leaves no half-written file."""
-    part = path.with_name(path.name + ".part")
-    try:
-        yield part
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    part.replace(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -299,6 +286,7 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         for (owner, _), model in zip(groups, models):
             path = _model_path(out_dir, kind, owner)
             path.parent.mkdir(parents=True, exist_ok=True)
+            # save_model replaces its file itself; the stage does not rely on it.
             with _written(path) as part:
                 save_model(model, part)
             saved.append(path)
@@ -381,7 +369,7 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
             # Replaces the previous group's models only once these are loaded:
             # freeing them first made every load fault in fresh pages.
             index = paragraph_index(group)
-            num_paragraphs = sum(len(doc.sentences) + 1 for doc in group)
+            num_paragraphs = sum(1 + len(ids.sentences) for ids in index.values())
             models = {
                 kind: _checked_model(_model_path(out_dir, kind, owner), vocab.size, num_paragraphs)
                 for kind in kinds

@@ -464,6 +464,27 @@ def test_loaded_model_outlives_its_file(tmp_path):
     _assert_same_model(loaded, first)
 
 
+def test_resaving_a_loaded_model_onto_its_own_file(tmp_path):
+    # The loaded word matrices are mapped from the file being replaced, so
+    # save_model must not truncate it before it has read them.
+    small = EmbeddingModel(
+        kind="dbow",
+        para_matrix=np.arange(6.0).reshape(3, 2),
+        word_out=np.arange(8.0).reshape(4, 2),
+        word_in=None,
+        context_size=0,
+    )
+    for name, model in (("small.cvem", small), ("dm.cvem", _random_dm_model(5))):
+        path = tmp_path / name
+        save_model(model, path)
+        raw = path.read_bytes()
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert path.read_bytes() == raw
+        _assert_same_model(loaded, model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dm.cvem", "small.cvem"]
+
+
 def test_writes_to_a_loaded_model_never_reach_its_file(tmp_path):
     model = _random_dm_model(4)
     path = tmp_path / "m.cvem"
