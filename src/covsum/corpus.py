@@ -194,7 +194,15 @@ def _token_lists(raw: list, where: str, what: str) -> list[tuple[str, ...]]:
     for i, sent in enumerate(raw):
         if not isinstance(sent, list):
             raise CorpusError(f"{where}: {what} {i} must be a list of tokens")
-    return [tuple(_check_token(t, where) for t in sent) for sent in raw]
+    lists = []
+    for sent in raw:
+        try:  # "".join refuses a token that is not a string
+            clean = "" not in sent and not _SPACE.search("".join(sent))
+        except TypeError:
+            clean = False
+        # token by token only if a check failed, to name the first bad token
+        lists.append(tuple(map(str.lower, sent) if clean else (_check_token(t, where) for t in sent)))
+    return lists
 
 
 def load_corpus(path: str | Path) -> list[Document]:

@@ -18,6 +18,9 @@ scatter with ``np.add.at``, the rest assign their rows). The result is
 bit-identical to the one-target-at-a-time loop kept as ``train_reference``
 in ``tests/reference.py``; ``test_train_matches_per_target_reference`` in
 ``tests/test_embedding.py`` guards this with ``==`` on every matrix.
+:func:`train_both` runs the loop for the DM and DBOW models of one paragraph
+set at once: both draw every value from the same ``cfg.seed`` streams, so
+each is bit-identical to its :func:`train` call (``test_train_both_*``).
 
 :func:`train_each` fits one model per paragraph group (per-document
 training) in lockstep: one batched step advances every unfinished fit by
@@ -303,45 +306,28 @@ def _finished(
     )
 
 
-def train(
-    paragraphs: Sequence[TrainingParagraph],
-    cfg: TrainConfig,
-    kind: str,
-    vocab_size: int | None = None,
-) -> EmbeddingModel:
-    """Run seeded SGD over all (paragraph, position) targets.
-
-    Each target takes one positive update against the target word's
-    out-vector and ``cfg.negatives`` negative updates against sampled
-    out-vectors; the sampled stream may repeat the target itself. Target
-    order is reshuffled every epoch from the seeded generator.
-    """
-    kind = _check_kind(kind)
-    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
-
+def _initial_rows(cfg: TrainConfig, num_paragraphs: int, vocab_size: int,
+                  kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Seeded initial paragraph rows and, for DM, ``word_in`` rows."""
     d = cfg.dim
-    seq = np.random.SeedSequence(cfg.seed)
-    seed_init, seed_order, seed_neg = seq.spawn(3)
-    rng_init = np.random.default_rng(seed_init)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    para_matrix = rng.uniform(-0.5 / d, 0.5 / d, (num_paragraphs, d))
+    return para_matrix, rng.uniform(-0.5 / d, 0.5 / d, (vocab_size, d)) if kind == "dm" else None
+
+
+def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size: int,
+            cfg: TrainConfig, c: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The bookkeeping of :func:`train`'s loop, a chunk of targets at a time
+    in ``cfg.seed``'s order: each target's paragraph, flat index, first
+    context index and context length, its learning rate, its out-rows (its
+    term, then its negatives) and whether those or its ``c`` context slots
+    repeat a row."""
+    _, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_order = np.random.default_rng(seed_order)
-
-    num_paragraphs = len(paragraphs)
-    para_matrix = rng_init.uniform(-0.5 / d, 0.5 / d, (num_paragraphs, d))
-    word_in = rng_init.uniform(-0.5 / d, 0.5 / d, (vocab_size, d)) if kind == "dm" else None
-    word_out = np.zeros((vocab_size, d))
-
-    tok, pid, par_start = _flatten(paragraphs)
-    sampler = NegativeSampler(
-        np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg
-    )
-
+    sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg)
     num_targets = len(tok)
     total_steps = cfg.epochs * num_targets
     k = cfg.negatives
-    c = cfg.context_size if kind == "dm" else 0
-
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
     # Padding for context slots before the paragraph start: negative, so
     # never a term id, and distinct, so never a repeat.
     ctx_pad = -1 - np.arange(c)
@@ -359,53 +345,132 @@ def train(
             out_idx = np.empty((m, k + 1), dtype=np.int64)
             out_idx[:, 0] = tok[t]
             out_idx[:, 1:] = sampler.draw(k * m).reshape(m, k)
-            out_repeats = _has_repeat(out_idx)
 
             ctx_lo = np.maximum(t - c, par_start[t])
-            num_ctx = t - ctx_lo
             window = t[:, None] - ctx_back
             ctx_repeats = _has_repeat(
                 np.where(window >= ctx_lo[:, None], tok[np.maximum(window, 0)], ctx_pad)
             )
-            share_lr = lr / (1 + num_ctx)
+            yield pid[t], t, ctx_lo, t - ctx_lo, lr, out_idx, _has_repeat(out_idx), ctx_repeats
 
-            for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
-                pid[t].tolist(),
-                t.tolist(),
-                ctx_lo.tolist(),
-                num_ctx.tolist(),
-                (-lr).tolist(),
-                share_lr.tolist(),
-                out_idx,
-                out_repeats.tolist(),
-                ctx_repeats.tolist(),
-            ):
-                row = para_matrix[p]
-                if nc:
-                    ctx = tok[ci:ti]
-                    ctx_rows = word_in[ctx]
-                    h = (row + ctx_rows.sum(axis=0)) / (1 + nc)
+
+def train(
+    paragraphs: Sequence[TrainingParagraph],
+    cfg: TrainConfig,
+    kind: str,
+    vocab_size: int | None = None,
+) -> EmbeddingModel:
+    """Run seeded SGD over all (paragraph, position) targets.
+
+    Each target takes one positive update against the target word's
+    out-vector and ``cfg.negatives`` negative updates against sampled
+    out-vectors; the sampled stream may repeat the target itself. Target
+    order is reshuffled every epoch from the seeded generator.
+    """
+    kind = _check_kind(kind)
+    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
+
+    para_matrix, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, kind)
+    word_out = np.zeros((vocab_size, cfg.dim))
+
+    tok, pid, par_start = _flatten(paragraphs)
+    c = cfg.context_size if kind == "dm" else 0
+    labels = np.zeros(cfg.negatives + 1)
+    labels[0] = 1.0
+
+    for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
+        tok, pid, par_start, vocab_size, cfg, c
+    ):
+        for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
+            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
+            (lr / (1 + num_ctx)).tolist(), out_idx, out_repeats.tolist(), ctx_repeats.tolist(),
+        ):
+            row = para_matrix[p]
+            if nc:
+                ctx = tok[ci:ti]
+                ctx_rows = word_in[ctx]
+                h = (row + ctx_rows.sum(axis=0)) / (1 + nc)
+            else:
+                h = row  # a view: read before the row is updated below
+
+            out_rows = word_out[idx]
+            g = _sigmoid(np.dot(out_rows, h)) - labels
+            grad_h = np.dot(g, out_rows)
+            upd = (nlr * g)[:, None] * h
+            if out_rep:
+                np.add.at(word_out, idx, upd)
+            else:
+                word_out[idx] = out_rows + upd
+
+            shared = slr * grad_h
+            row -= shared
+            if nc:
+                if ctx_rep:
+                    np.add.at(word_in, ctx, -shared)
                 else:
-                    h = row  # a view: read before the row is updated below
-
-                out_rows = word_out[idx]
-                g = _sigmoid(np.dot(out_rows, h)) - labels
-                grad_h = np.dot(g, out_rows)
-                upd = (nlr * g)[:, None] * h
-                if out_rep:
-                    np.add.at(word_out, idx, upd)
-                else:
-                    word_out[idx] = out_rows + upd
-
-                shared = slr * grad_h
-                row -= shared
-                if nc:
-                    if ctx_rep:
-                        np.add.at(word_in, ctx, -shared)
-                    else:
-                        word_in[ctx] = ctx_rows - shared
+                    word_in[ctx] = ctx_rows - shared
 
     return _finished(kind, cfg, para_matrix, word_in, word_out)
+
+
+def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
+               vocab_size: int | None = None) -> Iterator[EmbeddingModel]:
+    """Yield ``train(paragraphs, cfg, "dm", vocab_size)``, then the same
+    call's ``"dbow"`` model, bit for bit, from one pass over the targets.
+
+    Each step advances both fits by one target, with one :func:`_chunks`
+    bookkeeping: stacked ``np.matmul`` (the gemv ``np.dot`` calls) and one
+    write-back serve both kinds, and the DM context runs on the DM rows
+    alone. The models are views of the stacked arrays, DM's yielded first.
+    """
+    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
+    para, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, "dm")
+    # DM rows, then DBOW rows: paragraph p's rows of both kinds are the view
+    # ``para[:, p]``, and a target's out-rows of both kinds one gather.
+    para = np.stack([para, para])
+    word_out = np.zeros((2 * vocab_size, cfg.dim))
+
+    tok, pid, par_start = _flatten(paragraphs)
+    labels = np.zeros(cfg.negatives + 1)
+    labels[0] = 1.0
+
+    for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
+        tok, pid, par_start, vocab_size, cfg, cfg.context_size
+    ):
+        # DBOW's rate is lr / 1: no context shares its predictor.
+        share_lr = np.stack([lr / (1 + num_ctx), lr], axis=1)[:, :, None]
+        for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
+            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(), share_lr,
+            out_idx[:, None, :] + [[0], [vocab_size]], out_repeats.tolist(), ctx_repeats.tolist(),
+        ):
+            rows = para[:, p]
+            if nc:
+                ctx = tok[ci:ti]
+                ctx_rows = word_in[ctx]
+                h = rows.copy()
+                h[0] = (rows[0] + ctx_rows.sum(axis=0)) / (1 + nc)
+            else:
+                h = rows  # a view: read before the rows are updated below
+
+            out_rows = word_out[idx]
+            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0]) - labels
+            grad_h = np.matmul(g[:, None, :], out_rows)[:, 0]
+            upd = (nlr * g)[:, :, None] * h[:, None, :]
+            if out_rep:
+                np.add.at(word_out, idx, upd)
+            else:
+                word_out[idx] = out_rows + upd
+
+            shared = slr * grad_h
+            rows -= shared
+            if nc:
+                if ctx_rep:
+                    np.add.at(word_in, ctx, -shared[0])
+                else:
+                    word_in[ctx] = ctx_rows - shared[0]
+
+    yield _finished("dm", cfg, para[0], word_in, word_out[:vocab_size])
+    yield _finished("dbow", cfg, para[1], None, word_out[vocab_size:])
 
 
 # Targets per chunk of the lockstep schedule, over all fits: every fit

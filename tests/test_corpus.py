@@ -1,6 +1,7 @@
 import json
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,29 @@ def test_load_errors_name_the_line(tmp_path):
         path.write_bytes(b'{"id": "ok", "sentences": [["a"]]}\n' + data + b"\n")
         with pytest.raises(CorpusError, match=f"line 2: .*{message}"):
             load_corpus(path)
+
+
+def test_bad_tokens_are_named_in_sentences_and_references(tmp_path):
+    # A bad token is named alone, and first among later bad tokens of every
+    # other sort.
+    path = tmp_path / "bad.jsonl"
+    cases = {
+        "1": "token 1 is not a string",
+        "null": "token None is not a string",
+        '""': "empty token",
+        json.dumps("b\u3000c"): "token " + repr("b\u3000c") + " contains whitespace",
+    }
+    for (token, message), tokens in product(cases.items(), ('["A", {}, "d"]',
+                                                            '["A", {}, "d e", 2, ""]')):
+        tokens = tokens.format(token)
+        for record in (
+            f'{{"id": "x", "sentences": [["a"], {tokens}]}}',
+            f'{{"id": "x", "sentences": [["a"]], "references": [[["a"]], [["b"], {tokens}]]}}',
+        ):
+            path.write_text('{"id": "ok", "sentences": [["a"]]}\n' + record + "\n")
+            with pytest.raises(CorpusError) as exc:
+                load_corpus(path)
+            assert str(exc.value) == f"line 2: {message}"
 
 
 def test_token_whitespace_check_is_isspace():

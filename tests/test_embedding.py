@@ -23,6 +23,7 @@ from covsum.embedding import (
     paragraph_vector,
     save_model,
     train,
+    train_both,
     train_each,
 )
 
@@ -93,6 +94,8 @@ def test_train_validates_inputs():
         train(_paras(), cfg, "dm", vocab_size=3)  # token id 4 out of range
     with pytest.raises(ValueError):
         train(_paras(), cfg, "skipgram")
+    with pytest.raises(ValueError, match="term id 4"):
+        list(train_both(_paras(), cfg, vocab_size=3))
 
 
 def test_train_deterministic_and_seed_sensitive():
@@ -217,6 +220,47 @@ def test_train_matches_reference_across_chunks():
         _assert_same_model(train(paragraphs, cfg, kind), train_reference(paragraphs, cfg, kind))
 
 
+def _assert_train_both_matches_two_fits(paragraphs, cfg, vocab):
+    got = list(train_both(paragraphs, cfg, vocab_size=vocab))
+    assert [model.kind for model in got] == list(KINDS)
+    for model, kind in zip(got, KINDS):
+        want = train(paragraphs, cfg, kind, vocab_size=vocab)
+        _assert_same_model(model, want)
+        assert model.context_size == want.context_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_runs())
+def test_train_both_matches_two_fits(run):
+    paragraphs, cfg, _, vocab = run
+    _assert_train_both_matches_two_fits(paragraphs, cfg, vocab)
+
+
+def test_train_both_matches_two_fits_across_chunks():
+    rng = np.random.default_rng(6)
+    paragraphs = [
+        TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 50, rng.integers(1, 30))))
+        for i in range(250)
+    ]
+    assert sum(len(p.tokens) for p in paragraphs) > 2 * embedding._CHUNK
+    cfg = TrainConfig(dim=7, context_size=3, epochs=2, negatives=4, seed=13)
+    _assert_train_both_matches_two_fits(paragraphs, cfg, None)
+
+
+def test_train_both_yields_dm_before_a_dbow_divergence():
+    # DM stays finite here and DBOW diverges: the DM model comes out first,
+    # then train's own error for DBOW.
+    cfg = TrainConfig(dim=4, epochs=2, negatives=2, context_size=4, learning_rate=1e23, seed=3)
+    with np.errstate(all="ignore"):
+        models = train_both(_paras(), cfg, vocab_size=5)
+        _assert_same_model(next(models), train(_paras(), cfg, "dm", vocab_size=5))
+        with pytest.raises(ArithmeticError) as want:
+            train(_paras(), cfg, "dbow", vocab_size=5)
+        with pytest.raises(ArithmeticError) as got:
+            next(models)
+    assert str(got.value) == str(want.value)
+
+
 @st.composite
 def _lockstep_runs(draw):
     """1-8 groups of unequal length over at most 8 terms, sometimes with a
@@ -310,6 +354,8 @@ def test_diverged_training_is_refused():
                 train(_paras(), cfg, kind, vocab_size=5)
             with pytest.raises(ArithmeticError, match="diverged"):
                 list(train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5))
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="diverged"):
+        list(train_both(_paras(), cfg, vocab_size=5))
 
 
 def test_degenerate_single_term_vocab_runs():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import covsum
 from covsum import embedding, harness, rouge
-from covsum.corpus import save_corpus
+from covsum.corpus import build_vocabulary, load_corpus, save_corpus
 from covsum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -216,6 +216,19 @@ def test_train_writes_only_needed_kinds(tmp_path):
 
     bow_only = run_config(tmp_path, grid_docs(), representations="BOW")
     assert cmd_train(bow_only) == []
+
+
+def test_train_writes_both_kinds_as_separate_fits_would(tmp_path):
+    config = run_config(tmp_path, grid_docs(), representations="DM,DBOW")
+    saved = cmd_train(config)
+    assert [p.name for p in saved] == ["dm.cvem", "dbow.cvem"]
+    docs = load_corpus(config.corpus_path)
+    vocab = build_vocabulary(docs)
+    paragraphs, _ = embedding.build_training_paragraphs(docs, vocab)
+    for path in saved:
+        model = embedding.train(paragraphs, config.embed, path.stem, vocab.size)
+        embedding.save_model(model, tmp_path / "want.cvem")
+        assert path.read_bytes() == (tmp_path / "want.cvem").read_bytes()
 
 
 def test_summarize_then_evaluate(tmp_path):
