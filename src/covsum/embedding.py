@@ -317,11 +317,9 @@ def _initial_rows(cfg: TrainConfig, num_paragraphs: int, vocab_size: int,
 
 def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size: int,
             cfg: TrainConfig, c: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The bookkeeping of :func:`train`'s loop, a chunk of targets at a time
-    in ``cfg.seed``'s order: each target's paragraph, flat index, first
-    context index and context length, its learning rate, its out-rows (its
-    term, then its negatives) and whether those or its ``c`` context slots
-    repeat a row."""
+    """Per chunk of targets in ``cfg.seed``'s order: paragraphs, flat and first
+    context indices, context lengths, rates, out-rows (term, then negatives)
+    and whether those or the ``c`` context slots repeat a row."""
     _, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_order = np.random.default_rng(seed_order)
     sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg)
@@ -359,6 +357,8 @@ def train(
     cfg: TrainConfig,
     kind: str,
     vocab_size: int | None = None,
+    *,
+    joint: Iterator[EmbeddingModel] | None = None,
 ) -> EmbeddingModel:
     """Run seeded SGD over all (paragraph, position) targets.
 
@@ -366,8 +366,14 @@ def train(
     out-vector and ``cfg.negatives`` negative updates against sampled
     out-vectors; the sampled stream may repeat the target itself. Target
     order is reshuffled every epoch from the seeded generator.
+
+    With ``joint``, a :func:`train_both` pass over the same arguments, the
+    model is that pass's next one (DM, then DBOW), the same bit for bit;
+    ``cmd_train`` takes both through here, one ``train`` call per fit.
     """
     kind = _check_kind(kind)
+    if joint is not None:
+        return next(joint)
     vocab_size = _validate_paragraphs(paragraphs, vocab_size)
 
     para_matrix, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, kind)
@@ -417,12 +423,7 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
                vocab_size: int | None = None) -> Iterator[EmbeddingModel]:
     """Yield ``train(paragraphs, cfg, "dm", vocab_size)``, then the same
     call's ``"dbow"`` model, bit for bit, from one pass over the targets.
-
-    Each step advances both fits by one target, with one :func:`_chunks`
-    bookkeeping: stacked ``np.matmul`` (the gemv ``np.dot`` calls) and one
-    write-back serve both kinds, and the DM context runs on the DM rows
-    alone. The models are views of the stacked arrays, DM's yielded first.
-    """
+    The models are views of the stacked arrays the pass updates."""
     vocab_size = _validate_paragraphs(paragraphs, vocab_size)
     para, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, "dm")
     # DM rows, then DBOW rows: paragraph p's rows of both kinds are the view

@@ -265,10 +265,9 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
     """Train every embedding kind the configured grid needs and persist it.
 
     Several model groups are trained in lockstep by ``train_each``, whose
-    models are bit-identical to one ``train`` call per group. A single group
-    needing both kinds goes through ``train_both``: the two fits share every
-    seeded draw, so its one pass yields the same two models as ``train``
-    (``test_train_both_matches_two_fits``). One kind goes through ``train``.
+    models are bit-identical to one ``train`` call per group; a single group
+    goes through ``train``, which is faster for one fit. For both kinds it
+    hands over the models of one exact ``train_both`` pass (README, training).
     """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
@@ -281,21 +280,22 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
 
     groups = _model_groups(config, docs, kinds)
     paragraphs = [build_training_paragraphs(group, vocab)[0] for _, group in groups]
-    if len(groups) > 1:
-        models = (m for kind in kinds for m in train_each(paragraphs, config.embed, kind, vocab.size))
-    elif len(kinds) == 2:
-        models = train_both(paragraphs[0], config.embed, vocab.size)
-    else:
-        models = (train(paragraphs[0], config.embed, kind, vocab.size) for kind in kinds)
-    owners = [owner for _ in kinds for owner, _ in groups]
-    for owner, model in zip(owners, models):
-        path = _model_path(out_dir, model.kind, owner)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # save_model replaces its file itself; the stage does not rely on it.
-        with _written(path) as part:
-            save_model(model, part)
-        saved.append(path)
-        del model  # freed before the next model is built
+    joint = None
+    if len(groups) == 1 and len(kinds) == 2:
+        joint = train_both(paragraphs[0], config.embed, vocab.size)
+    for kind in kinds:
+        if len(groups) == 1:
+            models = [train(paragraphs[0], config.embed, kind, vocab.size, joint=joint)]
+        else:
+            models = train_each(paragraphs, config.embed, kind, vocab.size)
+        for (owner, _), model in zip(groups, models):
+            path = _model_path(out_dir, kind, owner)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # save_model replaces its file itself; the stage does not rely on it.
+            with _written(path) as part:
+                save_model(model, part)
+            saved.append(path)
+            del model  # unless a joint pass holds it, freed before the next model is built
     for path in saved:
         print(f"wrote {path}")
     return saved

@@ -218,9 +218,17 @@ def test_train_writes_only_needed_kinds(tmp_path):
     assert cmd_train(bow_only) == []
 
 
-def test_train_writes_both_kinds_as_separate_fits_would(tmp_path):
+def test_train_writes_both_kinds_as_separate_fits_would(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(paragraphs, cfg, kind, vocab_size=None, *, joint=None):
+        calls.append((kind, joint is not None))
+        return embedding.train(paragraphs, cfg, kind, vocab_size, joint=joint)
+
+    monkeypatch.setattr(harness, "train", counted)  # one call per fit, as the tracer counts
     config = run_config(tmp_path, grid_docs(), representations="DM,DBOW")
     saved = cmd_train(config)
+    assert calls == [("dm", True), ("dbow", True)]
     assert [p.name for p in saved] == ["dm.cvem", "dbow.cvem"]
     docs = load_corpus(config.corpus_path)
     vocab = build_vocabulary(docs)
