@@ -9,6 +9,8 @@ concatenation; summaries are scored with ROUGE-1/2/L against multiple
 references.
 """
 
+from types import ModuleType as _ModuleType
+
 from .corpus import (
     CorpusError,
     Document,
@@ -53,58 +55,22 @@ from .selection import (
     summary_sentences,
 )
 
+# The diagnostics pull in the oracles and the synthetic corpus generator,
+# which no pipeline stage uses, so they load on first access (PEP 562).
+_SELFCHECK_NAMES = ("CheckResult", "run_all")
+
 
 def __getattr__(name: str):
-    # The diagnostics pull in the oracles and the synthetic corpus generator,
-    # which no pipeline stage uses, so they load on first access (PEP 562).
-    if name in ("CheckResult", "run_all"):
+    if name in _SELFCHECK_NAMES:
         from . import selfcheck
 
         return getattr(selfcheck, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# The public names are the ones imported above, in import order, then the
+# lazy ones; the submodules those imports bind are not among them.
 __all__ = [
-    "CorpusError",
-    "Document",
-    "ReferenceSummary",
-    "Sentence",
-    "Vocabulary",
-    "build_vocabulary",
-    "load_bundled_corpus",
-    "load_corpus",
-    "save_corpus",
-    "tokenize",
-    "EmbeddingModel",
-    "ParagraphIds",
-    "TrainConfig",
-    "TrainingParagraph",
-    "build_training_paragraphs",
-    "load_model",
-    "paragraph_vector",
-    "save_model",
-    "train",
-    "ConfigError",
-    "ExperimentConfig",
-    "cmd_evaluate",
-    "cmd_selftest",
-    "cmd_summarize",
-    "cmd_train",
-    "load_experiment_config",
-    "RougeReport",
-    "RougeScore",
-    "evaluate",
-    "lcs_length",
-    "rouge_l",
-    "rouge_n",
-    "METHODS",
-    "REPRESENTATIONS",
-    "DocView",
-    "SelectorConfig",
-    "Summary",
-    "build_docview",
-    "greedy_select",
-    "summary_sentences",
-    "CheckResult",
-    "run_all",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_SELFCHECK_NAMES)

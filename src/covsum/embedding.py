@@ -158,11 +158,20 @@ def pair_loss(score: float, label: int) -> float:
     return _softplus(-score) if label else _softplus(score)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    # never overflows.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid of ``x``, written over ``x`` and returned.
+
+    ``exp(min(x, 0)) / (1 + exp(-|x|))``: 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below, so exp never overflows. Both exps are one
+    call over ``buf``, a scratch array of shape ``(2, *x.shape)``."""
+    if buf is None:
+        buf = np.empty((2, *x.shape))
+    num, den = buf
+    np.minimum(x, 0.0, out=num)
+    np.copysign(x, -1.0, out=den)
+    np.exp(buf, out=buf)
+    np.add(den, 1.0, out=den)
+    return np.divide(num, den, out=x)
 
 
 def _has_repeat(rows: np.ndarray) -> np.ndarray:
@@ -369,20 +378,35 @@ def train(
 
     With ``joint``, a :func:`train_both` pass over the same arguments, the
     model is that pass's next one (DM, then DBOW), the same bit for bit;
-    ``cmd_train`` takes both through here, one ``train`` call per fit.
+    ``cmd_train`` takes both through here, one ``train`` call per fit. A
+    pass whose next model is of another kind, or has another number of
+    paragraphs or vocabulary size, or that has no model left, is refused
+    with ``ValueError``.
     """
     kind = _check_kind(kind)
-    if joint is not None:
-        return next(joint)
     vocab_size = _validate_paragraphs(paragraphs, vocab_size)
+    if joint is not None:
+        model = next(joint, None)
+        if model is None:
+            raise ValueError(f"joint pass is exhausted; it holds no {kind} model")
+        if model.kind != kind:
+            raise ValueError(f"joint pass yields a {model.kind} model next, not {kind}")
+        if (model.num_paragraphs, model.vocab_size) != (len(paragraphs), vocab_size):
+            raise ValueError(
+                f"joint pass trained {model.num_paragraphs} paragraphs over "
+                f"{model.vocab_size} terms, not {len(paragraphs)} over {vocab_size}"
+            )
+        return model
 
     para_matrix, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, kind)
     word_out = np.zeros((vocab_size, cfg.dim))
 
     tok, pid, par_start = _flatten(paragraphs)
     c = cfg.context_size if kind == "dm" else 0
-    labels = np.zeros(cfg.negatives + 1)
-    labels[0] = 1.0
+    # Every intermediate of a step is written into one of these.
+    k1, d = cfg.negatives + 1, cfg.dim
+    h_ctx, g, sig_buf = np.empty(d), np.empty(k1), np.empty((2, k1))
+    g_lr, upd, grad_h = np.empty(k1), np.empty((k1, d)), np.empty(d)
 
     for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
         tok, pid, par_start, vocab_size, cfg, c
@@ -394,27 +418,29 @@ def train(
             row = para_matrix[p]
             if nc:
                 ctx = tok[ci:ti]
-                ctx_rows = word_in[ctx]
-                h = (row + ctx_rows.sum(axis=0)) / (1 + nc)
+                ctx_rows = word_in.take(ctx, 0)
+                h = np.add(row, ctx_rows.sum(axis=0, out=h_ctx), out=h_ctx)
+                np.divide(h, 1 + nc, out=h)
             else:
                 h = row  # a view: read before the row is updated below
 
-            out_rows = word_out[idx]
-            g = _sigmoid(np.dot(out_rows, h)) - labels
-            grad_h = np.dot(g, out_rows)
-            upd = (nlr * g)[:, None] * h
+            out_rows = word_out.take(idx, 0)
+            np.dot(out_rows, h, out=g)
+            _sigmoid(g, sig_buf)[0] -= 1.0  # minus the labels (1, 0, ..., 0)
+            np.dot(g, out_rows, out=grad_h)
+            np.multiply(np.multiply(g, nlr, out=g_lr)[:, None], h, out=upd)
             if out_rep:
                 np.add.at(word_out, idx, upd)
             else:
-                word_out[idx] = out_rows + upd
+                word_out[idx] = np.add(out_rows, upd, out=out_rows)
 
-            shared = slr * grad_h
+            shared = np.multiply(grad_h, slr, out=grad_h)
             row -= shared
             if nc:
                 if ctx_rep:
                     np.add.at(word_in, ctx, -shared)
                 else:
-                    word_in[ctx] = ctx_rows - shared
+                    word_in[ctx] = np.subtract(ctx_rows, shared, out=ctx_rows)
 
     return _finished(kind, cfg, para_matrix, word_in, word_out)
 
@@ -432,8 +458,12 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
     word_out = np.zeros((2 * vocab_size, cfg.dim))
 
     tok, pid, par_start = _flatten(paragraphs)
-    labels = np.zeros(cfg.negatives + 1)
-    labels[0] = 1.0
+    # Every intermediate of a step is written into one of these; the
+    # trailing and middle unit axes make them stacked-matmul operands.
+    k1, d = cfg.negatives + 1, cfg.dim
+    h_ctx, g, sig_buf = np.empty((2, d)), np.empty((2, k1, 1)), np.empty((2, 2, k1))
+    g_lr, upd, grad_h = np.empty((2, k1, 1)), np.empty((2, k1, d)), np.empty((2, 1, d))
+    g_row, shared = g[:, :, 0], grad_h[:, 0]
 
     for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
         tok, pid, par_start, vocab_size, cfg, cfg.context_size
@@ -447,28 +477,31 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
             rows = para[:, p]
             if nc:
                 ctx = tok[ci:ti]
-                ctx_rows = word_in[ctx]
-                h = rows.copy()
-                h[0] = (rows[0] + ctx_rows.sum(axis=0)) / (1 + nc)
+                ctx_rows = word_in.take(ctx, 0)
+                h = h_ctx
+                np.add(rows[0], ctx_rows.sum(axis=0, out=h[0]), out=h[0])
+                np.divide(h[0], 1 + nc, out=h[0])
+                h[1] = rows[1]
             else:
                 h = rows  # a view: read before the rows are updated below
 
-            out_rows = word_out[idx]
-            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0]) - labels
-            grad_h = np.matmul(g[:, None, :], out_rows)[:, 0]
-            upd = (nlr * g)[:, :, None] * h[:, None, :]
+            out_rows = word_out.take(idx, 0)
+            np.matmul(out_rows, h[:, :, None], out=g)
+            _sigmoid(g_row, sig_buf)[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
+            np.matmul(g_row[:, None, :], out_rows, out=grad_h)
+            np.multiply(np.multiply(g, nlr, out=g_lr), h[:, None, :], out=upd)
             if out_rep:
                 np.add.at(word_out, idx, upd)
             else:
-                word_out[idx] = out_rows + upd
+                word_out[idx] = np.add(out_rows, upd, out=out_rows)
 
-            shared = slr * grad_h
+            np.multiply(shared, slr, out=shared)
             rows -= shared
             if nc:
                 if ctx_rep:
                     np.add.at(word_in, ctx, -shared[0])
                 else:
-                    word_in[ctx] = ctx_rows - shared[0]
+                    word_in[ctx] = np.subtract(ctx_rows, shared[0], out=ctx_rows)
 
     yield _finished("dm", cfg, para[0], word_in, word_out[:vocab_size])
     yield _finished("dbow", cfg, para[1], None, word_out[vocab_size:])
@@ -638,8 +671,6 @@ def _lockstep(
     pad = row_off
     word_in = np.concatenate(in_parts + [np.zeros((1, d))]) if kind == "dm" else None
 
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
     slots = np.arange(c)
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
@@ -691,7 +722,8 @@ def _lockstep(
 
             idx = out_idx[j, :a]
             out_rows = word_out[idx]
-            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0]) - labels
+            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0])
+            g[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
             grad_h = np.matmul(g[:, None, :], out_rows)[:, 0]
             upd = (neg_lr[j, :a, None] * g)[:, :, None] * h[:, None, :]
             _scatter(word_out, idx, out_rows, upd, out_repeats[j, :a])
@@ -763,10 +795,9 @@ def negative_sampling_gradients(
             model.kind, model.para_matrix, model.word_in, par, j, model.context_size
         )
         idx = np.asarray([par.tokens[j], *negs], dtype=np.int64)
-        labels = np.zeros(len(idx))
-        labels[0] = 1.0
         rows = model.word_out[idx]
-        g = _sigmoid(rows @ h) - labels
+        g = _sigmoid(rows @ h)
+        g[0] -= 1.0  # minus the labels (1, 0, ..., 0)
         np.add.at(g_out, idx, g[:, None] * h[None, :])
         grad_h = g @ rows
         share = grad_h / (1 + len(ctx))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covsum import embedding, harness
 from covsum.corpus import build_vocabulary
@@ -28,6 +29,7 @@ from covsum.embedding import (
 )
 
 from conftest import make_doc
+from reference import _sigmoid as sigmoid_reference
 from reference import train_reference
 
 
@@ -259,6 +261,76 @@ def test_train_both_yields_dm_before_a_dbow_divergence():
         with pytest.raises(ArithmeticError) as got:
             next(models)
     assert str(got.value) == str(want.value)
+
+
+def test_train_refuses_a_joint_pass_of_another_kind():
+    cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    joint = train_both(_paras(), cfg, vocab_size=5)
+    with pytest.raises(ValueError, match="yields a dm model next, not dbow"):
+        train(_paras(), cfg, "dbow", vocab_size=5, joint=joint)
+    # the refused model is consumed; the pass goes on with DBOW
+    _assert_same_model(train(_paras(), cfg, "dbow", vocab_size=5, joint=joint),
+                       train(_paras(), cfg, "dbow", vocab_size=5))
+
+
+def test_train_refuses_an_exhausted_joint_pass():
+    cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    joint = train_both(_paras(), cfg, vocab_size=5)
+    for kind in KINDS:
+        train(_paras(), cfg, kind, vocab_size=5, joint=joint)
+    with pytest.raises(ValueError, match="exhausted; it holds no dbow model"):
+        train(_paras(), cfg, "dbow", vocab_size=5, joint=joint)
+
+
+def test_train_refuses_a_joint_pass_over_other_paragraphs():
+    cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    with pytest.raises(ValueError, match="3 paragraphs over 5 terms, not 2 over 5"):
+        train(_paras()[:2], cfg, "dm", vocab_size=5, joint=train_both(_paras(), cfg, vocab_size=5))
+
+
+def test_train_refuses_a_joint_pass_over_another_vocabulary():
+    cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    with pytest.raises(ValueError, match="3 paragraphs over 5 terms, not 3 over 6"):
+        train(_paras(), cfg, "dm", vocab_size=6, joint=train_both(_paras(), cfg, vocab_size=5))
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                  1.0, -1.0, 709.8, -709.8, 745.0, -745.0, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan, -math.nan]
+
+
+def _assert_sigmoid_bits(x):
+    want = sigmoid_reference(x.copy())
+    got = embedding._sigmoid(x.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sigmoid_matches_reference_bits_at_the_edges():
+    _assert_sigmoid_bits(np.array(_SIGMOID_EDGES))
+    # the scratch buffer of a training step, and a 2-D array
+    x = np.array(_SIGMOID_EDGES).reshape(2, 9)
+    want = sigmoid_reference(x.copy())
+    got = embedding._sigmoid(x, np.full((2, *x.shape), np.nan))
+    assert got is x
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8)))
+def test_sigmoid_matches_reference_bits(x):
+    _assert_sigmoid_bits(x)
+
+
+def test_train_calls_share_no_state():
+    # A step's buffers belong to its call: a joint pass and fits of another
+    # shape in between leave a second call's model unchanged.
+    cfg = TrainConfig(dim=5, epochs=2, negatives=3, context_size=2, seed=8)
+    other = TrainConfig(dim=7, epochs=1, negatives=6, context_size=3, seed=9)
+    for kind in KINDS:
+        first = train(_paras(), cfg, kind, vocab_size=5)
+        list(train_both(_paras(), other, vocab_size=6))
+        train(_paras(), other, kind, vocab_size=6)
+        _assert_same_model(train(_paras(), cfg, kind, vocab_size=5), first)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -606,6 +607,13 @@ def test_missing_corpus_errors_with_path(tmp_path):
         cmd_train(config)
     with pytest.raises(ConfigError, match="corpus"):
         cmd_train(build_experiment_config({}))
+
+
+def test_public_names_are_listed_once_and_resolve():
+    assert len(covsum.__all__) == len(set(covsum.__all__))
+    for name in covsum.__all__:
+        assert not isinstance(getattr(covsum, name), types.ModuleType), name
+    assert {"train", "cmd_train", "evaluate", "CheckResult", "run_all"} <= set(covsum.__all__)
 
 
 def test_pipeline_imports_leave_the_diagnostics_unloaded():
