@@ -18,6 +18,13 @@ scatter with ``np.add.at``, the rest assign their rows). The result is
 bit-identical to the one-target-at-a-time loop kept as ``train_reference``
 in ``tests/reference.py``; ``test_train_matches_per_target_reference`` in
 ``tests/test_embedding.py`` guards this with ``==`` on every matrix.
+A step writes every intermediate into buffers made once per call: it
+copies its rows into one, updates them there and copies them back, moving
+each row as one record (:func:`_records`), and it writes scores,
+gradients and updates through ``out=``. :func:`_sigmoid` takes both of its
+branches from one ``exp`` over ``min(x, 0)`` and ``-|x|``. That is exact:
+the two are the same float below zero, and ``exp(min(x, 0))`` is
+``exp(0) == 1`` at or above it.
 :func:`train_both` runs the loop for the DM and DBOW models of one paragraph
 set at once: both draw every value from the same ``cfg.seed`` streams, so
 each is bit-identical to its :func:`train` call (``test_train_both_*``).
@@ -172,6 +179,14 @@ def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     np.exp(buf, out=buf)
     np.add(den, 1.0, out=den)
     return np.divide(num, den, out=x)
+
+
+def _records(mat: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous float array as a view of one opaque record
+    per row. Indexing the records moves whole rows byte for byte, as row
+    indexing does, but takes numpy's one-dimensional fast path, which for a
+    step's few rows costs a fraction of the set-up of row indexing."""
+    return mat.view(np.dtype((np.void, mat.itemsize * mat.shape[-1])))[..., 0]
 
 
 def _has_repeat(rows: np.ndarray) -> np.ndarray:
@@ -407,6 +422,9 @@ def train(
     k1, d = cfg.negatives + 1, cfg.dim
     h_ctx, g, sig_buf = np.empty(d), np.empty(k1), np.empty((2, k1))
     g_lr, upd, grad_h = np.empty(k1), np.empty((k1, d)), np.empty(d)
+    out_rows, ctx_buf = np.empty((k1, d)), np.empty((c, d))
+    g_col, out_rec, ctx_recs = g_lr[:, None], _records(out_rows), _records(ctx_buf)
+    out_recs, in_recs = _records(word_out), _records(word_in) if c else None
 
     for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
         tok, pid, par_start, vocab_size, cfg, c
@@ -418,21 +436,24 @@ def train(
             row = para_matrix[p]
             if nc:
                 ctx = tok[ci:ti]
-                ctx_rows = word_in.take(ctx, 0)
+                ctx_rows, ctx_rec = ctx_buf[:nc], ctx_recs[:nc]
+                ctx_rec[:] = in_recs[ctx]
                 h = np.add(row, ctx_rows.sum(axis=0, out=h_ctx), out=h_ctx)
                 np.divide(h, 1 + nc, out=h)
             else:
                 h = row  # a view: read before the row is updated below
 
-            out_rows = word_out.take(idx, 0)
-            np.dot(out_rows, h, out=g)
+            out_rec[:] = out_recs[idx]
+            out_rows.dot(h, out=g)
             _sigmoid(g, sig_buf)[0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            np.dot(g, out_rows, out=grad_h)
-            np.multiply(np.multiply(g, nlr, out=g_lr)[:, None], h, out=upd)
+            g.dot(out_rows, out=grad_h)
+            np.multiply(g, nlr, out=g_lr)
+            np.multiply(g_col, h, out=upd)
             if out_rep:
                 np.add.at(word_out, idx, upd)
             else:
-                word_out[idx] = np.add(out_rows, upd, out=out_rows)
+                np.add(out_rows, upd, out=out_rows)
+                out_recs[idx] = out_rec
 
             shared = np.multiply(grad_h, slr, out=grad_h)
             row -= shared
@@ -440,7 +461,8 @@ def train(
                 if ctx_rep:
                     np.add.at(word_in, ctx, -shared)
                 else:
-                    word_in[ctx] = np.subtract(ctx_rows, shared, out=ctx_rows)
+                    np.subtract(ctx_rows, shared, out=ctx_rows)
+                    in_recs[ctx] = ctx_rec
 
     return _finished(kind, cfg, para_matrix, word_in, word_out)
 
@@ -460,13 +482,18 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
     tok, pid, par_start = _flatten(paragraphs)
     # Every intermediate of a step is written into one of these; the
     # trailing and middle unit axes make them stacked-matmul operands.
-    k1, d = cfg.negatives + 1, cfg.dim
-    h_ctx, g, sig_buf = np.empty((2, d)), np.empty((2, k1, 1)), np.empty((2, 2, k1))
+    k1, d, c = cfg.negatives + 1, cfg.dim, cfg.context_size
+    h, g, sig_buf = np.empty((2, d)), np.empty((2, k1, 1)), np.empty((2, 2, k1))
     g_lr, upd, grad_h = np.empty((2, k1, 1)), np.empty((2, k1, d)), np.empty((2, 1, d))
+    out_rows, ctx_buf, ctx_sum = np.empty((2, k1, d)), np.empty((c, d)), np.empty(d)
+    h_dm, h_col, h_row = h[0], h[:, :, None], h[:, None, :]
     g_row, shared = g[:, :, 0], grad_h[:, 0]
+    g_lhs, shared_dm = g_row[:, None, :], shared[0]
+    out_rec, ctx_recs = _records(out_rows), _records(ctx_buf)
+    out_recs, in_recs = _records(word_out), _records(word_in)
 
     for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
-        tok, pid, par_start, vocab_size, cfg, cfg.context_size
+        tok, pid, par_start, vocab_size, cfg, c
     ):
         # DBOW's rate is lr / 1: no context shares its predictor.
         share_lr = np.stack([lr / (1 + num_ctx), lr], axis=1)[:, :, None]
@@ -475,33 +502,33 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
             out_idx[:, None, :] + [[0], [vocab_size]], out_repeats.tolist(), ctx_repeats.tolist(),
         ):
             rows = para[:, p]
+            h[...] = rows  # read before the rows are updated below
             if nc:
                 ctx = tok[ci:ti]
-                ctx_rows = word_in.take(ctx, 0)
-                h = h_ctx
-                np.add(rows[0], ctx_rows.sum(axis=0, out=h[0]), out=h[0])
-                np.divide(h[0], 1 + nc, out=h[0])
-                h[1] = rows[1]
-            else:
-                h = rows  # a view: read before the rows are updated below
+                ctx_rows, ctx_rec = ctx_buf[:nc], ctx_recs[:nc]
+                ctx_rec[:] = in_recs[ctx]
+                np.add(h_dm, ctx_rows.sum(axis=0, out=ctx_sum), out=h_dm)
+                np.divide(h_dm, 1 + nc, out=h_dm)
 
-            out_rows = word_out.take(idx, 0)
-            np.matmul(out_rows, h[:, :, None], out=g)
+            out_rec[:] = out_recs[idx]
+            np.matmul(out_rows, h_col, out=g)
             _sigmoid(g_row, sig_buf)[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            np.matmul(g_row[:, None, :], out_rows, out=grad_h)
-            np.multiply(np.multiply(g, nlr, out=g_lr), h[:, None, :], out=upd)
+            np.matmul(g_lhs, out_rows, out=grad_h)
+            np.multiply(np.multiply(g, nlr, out=g_lr), h_row, out=upd)
             if out_rep:
                 np.add.at(word_out, idx, upd)
             else:
-                word_out[idx] = np.add(out_rows, upd, out=out_rows)
+                np.add(out_rows, upd, out=out_rows)
+                out_recs[idx] = out_rec
 
             np.multiply(shared, slr, out=shared)
             rows -= shared
             if nc:
                 if ctx_rep:
-                    np.add.at(word_in, ctx, -shared[0])
+                    np.add.at(word_in, ctx, -shared_dm)
                 else:
-                    word_in[ctx] = np.subtract(ctx_rows, shared[0], out=ctx_rows)
+                    np.subtract(ctx_rows, shared_dm, out=ctx_rows)
+                    in_recs[ctx] = ctx_rec
 
     yield _finished("dm", cfg, para[0], word_in, word_out[:vocab_size])
     yield _finished("dbow", cfg, para[1], None, word_out[vocab_size:])
