@@ -396,7 +396,7 @@ def train(
     ``cmd_train`` takes both through here, one ``train`` call per fit. A
     pass whose next model is of another kind, or has another number of
     paragraphs or vocabulary size, or that has no model left, is refused
-    with ``ValueError``.
+    with ``ValueError``; a refused model is used up.
     """
     kind = _check_kind(kind)
     vocab_size = _validate_paragraphs(paragraphs, vocab_size)
