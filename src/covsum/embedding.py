@@ -10,24 +10,26 @@ approximated with negative sampling: one positive pair per target word plus
 ``unigram_power``.
 
 Training is single-threaded, seeded, and bitwise reproducible: identical
-seed, config, and input produce an identical model. The loop is exact
-per-target SGD in which only the bookkeeping is batched: targets are taken in
-chunks, each with one negative-sampler draw, one array of learning rates and
-vectorised flags for targets whose negatives or context repeat a row (those
-scatter with ``np.add.at``, the rest assign their rows). The result is
-bit-identical to the one-target-at-a-time loop kept as ``train_reference``
-in ``tests/reference.py``; ``test_train_matches_per_target_reference`` in
-``tests/test_embedding.py`` guards this with ``==`` on every matrix.
-A step writes every intermediate into buffers made once per call: it
-copies its rows into one, updates them there and copies them back, moving
-each row as one record (:func:`_records`), and it writes scores,
-gradients and updates through ``out=``. :func:`_sigmoid` takes both of its
-branches from one ``exp`` over ``min(x, 0)`` and ``-|x|``. That is exact:
-the two are the same float below zero, and ``exp(min(x, 0))`` is
-``exp(0) == 1`` at or above it.
-:func:`train_both` runs the loop for the DM and DBOW models of one paragraph
-set at once: both draw every value from the same ``cfg.seed`` streams, so
-each is bit-identical to its :func:`train` call (``test_train_both_*``).
+seed, config, and input produce an identical model. One loop trains a corpus
+model: :func:`train` runs it for one kind, :func:`train_both` for DM and
+DBOW at once. Every kind draws every value from the same ``cfg.seed``
+streams, so the kinds share the chunk bookkeeping and are stacked on a
+leading axis, and each model is bit-identical to its one-kind fit. The
+loop is exact per-target SGD in which only the bookkeeping is batched:
+targets are taken in chunks, each with one negative-sampler draw, one array
+of learning rates and vectorised flags for targets whose negatives or
+context repeat a row (those scatter with ``np.add.at``, the rest assign
+their rows). Every model is bit-identical to the one-target-at-a-time loop
+``train_reference`` in ``tests/reference.py``; ``test_train_matches_*`` and
+``test_train_both_matches_*`` in ``tests/test_embedding.py`` check this
+with ``==`` on every matrix. A step writes every intermediate into buffers
+made once per call: it copies its rows into one, updates them there and
+copies them back, moving each row as one record (:func:`_records`). Scores
+and predictor gradients are one ``ndarray.dot`` gemv per kind; the loop
+calls no ``np.matmul``. :func:`_sigmoid` takes both of its branches from one
+``exp`` over ``min(x, 0)`` and ``-|x|``. That is exact: the two are the
+same float below zero, and ``exp(min(x, 0))`` is ``exp(0) == 1`` at or
+above it.
 
 :func:`train_each` fits one model per paragraph group (per-document
 training) in lockstep: one batched step advances every unfinished fit by
@@ -271,6 +273,8 @@ def _validate_paragraphs(
     for i, par in enumerate(paragraphs):
         if par.paragraph_id != i:
             raise ValueError("paragraph ids must be dense 0..P-1 in order")
+        if min(par.tokens) < 0:
+            raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
     max_id = max(max(par.tokens) for par in paragraphs)
     if vocab_size is None:
         return max_id + 1
@@ -328,15 +332,6 @@ def _finished(
         word_in=word_in,
         context_size=cfg.context_size if kind == "dm" else 0,
     )
-
-
-def _initial_rows(cfg: TrainConfig, num_paragraphs: int, vocab_size: int,
-                  kind: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Seeded initial paragraph rows and, for DM, ``word_in`` rows."""
-    d = cfg.dim
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    para_matrix = rng.uniform(-0.5 / d, 0.5 / d, (num_paragraphs, d))
-    return para_matrix, rng.uniform(-0.5 / d, 0.5 / d, (vocab_size, d)) if kind == "dm" else None
 
 
 def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size: int,
@@ -413,58 +408,7 @@ def train(
             )
         return model
 
-    para_matrix, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, kind)
-    word_out = np.zeros((vocab_size, cfg.dim))
-
-    tok, pid, par_start = _flatten(paragraphs)
-    c = cfg.context_size if kind == "dm" else 0
-    # Every intermediate of a step is written into one of these.
-    k1, d = cfg.negatives + 1, cfg.dim
-    h_ctx, g, sig_buf = np.empty(d), np.empty(k1), np.empty((2, k1))
-    g_lr, upd, grad_h = np.empty(k1), np.empty((k1, d)), np.empty(d)
-    out_rows, ctx_buf = np.empty((k1, d)), np.empty((c, d))
-    g_col, out_rec, ctx_recs = g_lr[:, None], _records(out_rows), _records(ctx_buf)
-    out_recs, in_recs = _records(word_out), _records(word_in) if c else None
-
-    for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
-        tok, pid, par_start, vocab_size, cfg, c
-    ):
-        for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
-            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
-            (lr / (1 + num_ctx)).tolist(), out_idx, out_repeats.tolist(), ctx_repeats.tolist(),
-        ):
-            row = para_matrix[p]
-            if nc:
-                ctx = tok[ci:ti]
-                ctx_rows, ctx_rec = ctx_buf[:nc], ctx_recs[:nc]
-                ctx_rec[:] = in_recs[ctx]
-                h = np.add(row, ctx_rows.sum(axis=0, out=h_ctx), out=h_ctx)
-                np.divide(h, 1 + nc, out=h)
-            else:
-                h = row  # a view: read before the row is updated below
-
-            out_rec[:] = out_recs[idx]
-            out_rows.dot(h, out=g)
-            _sigmoid(g, sig_buf)[0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            g.dot(out_rows, out=grad_h)
-            np.multiply(g, nlr, out=g_lr)
-            np.multiply(g_col, h, out=upd)
-            if out_rep:
-                np.add.at(word_out, idx, upd)
-            else:
-                np.add(out_rows, upd, out=out_rows)
-                out_recs[idx] = out_rec
-
-            shared = np.multiply(grad_h, slr, out=grad_h)
-            row -= shared
-            if nc:
-                if ctx_rep:
-                    np.add.at(word_in, ctx, -shared)
-                else:
-                    np.subtract(ctx_rows, shared, out=ctx_rows)
-                    in_recs[ctx] = ctx_rec
-
-    return _finished(kind, cfg, para_matrix, word_in, word_out)
+    return next(_fits(paragraphs, cfg, (kind,), vocab_size))
 
 
 def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
@@ -472,57 +416,70 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
     """Yield ``train(paragraphs, cfg, "dm", vocab_size)``, then the same
     call's ``"dbow"`` model, bit for bit, from one pass over the targets.
     The models are views of the stacked arrays the pass updates."""
-    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
-    para, word_in = _initial_rows(cfg, len(paragraphs), vocab_size, "dm")
-    # DM rows, then DBOW rows: paragraph p's rows of both kinds are the view
-    # ``para[:, p]``, and a target's out-rows of both kinds one gather.
-    para = np.stack([para, para])
-    word_out = np.zeros((2 * vocab_size, cfg.dim))
+    return _fits(paragraphs, cfg, KINDS, _validate_paragraphs(paragraphs, vocab_size))
+
+
+def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
+          vocab_size: int) -> Iterator[EmbeddingModel]:
+    """Train one model of each of ``kinds`` over validated paragraphs in one
+    pass, and yield them in order. ``kinds`` is ``(kind,)`` or ``KINDS``;
+    only kind 0, DM if present, reads a context."""
+    s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    # Paragraph p's rows of every kind are the view ``para[:, p]``; kind i's
+    # out-rows are ``word_out[i]``, records i*V .. (i+1)*V - 1 of ``out_recs``.
+    para = np.stack([rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))] * s)
+    word_in = rng.uniform(-0.5 / d, 0.5 / d, (v, d)) if kinds[0] == "dm" else None
+    word_out = np.zeros((s, v, d))
 
     tok, pid, par_start = _flatten(paragraphs)
-    # Every intermediate of a step is written into one of these; the
-    # trailing and middle unit axes make them stacked-matmul operands.
-    k1, d, c = cfg.negatives + 1, cfg.dim, cfg.context_size
-    h, g, sig_buf = np.empty((2, d)), np.empty((2, k1, 1)), np.empty((2, 2, k1))
-    g_lr, upd, grad_h = np.empty((2, k1, 1)), np.empty((2, k1, d)), np.empty((2, 1, d))
-    out_rows, ctx_buf, ctx_sum = np.empty((2, k1, d)), np.empty((c, d)), np.empty(d)
-    h_dm, h_col, h_row = h[0], h[:, :, None], h[:, None, :]
-    g_row, shared = g[:, :, 0], grad_h[:, 0]
-    g_lhs, shared_dm = g_row[:, None, :], shared[0]
-    out_rec, ctx_recs = _records(out_rows), _records(ctx_buf)
-    out_recs, in_recs = _records(word_out), _records(word_in)
+    c = cfg.context_size if kinds[0] == "dm" else 0
+    # Every intermediate of a step is written into one of these. Gathers use
+    # take(mode="clip"), which fills out= without a temporary; no index clips.
+    h, g, sig_buf = np.empty((s, d)), np.empty((s, k1)), np.empty((2, s, k1))
+    g_lr, upd, grad_h = np.empty((s, k1)), np.empty((s, k1, d)), np.empty((s, d))
+    out_rows, ctx_buf, ctx_sum = np.empty((s, k1, d)), np.empty((c, d)), np.empty(d)
+    g_col, h_row, h_dm, shared_dm = g_lr[:, :, None], h[:, None, :], h[0], grad_h[0]
+    views = tuple(zip(out_rows, h, g, grad_h))  # one kind's 1-D operands each
+    out_rec, ctx_recs = _records(out_rows.reshape(s * k1, d)), _records(ctx_buf)
+    out_recs, in_recs = _records(word_out).reshape(-1), _records(word_in) if c else None
 
     for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
-        tok, pid, par_start, vocab_size, cfg, c
+        tok, pid, par_start, v, cfg, c
     ):
-        # DBOW's rate is lr / 1: no context shares its predictor.
-        share_lr = np.stack([lr / (1 + num_ctx), lr], axis=1)[:, :, None]
+        # Only kind 0's predictor shares its gradient with a context; lr / 1 is lr.
+        share_lr = np.stack([lr / (1 + num_ctx)] + [lr] * (s - 1), axis=1)
         for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
-            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(), share_lr,
-            out_idx[:, None, :] + [[0], [vocab_size]], out_repeats.tolist(), ctx_repeats.tolist(),
+            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
+            share_lr.tolist(), np.concatenate([out_idx + i * v for i in range(s)], axis=1),
+            out_repeats.tolist(), ctx_repeats.tolist(),
         ):
             rows = para[:, p]
             h[...] = rows  # read before the rows are updated below
             if nc:
                 ctx = tok[ci:ti]
                 ctx_rows, ctx_rec = ctx_buf[:nc], ctx_recs[:nc]
-                ctx_rec[:] = in_recs[ctx]
+                in_recs.take(ctx, out=ctx_rec, mode="clip")
                 np.add(h_dm, ctx_rows.sum(axis=0, out=ctx_sum), out=h_dm)
                 np.divide(h_dm, 1 + nc, out=h_dm)
 
-            out_rec[:] = out_recs[idx]
-            np.matmul(out_rows, h_col, out=g)
-            _sigmoid(g_row, sig_buf)[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            np.matmul(g_lhs, out_rows, out=grad_h)
-            np.multiply(np.multiply(g, nlr, out=g_lr), h_row, out=upd)
+            out_recs.take(idx, out=out_rec, mode="clip")
+            for o_k, h_k, g_k, _ in views:
+                o_k.dot(h_k, out=g_k)
+            _sigmoid(g, sig_buf)
+            for (o_k, _, g_k, gh_k), rate in zip(views, slr):
+                g_k[0] -= 1.0  # minus the labels (1, 0, ..., 0)
+                g_k.dot(o_k, out=gh_k)
+                np.multiply(gh_k, rate, out=gh_k)
+            np.multiply(g, nlr, out=g_lr)
+            np.multiply(g_col, h_row, out=upd)
             if out_rep:
-                np.add.at(word_out, idx, upd)
+                np.add.at(word_out.reshape(-1, d), idx, upd.reshape(-1, d))
             else:
                 np.add(out_rows, upd, out=out_rows)
                 out_recs[idx] = out_rec
 
-            np.multiply(shared, slr, out=shared)
-            rows -= shared
+            rows -= grad_h
             if nc:
                 if ctx_rep:
                     np.add.at(word_in, ctx, -shared_dm)
@@ -530,8 +487,8 @@ def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
                     np.subtract(ctx_rows, shared_dm, out=ctx_rows)
                     in_recs[ctx] = ctx_rec
 
-    yield _finished("dm", cfg, para[0], word_in, word_out[:vocab_size])
-    yield _finished("dbow", cfg, para[1], None, word_out[vocab_size:])
+    for i, kind in enumerate(kinds):
+        yield _finished(kind, cfg, para[i], word_in if kind == "dm" else None, word_out[i])
 
 
 # Targets per chunk of the lockstep schedule, over all fits: every fit
@@ -907,6 +864,8 @@ def load_model(path: str | Path) -> EmbeddingModel:
         kind = _CODE_KINDS.get(kind_code)
         if kind is None:
             raise ValueError(f"{path}: unknown model kind code {kind_code}")
+        if 0 in (d, v, p):  # save_model never writes an empty matrix
+            raise ValueError(f"{path}: empty model: dim {d}, vocab_size {v}, num_paragraphs {p}")
 
         word_matrices = 2 if kind == "dm" else 1  # word_in (DM only), word_out
         size = _HEADER.size + 8 * d * (p + word_matrices * v)

@@ -98,6 +98,11 @@ def test_train_validates_inputs():
         train(_paras(), cfg, "skipgram")
     with pytest.raises(ValueError, match="term id 4"):
         list(train_both(_paras(), cfg, vocab_size=3))
+    negative = [TrainingParagraph(0, (0, 1)), TrainingParagraph(1, (0, 1, -1, 2))]
+    with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
+        train(negative, cfg, "dbow", vocab_size=4)
+    with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
+        list(train_both(negative, cfg, vocab_size=4))
 
 
 def test_train_deterministic_and_seed_sensitive():
@@ -229,6 +234,8 @@ def _assert_train_both_matches_two_fits(paragraphs, cfg, vocab):
         want = train(paragraphs, cfg, kind, vocab_size=vocab)
         _assert_same_model(model, want)
         assert model.context_size == want.context_size
+        # train runs the same loop, so also hold the joint pass to the reference
+        _assert_same_model(model, train_reference(paragraphs, cfg, kind, vocab_size=vocab))
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,6 +420,9 @@ def test_train_each_validates_every_group():
     cfg = TrainConfig(dim=4, epochs=1)
     with pytest.raises(ValueError, match="term id 4"):
         list(train_each([_paras()[:1], _paras()], cfg, "dbow", vocab_size=3))
+    negative = [TrainingParagraph(0, (0, 1, -1, 2))]
+    with pytest.raises(ValueError, match="paragraph 0 has negative term id -1"):
+        list(train_each([_paras()[:1], negative], cfg, "dbow", vocab_size=4))
     with pytest.raises(ValueError, match="kind"):
         list(train_each([_paras()], cfg, "skipgram"))
     assert list(train_each([], cfg, "dm")) == []
@@ -522,6 +532,13 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError, match="trailing bytes"):
         load_model(bad)
+
+    # headers of an empty matrix, each with as many bytes as it declares
+    for v, p, d in [(5, 3, 0), (0, 3, 3), (5, 0, 3)]:
+        header = embedding._HEADER.pack(b"CVEM", 1, 1, 0, v, p, d)
+        bad.write_bytes(header + b"\x00" * (8 * d * (p + v)))
+        with pytest.raises(ValueError, match=f"bad.cvem: empty model: dim {d}, vocab_size {v}"):
+            load_model(bad)
 
 
 def test_load_reads_matrices_without_a_whole_file_copy(tmp_path):
