@@ -36,8 +36,16 @@ training) in lockstep: one batched step advances every unfinished fit by
 one target. Fits share no row, so the batch is exact, and every model is
 bit-identical to a separate :func:`train` call on its group;
 ``test_train_each_matches_separate_fits`` guards this with ``==`` on every
-matrix. Groups run in consecutive waves of at most about 2 MiB of
-``word_out`` rows each, so memory does not grow with the number of groups.
+matrix. The step is buffered like the corpus loop's: its buffers are made
+once per wave for the wave's fits, it moves rows as records, and scores and
+predictor gradients are stacked ``np.matmul`` calls with ``out=``. Where one
+fit's out or context slots hit a row twice, the step chains them
+(:func:`_chains`): a later slot of the row takes the previous slot's new row
+plus its own update, which is what ``np.add.at``'s in-order adds give. Only
+the row's last slot is written back; the others go to a sink row past the
+fits' rows, which no yielded model holds. Groups run in consecutive waves
+of at most about 2 MiB of ``word_out`` rows each, so memory does not grow
+with the number of groups.
 
 Model files are flat binary (little-endian):
 
@@ -548,27 +556,45 @@ def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _scatter(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, delta: np.ndarray,
-             repeats: np.ndarray) -> None:
-    """``mat[idx[i]] += delta[i]`` for every fit i, where ``rows`` is
-    ``mat[idx]`` as gathered before the step.
+def _chains(keys: np.ndarray, flagged: np.ndarray) -> tuple[np.ndarray, list]:
+    """The repeated-row rule of one lockstep chunk. ``keys`` is the row of
+    every (step, fit, slot) of the chunk and ``flagged`` the (step, fit)
+    pairs whose slots repeat a row; only those are examined.
 
-    Every fit's rows are assigned ``rows + delta``. A fit whose ``idx[i]``
-    holds a row twice then gets its gathered rows back and adds its deltas
-    with ``np.add.at``, in slot order, as ``train`` does. The adds go
-    through the flat view of ``mat`` (which must be C-contiguous), one
-    index per element: ``np.add.at`` takes that 3-4x faster than row
-    indices, and it adds to each element in the same order.
-    """
-    mat[idx] = rows + delta
-    if repeats.any():
-        rep_idx = idx[repeats]
-        mat[rep_idx] = rows[repeats]
-        cells = rep_idx[..., None] * mat.shape[1] + np.arange(mat.shape[1])
-        values = delta[repeats]
-        if values.shape != cells.shape:  # one delta for every slot
-            values = np.broadcast_to(values, cells.shape)
-        np.add.at(mat.reshape(-1), cells.ravel(), values.ravel())
+    ``np.add.at`` adds a repeated row's updates in slot order, each to the
+    sum so far. So a row's first slot takes the gathered row plus its
+    update, as every slot does, and each later slot takes the previous
+    slot's new row plus its own update; the row's last slot then holds what
+    ``np.add.at`` leaves in it. Returns whether each slot is superseded by a
+    later slot of its row (so is not written back), and for each step of
+    the chunk the links to apply in order, one ``(src, dst, fit)`` triple
+    of index arrays per rank: slot ``dst`` of fit ``fit`` takes slot
+    ``src``'s new row plus its own update, slots counted over the step's
+    fits (``fit * S + slot``)."""
+    m, _, s = keys.shape
+    superseded = np.zeros(keys.shape, dtype=bool)
+    links: list[list] = [[] for _ in range(m)]
+    jj, ii = np.nonzero(flagged)
+    if not len(jj):
+        return superseded, links
+    rows = keys[jj, ii]
+    order = np.argsort(rows, axis=1, kind="stable")  # a row's slots in slot order
+    rows = np.take_along_axis(rows, order, axis=1)
+    repeats = rows[:, 1:] == rows[:, :-1]
+    pos = np.arange(s)
+    firsts = np.concatenate([np.ones((len(rows), 1), dtype=bool), ~repeats], axis=1)
+    rank = pos - np.maximum.accumulate(np.where(firsts, pos, 0), axis=1)
+    f, q = np.nonzero(repeats)  # sorted slot q + 1 repeats sorted slot q
+    step, fit, src, dst = jj[f], ii[f], order[f, q], order[f, q + 1]
+    superseded[step, fit, src] = True
+    group = step * s + rank[f, q + 1]
+    by = np.argsort(group, kind="stable")
+    group, fit = group[by], fit[by]
+    src, dst = fit * s + src[by], fit * s + dst[by]
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(group)]
+    for a, b in zip(cuts, cuts[1:]):
+        links[int(group[a]) // s].append((src[a:b], dst[a:b], fit[a:b]))
+    return superseded, links
 
 
 def train_each(
@@ -586,11 +612,16 @@ def train_each(
     runs as one batched step. Fits share no row, so batching them changes
     no sum: gathers and scatters touch disjoint rows, the scores and
     predictor gradients come from stacked ``np.matmul`` (the BLAS gemv that
-    ``np.dot`` calls), and the rest is elementwise. Only the rows of the
-    terms a group uses are held; the others never change (zero ``word_out``
-    rows, seeded ``word_in`` rows), and a model is expanded to
-    ``vocab_size`` rows when it is yielded. Groups run in consecutive waves
-    (:func:`_waves`), so memory does not grow with their number.
+    ``np.dot`` calls), and the rest is elementwise. A fit whose out or
+    context slots repeat a row adds their updates in slot order, each to
+    the row's previous slot, as ``train``'s ``np.add.at`` does; only the
+    row's last slot is written back and the rest go to a sink row that no
+    model holds (:func:`_chains`). The step writes into buffers made once
+    per wave. Only the rows of the terms a group uses are held; the others
+    never change (zero ``word_out`` rows, seeded ``word_in`` rows), and a
+    model is expanded to ``vocab_size`` rows when it is yielded. Groups run
+    in consecutive waves (:func:`_waves`), so memory does not grow with
+    their number.
     """
     kind = _check_kind(kind)
     sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
@@ -621,6 +652,7 @@ def _lockstep(
     """Train one wave of :func:`train_each` in lockstep, then yield its
     models in group order."""
     d, k = cfg.dim, cfg.negatives
+    k1 = k + 1
     c = cfg.context_size if kind == "dm" else 0
     seed_init, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
     # Every fit's init stream is the same seed_init stream: P x d paragraph
@@ -649,17 +681,33 @@ def _lockstep(
     tok_rows = np.concatenate(tok_rows)
     par_firsts = np.concatenate(par_firsts)
     para = np.concatenate(para_parts)
-    word_out = np.zeros((row_off, d))
-    # Context slots past a target's context point at one pad row after the
-    # fits' rows, which is set back to +0.0 after every step.
-    pad = row_off
+    # Superseded slots of a repeated row are written to one sink row after
+    # the fits' rows, which no model reads. Context slots past a target's
+    # context point at the pad row after the fits' rows of word_in, which is
+    # set back to +0.0 after every step and serves as its sink.
+    sink = pad = row_off
+    word_out = np.zeros((row_off + 1, d))
     word_in = np.concatenate(in_parts + [np.zeros((1, d))]) if kind == "dm" else None
+    para_recs, out_recs = _records(para), _records(word_out)
+    in_recs = _records(word_in) if c else None
+
+    # Every intermediate of a step is written into one of these, made for
+    # the wave's fit count; a step with ``a`` live fits uses their ``[:a]``
+    # prefixes. Scores and predictor gradients keep the trailing and middle
+    # unit axes of the stacked matmul products they hold.
+    w = len(fits)
+    row_buf, out_buf, upd_buf = np.empty((w, d)), np.empty((w, k1, d)), np.empty((w, k1, d))
+    h_buf = np.empty((w, d)) if c else row_buf
+    g_buf, sig_buf, grad_buf = np.empty((w, k1, 1)), np.empty(2 * w * k1), np.empty((w, 1, d))
+    ctx_buf = np.empty((w, c, d))
+    row_recs, out_rec_buf = _records(row_buf), _records(out_buf.reshape(w * k1, d))
+    ctx_rec_buf = _records(ctx_buf.reshape(w * c, d)) if c else None
 
     slots = np.arange(c)
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
-    step = 0
+    step, last = 0, 0
     while step < totals[0]:
         active = int(np.count_nonzero(totals > step))
         m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
@@ -671,51 +719,77 @@ def _lockstep(
             negs[:n, col] = fit.row_off + fit.sampler.draw(k * n).reshape(n, k)
         steps = np.arange(step, step + m)[:, None]
         lr = _learning_rates(steps, totals[:active], cfg)
-        live = np.count_nonzero(totals[:active] > steps, axis=1)
+        alive = totals[:active] > steps
+        live = np.count_nonzero(alive, axis=1)
 
         out_idx = np.concatenate([tok_rows[t][..., None], negs], axis=2)
-        out_repeats = _has_repeat(out_idx.reshape(-1, k + 1)).reshape(m, active)
+        out_sup, out_links = _chains(
+            out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
+        )
+        out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
+        out_idx = out_idx.reshape(m, -1)
         p_rows = np.searchsorted(par_firsts, t, side="right") - 1
         share_lr = lr  # lr / 1 when no context shares the predictor
         if c:
             ctx_lo = np.maximum(t - c, par_firsts[p_rows])
             num_ctx = t - ctx_lo
+            no_ctx = (num_ctx == 0)[..., None]
             share_lr = lr / (1 + num_ctx)
             window = ctx_lo[..., None] + slots
             in_ctx = window < t[..., None]
             ctx_idx = np.where(in_ctx, tok_rows[np.minimum(window, t[..., None])], pad)
-            ctx_repeats = _has_repeat(
-                np.where(in_ctx, ctx_idx, -1 - slots).reshape(-1, c)
-            ).reshape(m, active)
-        neg_lr = -lr
+            ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
+            ctx_sup, ctx_links = _chains(
+                ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
+            )
+            ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
+            ctx_idx = ctx_idx.reshape(m, -1)
+            den = (1 + num_ctx)[..., None]
+        neg_lr, share_lr = -lr[..., None], share_lr[..., None]
         step += m
 
         for j, a in enumerate(live.tolist()):
+            if a != last:  # the prefixes of the buffers for a live fits
+                last = a
+                rows, h, row_rec = row_buf[:a], h_buf[:a], row_recs[:a]
+                out_rows, out_rec = out_buf[:a], out_rec_buf[: a * k1]
+                out_flat, upd = out_rows.reshape(a * k1, d), upd_buf[:a]
+                upd_flat = upd.reshape(a * k1, d)
+                g3, grad3 = g_buf[:a], grad_buf[:a]
+                g, grad_h, sig = g3[:, :, 0], grad3[:, 0], sig_buf[: 2 * a * k1].reshape(2, a, k1)
+                g_col, g_row, h_col, h_row = g[:, :, None], g[:, None, :], h[:, :, None], h[:, None, :]
+                if c:
+                    ctx_rows, ctx_rec = ctx_buf[:a], ctx_rec_buf[: a * c]
+                    ctx_flat, shared = ctx_rows.reshape(a * c, d), grad_h[:, None, :]
+
             p = p_rows[j, :a]
-            row = para[p]
+            para_recs.take(p, out=row_rec, mode="clip")
             if c:
-                nc, ctx = num_ctx[j, :a], ctx_idx[j, :a]
-                ctx_rows = word_in[ctx]
-                h = np.where(
-                    nc[:, None] > 0,
-                    (row + _context_sums(ctx_rows, nc)) / (1 + nc)[:, None],
-                    row,
-                )
-            else:
-                h = row
+                in_recs.take(ctx_idx[j, : a * c], out=ctx_rec, mode="clip")
+                np.add(rows, _context_sums(ctx_rows, num_ctx[j, :a]), out=h)
+                np.divide(h, den[j, :a], out=h)
+                np.copyto(h, rows, where=no_ctx[j, :a])
 
-            idx = out_idx[j, :a]
-            out_rows = word_out[idx]
-            g = _sigmoid(np.matmul(out_rows, h[:, :, None])[:, :, 0])
+            out_recs.take(out_idx[j, : a * k1], out=out_rec, mode="clip")
+            np.matmul(out_rows, h_col, out=g3)
+            _sigmoid(g, sig)
             g[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            grad_h = np.matmul(g[:, None, :], out_rows)[:, 0]
-            upd = (neg_lr[j, :a, None] * g)[:, :, None] * h[:, None, :]
-            _scatter(word_out, idx, out_rows, upd, out_repeats[j, :a])
+            np.matmul(g_row, out_rows, out=grad3)
+            np.multiply(g, neg_lr[j, :a], out=g)
+            np.multiply(g_col, h_row, out=upd)
+            np.add(out_rows, upd, out=out_rows)
+            for src, dst, _ in out_links[j]:
+                out_flat[dst] = out_flat[src] + upd_flat[dst]
+            out_recs[out_w[j, : a * k1]] = out_rec
 
-            shared = share_lr[j, :a, None] * grad_h
-            para[p] = row - shared
+            np.multiply(grad_h, share_lr[j, :a], out=grad_h)
+            np.subtract(rows, grad_h, out=rows)
+            para_recs[p] = row_rec
             if c:
-                _scatter(word_in, ctx, ctx_rows, -shared[:, None, :], ctx_repeats[j, :a])
+                np.subtract(ctx_rows, shared, out=ctx_rows)
+                for src, dst, fit in ctx_links[j]:
+                    ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
+                in_recs[ctx_w[j, : a * c]] = ctx_rec
                 word_in[pad] = 0.0
     for fit in fits:
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)

@@ -96,8 +96,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} lists a value twice: {', '.join(values)}")
-        if not math.isfinite(self.alpha):
-            raise ConfigError("alpha must be finite")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ConfigError("alpha must be finite and >= 0")
         if not 0.0 < self.ratio <= 1.0:
             raise ConfigError("ratio must be in (0, 1]")
         if self.split < 0:

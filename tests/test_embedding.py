@@ -338,6 +338,19 @@ def test_train_calls_share_no_state():
         list(train_both(_paras(), other, vocab_size=6))
         train(_paras(), other, kind, vocab_size=6)
         _assert_same_model(train(_paras(), cfg, kind, vocab_size=5), first)
+    # Two train_each calls advanced in turn, one group per wave: each wave
+    # makes its step buffers while the other call's waves are still open.
+    runs = [
+        (cfg, 5, [_paras(), _paras()[:1], [TrainingParagraph(0, (2, 2, 4, 2))]]),
+        (other, 6, [[TrainingParagraph(0, (5, 1, 5, 5, 0))], _paras()[:2], _paras()]),
+    ]
+    with mock.patch.object(embedding, "_WAVE_VALUES", 1):
+        for kind in KINDS:
+            calls = [train_each(groups, c, kind, vocab_size=v) for c, v, groups in runs]
+            for i in range(3):
+                for call, (c, v, groups) in zip(calls, runs):
+                    _assert_same_model(next(call), train(groups[i], c, kind, vocab_size=v))
+            assert [next(call, None) for call in calls] == [None, None]
 
 
 @st.composite
@@ -408,9 +421,12 @@ def test_train_each_matches_separate_fits_across_chunks():
         ]
         for count in (300, 90, 12, 1)
     ]
+    # One term: every out slot and every full context hits one row, so each
+    # step chains a row through all negatives + 1 and context_size slots.
+    groups.append([TrainingParagraph(i, (7,) * n) for i, n in enumerate((12, 5, 1, 30))])
     cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
     steps = [cfg.epochs * sum(len(p.tokens) for p in g) for g in groups]
-    # the first chunk gives each of the 4 fits this many steps
+    # the first chunk gives each of the fits this many steps
     assert max(steps) > embedding._LOCKSTEP_TARGETS // len(groups)
     for kind in KINDS:
         _assert_lockstep_matches_separate_fits(groups, cfg, kind, 70)

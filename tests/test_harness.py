@@ -111,6 +111,8 @@ def test_bad_values_are_reported():
         build_experiment_config({"alpha": "lots"})
     with pytest.raises(ConfigError, match="alpha must be finite"):
         build_experiment_config({"alpha": "nan"})
+    with pytest.raises(ConfigError, match=r"alpha must be finite and >= 0"):
+        build_experiment_config({"alpha": "-0.5"})
     with pytest.raises(ConfigError, match="seed"):
         build_experiment_config({"seed": "-1"})
     with pytest.raises(ConfigError, match="boolean"):
