@@ -11,7 +11,10 @@ BENCHMARK.json lists, this runs
 and keeps its end-to-end metrics, rounds, operation counts and probe
 median. The file also holds the seed and seconds, ``os.cpu_count()``, the
 Python and numpy versions, the git commit (and whether tracked files
-differed from it) and the line count of the Python files under ``src/``.
+differed from it), the line count of the Python files under ``src/``, the
+lines of the covsum modules that ``import covsum.harness`` loads (the
+source every pipeline stage compiles when no bytecode cache is written)
+and the ``PYTHONDONTWRITEBYTECODE`` value the runs inherit (null if unset).
 Exits 1 without writing the file if a run fails or reports a failed check.
 """
 
@@ -30,6 +33,14 @@ import numpy as np
 
 ROUNDS = re.compile(r"^\S+ seed \d+: (\d+) rounds, (\d+) operations, (\d+) failed$")
 PROBE = re.compile(r"^unscaled: probe median ([0-9.]+) s")
+
+# Run in a fresh interpreter: prints the lines of every covsum module loaded.
+IMPORT_PATH_LINES = (
+    "import sys, covsum.harness\n"
+    "from pathlib import Path\n"
+    "print(sum(len(Path(m.__file__).read_text(encoding='utf-8').splitlines())\n"
+    "          for n, m in sys.modules.items() if n.split('.')[0] == 'covsum'))\n"
+)
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,6 +76,15 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src").rglob("*.py")))
 
 
+def import_path_lines(root: Path) -> int:
+    """Lines of the covsum modules, package ``__init__`` included, that
+    ``import covsum.harness`` loads from ``root/src``."""
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", IMPORT_PATH_LINES], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    return int(out)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="n of the BENCH_<n>.json to write")
@@ -92,6 +112,8 @@ def main() -> int:
         "commit": git(root, "rev-parse", "HEAD"),
         "tracked_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "src_lines": src_lines(root),
+        "import_path_lines": import_path_lines(root),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seed": args.seed,
         "seconds": seconds,
         "cpu_count": os.cpu_count(),

@@ -30,7 +30,6 @@ from .embedding import (
     TrainingParagraph,
     build_training_paragraphs,
     load_model,
-    paragraph_vector,
     save_model,
     train,
 )

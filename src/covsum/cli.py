@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cmd_evaluate(config)
         return 0
-    except (ConfigError, CorpusError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, CorpusError, FileNotFoundError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

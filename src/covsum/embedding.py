@@ -7,7 +7,7 @@ vector and the in-vectors of the preceding context words; DBOW predicts each
 word from the paragraph vector alone. The softmax over the vocabulary is
 approximated with negative sampling: one positive pair per target word plus
 ``negatives`` noise words drawn from the unigram distribution raised to
-``unigram_power``.
+``unigram_power``. Its whole-batch loss and gradients are in ``oracles``.
 
 Training is single-threaded, seeded, and bitwise reproducible: identical
 seed, config, and input produce an identical model. One loop trains a corpus
@@ -51,7 +51,7 @@ Model files are flat binary (little-endian):
 
     magic  b"CVEM"          4 bytes
     version                 u8 (currently 1)
-    kind                    u8 (0 = DM, 1 = DBOW)
+    kind                    u8 (position in KINDS: 0 = DM, 1 = DBOW)
     context_size            u32
     vocab_size V            u32
     num_paragraphs P        u32
@@ -160,21 +160,6 @@ class ParagraphIds:
     sentences: tuple[int, ...]
 
 
-def _softplus(x: float) -> float:
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-def pair_loss(score: float, label: int) -> float:
-    """Logistic loss of one (predictor, out-vector) pair.
-
-    -ln(sigmoid(score)) for a positive pair, -ln(sigmoid(-score)) for a
-    sampled negative.
-    """
-    return _softplus(-score) if label else _softplus(score)
-
-
 def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid of ``x``, written over ``x`` and returned.
 
@@ -223,54 +208,6 @@ class NegativeSampler:
     def draw(self, n: int) -> np.ndarray:
         r = self._rng.random(n) * self._cum[-1]
         return np.searchsorted(self._cum, r, side="right")
-
-
-def _predictor(
-    kind: str,
-    para_matrix: np.ndarray,
-    word_in: np.ndarray | None,
-    paragraph: TrainingParagraph,
-    position: int,
-    context_size: int,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Predictor vector h for one target, plus the context term ids averaged
-    into it (empty for DBOW or a DM target with no usable context)."""
-    ctx: tuple[int, ...] = ()
-    if kind == "dm" and context_size > 0:
-        ctx = paragraph.tokens[max(0, position - context_size) : position]
-    row = para_matrix[paragraph.paragraph_id]
-    if not ctx:
-        return row.copy(), ctx
-    h = (row + word_in[np.asarray(ctx)].sum(axis=0)) / (1 + len(ctx))
-    return h, ctx
-
-
-def dm_context(
-    model: EmbeddingModel, paragraph: TrainingParagraph, position: int
-) -> np.ndarray:
-    """Mean of the paragraph vector and the in-vectors of the preceding
-    context words; positions near the start use whatever context exists."""
-    if position < 0 or position >= len(paragraph.tokens):
-        raise IndexError(f"position {position} outside paragraph")
-    h, _ = _predictor(
-        model.kind,
-        model.para_matrix,
-        model.word_in,
-        paragraph,
-        position,
-        model.context_size,
-    )
-    return h
-
-
-def paragraph_vector(model: EmbeddingModel, paragraph_id: int) -> np.ndarray:
-    """Copy of one trained paragraph row."""
-    if not 0 <= paragraph_id < model.num_paragraphs:
-        raise IndexError(
-            f"paragraph id {paragraph_id} out of range "
-            f"(model has {model.num_paragraphs})"
-        )
-    return model.para_matrix[paragraph_id].copy()
 
 
 def _validate_paragraphs(
@@ -643,14 +580,20 @@ def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slic
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _lockstep(
-    groups: Sequence[Sequence[TrainingParagraph]],
-    sizes: Sequence[int],
-    cfg: TrainConfig,
-    kind: str,
-) -> Iterator[EmbeddingModel]:
-    """Train one wave of :func:`train_each` in lockstep, then yield its
-    models in group order."""
+def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int],
+              cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
+    """Yield one :func:`train_each` wave's models in group order, trained by
+    :func:`_train_wave`, whose frame and step buffers end before the first yield."""
+    fits, init, para, word_in, word_out = _train_wave(groups, sizes, cfg, kind)
+    for fit in fits:
+        yield _expand(fit, kind, cfg, init, para, word_in, word_out)
+
+
+def _train_wave(
+    groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int], cfg: TrainConfig, kind: str
+) -> tuple[list[_Fit], np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Train one wave's fits in lockstep. Returns the fits and the arrays
+    :func:`_expand` reads: the init draw, ``para``, ``word_in``, ``word_out``."""
     d, k = cfg.dim, cfg.negatives
     k1 = k + 1
     c = cfg.context_size if kind == "dm" else 0
@@ -791,8 +734,7 @@ def _lockstep(
                     ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
                 in_recs[ctx_w[j, : a * c]] = ctx_rec
                 word_in[pad] = 0.0
-    for fit in fits:
-        yield _expand(fit, kind, cfg, init, para, word_in, word_out)
+    return fits, init, para, word_in, word_out
 
 
 def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.ndarray,
@@ -812,83 +754,8 @@ def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.n
 
 
 # ---------------------------------------------------------------------------
-# Whole-batch loss/gradient views of the same objective, used by the
-# gradient checks and the permutation-invariance checks.
-
-TargetItem = tuple[int, int, tuple[int, ...]]  # (paragraph index, position, negative ids)
-
-
-def negative_sampling_loss(
-    model: EmbeddingModel,
-    paragraphs: Sequence[TrainingParagraph],
-    items: Sequence[TargetItem],
-) -> float:
-    """Total pair loss over fixed (target, negatives) items."""
-    total = []
-    for pi, j, negs in items:
-        par = paragraphs[pi]
-        h, _ = _predictor(
-            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
-        )
-        total.append(pair_loss(float(model.word_out[par.tokens[j]] @ h), 1))
-        for neg in negs:
-            total.append(pair_loss(float(model.word_out[neg] @ h), 0))
-    return math.fsum(total)
-
-
-def negative_sampling_gradients(
-    model: EmbeddingModel,
-    paragraphs: Sequence[TrainingParagraph],
-    items: Sequence[TargetItem],
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Analytic gradients of :func:`negative_sampling_loss` w.r.t. every
-    parameter matrix, as (para, word_in, word_out) arrays."""
-    g_para = np.zeros_like(model.para_matrix)
-    g_in = np.zeros_like(model.word_in) if model.word_in is not None else None
-    g_out = np.zeros_like(model.word_out)
-
-    for pi, j, negs in items:
-        par = paragraphs[pi]
-        h, ctx = _predictor(
-            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
-        )
-        idx = np.asarray([par.tokens[j], *negs], dtype=np.int64)
-        rows = model.word_out[idx]
-        g = _sigmoid(rows @ h)
-        g[0] -= 1.0  # minus the labels (1, 0, ..., 0)
-        np.add.at(g_out, idx, g[:, None] * h[None, :])
-        grad_h = g @ rows
-        share = grad_h / (1 + len(ctx))
-        g_para[par.paragraph_id] += share
-        if ctx:
-            np.add.at(g_in, np.asarray(ctx), share)
-
-    return g_para, g_in, g_out
-
-
-def positive_pair_loss(
-    model: EmbeddingModel, paragraphs: Sequence[TrainingParagraph]
-) -> float:
-    """Sum of positive-pair losses over every (paragraph, position) target.
-
-    Computed with exact summation, so for a DBOW model the value is
-    invariant under any permutation of tokens within a paragraph.
-    """
-    terms = []
-    for par in paragraphs:
-        for j, w in enumerate(par.tokens):
-            h, _ = _predictor(
-                model.kind, model.para_matrix, model.word_in, par, j, model.context_size
-            )
-            terms.append(pair_loss(float(model.word_out[w] @ h), 1))
-    return math.fsum(terms)
-
-
-# ---------------------------------------------------------------------------
 # Persistence
 
-_KIND_CODES = {"dm": 0, "dbow": 1}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _HEADER = struct.Struct("<4sBBIIII")
 
 
@@ -901,7 +768,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        _KIND_CODES[model.kind],
+        KINDS.index(model.kind),
         model.context_size,
         model.vocab_size,
         model.num_paragraphs,
@@ -935,9 +802,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
         _, version, kind_code, context_size, v, p, d = _HEADER.unpack(head)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        kind = _CODE_KINDS.get(kind_code)
-        if kind is None:
+        if kind_code >= len(KINDS):
             raise ValueError(f"{path}: unknown model kind code {kind_code}")
+        kind = KINDS[kind_code]
         if 0 in (d, v, p):  # save_model never writes an empty matrix
             raise ValueError(f"{path}: empty model: dim {d}, vocab_size {v}, num_paragraphs {p}")
 

@@ -1,19 +1,34 @@
 """Slow, obviously-correct reference implementations.
 
 These exist only to cross-check the real engine (see ``selfcheck`` and the
-test suite). The greedy oracle shares nothing with the engine beyond raw
-similarity values: it is handed a relevance vector and a pairwise similarity
-matrix and re-derives every probability, coverage score, and pick from
-scratch at every step, with no caching or incremental state. The references
-only the tests use, the per-target trainer and the dynamic-programming LCS,
-live in ``tests/reference.py``.
+test suite); no pipeline stage imports this module. It holds:
+
+- ``brute_force_select``, the greedy oracle. It shares nothing with the
+  engine beyond raw similarity values: it is handed a relevance vector and
+  a pairwise similarity matrix and re-derives every probability, coverage
+  score, and pick from scratch at every step, with no caching or
+  incremental state.
+- ``dissatisfaction``, JXDTD's per-sub-theme fold over a selection, which
+  ``selection.greedy_select`` carries inline.
+- The negative-sampling objective of ``embedding`` as whole-batch
+  functions, for the finite-difference and DBOW-invariance checks:
+  ``pair_loss``, the predictor ``dm_context``, ``negative_sampling_loss``
+  over fixed ``TargetItem``s, its analytic ``negative_sampling_gradients``
+  and ``positive_pair_loss``.
+- ``lcs_exponential``, longest common subsequence by enumeration.
+
+The references only the tests use, the per-target trainer and the
+dynamic-programming LCS, live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
+
+from .embedding import EmbeddingModel, TrainingParagraph, _sigmoid
 
 
 def brute_force_select(
@@ -83,6 +98,137 @@ def _coverage(
             dissatisfaction = dissatisfaction * (1.0 - p_sent_theme[sp])
         return float(np.sum(p_sent_theme[s] * dissatisfaction * p_theme_doc))
     raise ValueError(f"unknown method {method!r}")
+
+
+def dissatisfaction(p_sent: np.ndarray, selected: list[int]) -> np.ndarray:
+    """Per-sub-theme prod(1 - P(S'|T_k)) over the selected sentences S',
+    given ``p_sent`` = P(S|T) from ``selection.sentence_given_subtheme``."""
+    dis = np.ones(len(p_sent))
+    for sp in selected:
+        dis = dis * (1.0 - p_sent[sp])
+    return dis
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch loss/gradient views of the embedding objective, used by the
+# gradient checks and the permutation-invariance checks.
+
+
+def _softplus(x: float) -> float:
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def pair_loss(score: float, label: int) -> float:
+    """Logistic loss of one (predictor, out-vector) pair.
+
+    -ln(sigmoid(score)) for a positive pair, -ln(sigmoid(-score)) for a
+    sampled negative.
+    """
+    return _softplus(-score) if label else _softplus(score)
+
+
+def _predictor(
+    kind: str,
+    para_matrix: np.ndarray,
+    word_in: np.ndarray | None,
+    paragraph: TrainingParagraph,
+    position: int,
+    context_size: int,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Predictor vector h for one target, plus the context term ids averaged
+    into it (empty for DBOW or a DM target with no usable context)."""
+    ctx: tuple[int, ...] = ()
+    if kind == "dm" and context_size > 0:
+        ctx = paragraph.tokens[max(0, position - context_size) : position]
+    row = para_matrix[paragraph.paragraph_id]
+    if not ctx:
+        return row.copy(), ctx
+    h = (row + word_in[np.asarray(ctx)].sum(axis=0)) / (1 + len(ctx))
+    return h, ctx
+
+
+def dm_context(
+    model: EmbeddingModel, paragraph: TrainingParagraph, position: int
+) -> np.ndarray:
+    """Mean of the paragraph vector and the in-vectors of the preceding
+    context words; positions near the start use whatever context exists."""
+    if position < 0 or position >= len(paragraph.tokens):
+        raise IndexError(f"position {position} outside paragraph")
+    h, _ = _predictor(
+        model.kind, model.para_matrix, model.word_in, paragraph, position, model.context_size
+    )
+    return h
+
+
+TargetItem = tuple[int, int, tuple[int, ...]]  # (paragraph index, position, negative ids)
+
+
+def negative_sampling_loss(
+    model: EmbeddingModel,
+    paragraphs: Sequence[TrainingParagraph],
+    items: Sequence[TargetItem],
+) -> float:
+    """Total pair loss over fixed (target, negatives) items."""
+    total = []
+    for pi, j, negs in items:
+        par = paragraphs[pi]
+        h, _ = _predictor(
+            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+        )
+        total.append(pair_loss(float(model.word_out[par.tokens[j]] @ h), 1))
+        for neg in negs:
+            total.append(pair_loss(float(model.word_out[neg] @ h), 0))
+    return math.fsum(total)
+
+
+def negative_sampling_gradients(
+    model: EmbeddingModel,
+    paragraphs: Sequence[TrainingParagraph],
+    items: Sequence[TargetItem],
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Analytic gradients of :func:`negative_sampling_loss` w.r.t. every
+    parameter matrix, as (para, word_in, word_out) arrays."""
+    g_para = np.zeros_like(model.para_matrix)
+    g_in = np.zeros_like(model.word_in) if model.word_in is not None else None
+    g_out = np.zeros_like(model.word_out)
+
+    for pi, j, negs in items:
+        par = paragraphs[pi]
+        h, ctx = _predictor(
+            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+        )
+        idx = np.asarray([par.tokens[j], *negs], dtype=np.int64)
+        rows = model.word_out[idx]
+        g = _sigmoid(rows @ h)
+        g[0] -= 1.0  # minus the labels (1, 0, ..., 0)
+        np.add.at(g_out, idx, g[:, None] * h[None, :])
+        grad_h = g @ rows
+        share = grad_h / (1 + len(ctx))
+        g_para[par.paragraph_id] += share
+        if ctx:
+            np.add.at(g_in, np.asarray(ctx), share)
+
+    return g_para, g_in, g_out
+
+
+def positive_pair_loss(
+    model: EmbeddingModel, paragraphs: Sequence[TrainingParagraph]
+) -> float:
+    """Sum of positive-pair losses over every (paragraph, position) target.
+
+    Computed with exact summation, so for a DBOW model the value is
+    invariant under any permutation of tokens within a paragraph.
+    """
+    terms = []
+    for par in paragraphs:
+        for j, w in enumerate(par.tokens):
+            h, _ = _predictor(
+                model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+            )
+            terms.append(pair_loss(float(model.word_out[w] @ h), 1))
+    return math.fsum(terms)
 
 
 def _is_subsequence(needle: list, haystack: list) -> bool:

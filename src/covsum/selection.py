@@ -53,7 +53,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Document, Sentence, Vocabulary
-from .embedding import EmbeddingModel, ParagraphIds, paragraph_vector
+from .embedding import EmbeddingModel, ParagraphIds
 
 METHODS = ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
 REPRESENTATIONS = ("BOW", "DM", "DBOW", "BOW+DM", "BOW+DBOW")
@@ -173,10 +173,13 @@ def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
 
 
 def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarray:
-    """The model's paragraph vectors for the document and its sentences, one per row."""
-    m = np.stack(
-        [paragraph_vector(model, p) for p in (para_ids.document, *para_ids.sentences)]
-    )
+    """The model's paragraph vectors for the document and its sentences, one
+    per row, in one gather; an id outside [0, P) raises ``IndexError``."""
+    ids = np.array([para_ids.document, *para_ids.sentences])
+    bad = ids[(ids < 0) | (ids >= model.num_paragraphs)]
+    if len(bad):
+        raise IndexError(f"paragraph id {bad[0]} out of range (model has {model.num_paragraphs})")
+    m = model.para_matrix[ids]
     if not np.isfinite(m).all():
         raise ValueError(f"{model.kind} model has non-finite paragraph vectors")
     return m
@@ -322,11 +325,6 @@ def build_docview(
     )
 
 
-def rank_by_relevance(view: DocView) -> list[int]:
-    """Sentence indices from most to least relevant, ties by index."""
-    return sorted(range(len(view.rel)), key=lambda s: (-view.rel[s], s))
-
-
 def sentence_given_subtheme(sim: np.ndarray) -> np.ndarray:
     """Column-normalize the similarity matrix into P(S | T_k).
 
@@ -350,15 +348,6 @@ def subtheme_given_doc(rel: np.ndarray) -> np.ndarray:
         stacklevel=2,
     )
     return np.full(len(rel), 1.0 / len(rel))
-
-
-def dissatisfaction(p_sent: np.ndarray, selected: list[int]) -> np.ndarray:
-    """Per-sub-theme prod(1 - P(S'|T_k)) over the selected sentences S',
-    given ``p_sent`` = P(S|T) from :func:`sentence_given_subtheme`."""
-    dis = np.ones(len(p_sent))
-    for sp in selected:
-        dis = dis * (1.0 - p_sent[sp])
-    return dis
 
 
 def subtheme_coverage(p_sent: np.ndarray, p_theme: np.ndarray, dis: np.ndarray) -> np.ndarray:
@@ -446,7 +435,7 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
     if method in ("XDTD", "JXDTD"):
         p_sent, p_theme = view.p_sent, view.p_theme
         # Dissatisfaction of the picks so far, folded in pick order as
-        # dissatisfaction() does. XDTD keeps it at ones.
+        # oracles.dissatisfaction does. XDTD keeps it at ones.
         dis = np.ones(n)
     if method == "MMR":
         colsum = np.zeros(n)

@@ -27,10 +27,6 @@ from .embedding import (
     TrainConfig,
     TrainingParagraph,
     build_training_paragraphs,
-    dm_context,
-    negative_sampling_gradients,
-    negative_sampling_loss,
-    positive_pair_loss,
     train,
 )
 from .rouge import evaluate, lcs_length, rouge_l, rouge_n
@@ -38,7 +34,6 @@ from .selection import (
     DocView,
     SelectorConfig,
     build_docview,
-    dissatisfaction,
     greedy_select,
     parse_representation,
     sentence_given_subtheme,
@@ -160,7 +155,7 @@ def check_probability_invariants(docs: list[Document] | None = None) -> CheckRes
         xdtd = subtheme_coverage(p_sent, p_theme, np.ones(n))
         prev = np.ones(n)
         for t in range(len(picks) + 1):
-            dis = dissatisfaction(p_sent, list(picks[:t]))
+            dis = oracles.dissatisfaction(p_sent, list(picks[:t]))
             if np.any(dis < 0.0) or np.any(dis > 1.0):
                 return CheckResult(
                     "probability-invariants", False, f"{doc.id}: dissatisfaction outside [0,1]"
@@ -255,7 +250,7 @@ def check_gradients() -> CheckResult:
             for pi, par in enumerate(paras)
             for j in range(len(par.tokens))
         ]
-        grads = negative_sampling_gradients(model, paras, items)
+        grads = oracles.negative_sampling_gradients(model, paras, items)
         mats = (model.para_matrix, model.word_in, model.word_out)
         for mat, grad in zip(mats, grads):
             if mat is None:
@@ -263,9 +258,9 @@ def check_gradients() -> CheckResult:
             for idx in np.ndindex(mat.shape):
                 orig = mat[idx]
                 mat[idx] = orig + step
-                up = negative_sampling_loss(model, paras, items)
+                up = oracles.negative_sampling_loss(model, paras, items)
                 mat[idx] = orig - step
-                down = negative_sampling_loss(model, paras, items)
+                down = oracles.negative_sampling_loss(model, paras, items)
                 mat[idx] = orig
                 fd = (up - down) / (2.0 * step)
                 err = abs(grad[idx] - fd) / max(abs(grad[idx]) + abs(fd), 1e-3)
@@ -297,13 +292,13 @@ def check_dbow_invariances() -> CheckResult:
     par_permuted = TrainingParagraph(0, tuple(par.tokens[p] for p in perm))
     items_permuted = [(0, j, negs[perm[j]]) for j in range(len(par.tokens))]
 
-    loss_a = negative_sampling_loss(dbow, [par], items)
-    loss_b = negative_sampling_loss(dbow, [par_permuted], items_permuted)
+    loss_a = oracles.negative_sampling_loss(dbow, [par], items)
+    loss_b = oracles.negative_sampling_loss(dbow, [par_permuted], items_permuted)
     if loss_a != loss_b:
         return CheckResult(
             "dbow-invariances", False, f"permuted loss differs: {loss_a} != {loss_b}"
         )
-    if positive_pair_loss(dbow, [par]) != positive_pair_loss(dbow, [par_permuted]):
+    if oracles.positive_pair_loss(dbow, [par]) != oracles.positive_pair_loss(dbow, [par_permuted]):
         return CheckResult("dbow-invariances", False, "positive objective differs")
 
     dm = EmbeddingModel(
@@ -314,8 +309,8 @@ def check_dbow_invariances() -> CheckResult:
         context_size=0,
     )
     for j in range(len(par.tokens)):
-        h_dm = dm_context(dm, par, j)
-        h_db = dm_context(dbow, par, j)
+        h_dm = oracles.dm_context(dm, par, j)
+        h_db = oracles.dm_context(dbow, par, j)
         if not (np.array_equal(h_dm, dbow.para_matrix[0]) and np.array_equal(h_db, h_dm)):
             return CheckResult(
                 "dbow-invariances", False, f"predictor at position {j} not bitwise equal"

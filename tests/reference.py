@@ -1,11 +1,13 @@
 """Reference implementations that only the tests compare against.
 
 ``train_reference`` is the plain per-target SGD loop, one sampler draw and
-one ``np.add.at`` scatter per target; it shares only the sampler, the
-initialisation and the predictor with ``covsum.embedding.train``, which must
-produce the same matrices bit for bit. ``lcs_dp`` is the classic two-row
-LCS dynamic program, the reference for ``covsum.rouge.lcs_length`` on inputs
-too long for ``covsum.oracles.lcs_exponential``.
+one ``np.add.at`` scatter per target; it shares only the sampler and the
+seeded initialisation with ``covsum.embedding.train``, which must produce
+the same matrices bit for bit. Its predictor is ``covsum.oracles``'s, the
+one the gradient checks differentiate; ``train`` forms its predictor inline
+and never called it. ``lcs_dp`` is the classic two-row LCS dynamic program,
+the reference for ``covsum.rouge.lcs_length`` on inputs too long for
+``covsum.oracles.lcs_exponential``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from covsum.embedding import (
     NegativeSampler,
     TrainConfig,
     TrainingParagraph,
-    _predictor,
     _validate_paragraphs,
 )
+from covsum.oracles import _predictor
 
 
 def lcs_dp(a: list, b: list) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covsum
 from covsum.cli import main
 from covsum.corpus import save_corpus
 
@@ -62,6 +67,23 @@ def test_cli_reports_an_out_of_range_pick(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", *common]) == 2  # not an IndexError traceback
     assert "BOW__RELEVANCE_ONLY.jsonl:1: document 'ga'" in capsys.readouterr().err
+
+
+def test_cli_reports_diverged_training(tmp_path):
+    # The command as a user runs it: an error line and exit 2, no traceback.
+    src = Path(covsum.__file__).resolve().parents[1]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"corpus = {src / 'covsum' / 'data' / 'selftest_corpus.jsonl'}\n"
+        f"out = {tmp_path / 'out'}\nrepresentations = DBOW\nembed.learning_rate = 1e200\n"
+    )
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "covsum", "train", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error: para matrix diverged; lower the learning rate\n" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_unknown_flags():

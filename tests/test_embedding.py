@@ -17,16 +17,13 @@ from covsum.embedding import (
     TrainConfig,
     TrainingParagraph,
     build_training_paragraphs,
-    dm_context,
     load_model,
-    negative_sampling_gradients,
-    pair_loss,
-    paragraph_vector,
     save_model,
     train,
     train_both,
     train_each,
 )
+from covsum.oracles import dm_context, negative_sampling_gradients, pair_loss
 
 from conftest import make_doc
 from reference import _sigmoid as sigmoid_reference
@@ -432,6 +429,22 @@ def test_train_each_matches_separate_fits_across_chunks():
         _assert_lockstep_matches_separate_fits(groups, cfg, kind, 70)
 
 
+def test_lockstep_holds_no_step_buffer_while_it_yields():
+    # A wave's step buffers are dropped before its first model is yielded;
+    # while the caller holds that model, the wave keeps only what the later
+    # models are expanded from.
+    cfg = TrainConfig(dim=4, epochs=2, context_size=2, seed=3)
+    for kind in KINDS:
+        models = train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5)
+        next(models)
+        frame = models.gi_yieldfrom.gi_frame
+        assert frame.f_code is embedding._lockstep.__code__
+        buffers = {"row_buf", "h_buf", "out_buf", "upd_buf", "g_buf", "sig_buf", "grad_buf",
+                   "ctx_buf", "out_rows", "upd", "ctx_rows"}
+        assert not buffers & set(frame.f_locals)
+        assert len(list(models)) == 1
+
+
 def test_train_each_validates_every_group():
     cfg = TrainConfig(dim=4, epochs=1)
     with pytest.raises(ValueError, match="term id 4"):
@@ -482,15 +495,6 @@ def test_dm_context_predictor():
     assert np.array_equal(dm_context(model, par, 2), want)
     with pytest.raises(IndexError):
         dm_context(model, par, 3)
-
-
-def test_paragraph_vector_is_a_copy():
-    model = train(_paras(), TrainConfig(dim=4, epochs=1), "dbow", vocab_size=5)
-    vec = paragraph_vector(model, 1)
-    vec[0] += 100.0
-    assert paragraph_vector(model, 1)[0] != vec[0]
-    with pytest.raises(IndexError):
-        paragraph_vector(model, 3)
 
 
 def test_save_load_round_trip(tmp_path):

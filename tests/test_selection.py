@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsum import oracles, selection
-from covsum.corpus import Sentence, build_vocabulary
+from covsum.corpus import build_vocabulary
 from covsum.embedding import ParagraphIds, TrainConfig, build_training_paragraphs, train
 from covsum.selection import (
     METHODS,
@@ -16,9 +16,7 @@ from covsum.selection import (
     SelectorConfig,
     Summary,
     build_docview,
-    dissatisfaction,
     greedy_select,
-    rank_by_relevance,
     sentence_given_subtheme,
     subtheme_given_doc,
     summary_sentences,
@@ -83,6 +81,18 @@ def test_build_docview_rejects_wrong_model_kind(tiny_docs):
         build_docview(tiny_docs[0], "DBOW", vocab, model=dbow, para_ids=short)
 
 
+def test_build_docview_refuses_paragraph_ids_out_of_range(tiny_docs):
+    vocab = build_vocabulary(tiny_docs)
+    paragraphs, index = build_training_paragraphs(tiny_docs, vocab)
+    dbow = train(paragraphs, TrainConfig(dim=4, epochs=1), "dbow", vocab.size)
+    ids = index["d0"]
+    past_end = ParagraphIds(len(paragraphs), ids.sentences)
+    negative = ParagraphIds(ids.document, (*ids.sentences[:-1], -1))
+    for bad, name in ((past_end, len(paragraphs)), (negative, -1)):
+        with pytest.raises(IndexError, match=f"paragraph id {name} out of range"):
+            build_docview(tiny_docs[0], "DBOW", vocab, model=dbow, para_ids=bad)
+
+
 def test_build_docview_tables(tiny_docs):
     view = bow_view(tiny_docs[0], tiny_docs)
     n = len(tiny_docs[0].sentences)
@@ -124,17 +134,6 @@ def test_subtheme_given_doc_zero_mass_warns_and_uniforms():
     with pytest.warns(UserWarning, match="relevance mass"):
         p = subtheme_given_doc(np.zeros(4))
     assert np.allclose(p, 0.25)
-
-
-def test_rank_by_relevance_breaks_ties_by_index():
-    view = DocView(
-        doc_id="t",
-        sentences=(Sentence(0, ("a",)), Sentence(1, ("b",)), Sentence(2, ("c",))),
-        word_counts=(1, 1, 1),
-        rel=np.array([0.5, 0.9, 0.5]),
-        sim=np.eye(3),
-    )
-    assert rank_by_relevance(view) == [1, 0, 2]
 
 
 # --- greedy selection --------------------------------------------------------
@@ -250,7 +249,7 @@ def test_dissatisfaction_monotone_along_any_selection_order():
         order = rng.permutation(len(doc.sentences))
         prev = np.ones(len(doc.sentences))
         for t in range(len(order) + 1):
-            dis = dissatisfaction(p_sent, [int(s) for s in order[:t]])
+            dis = oracles.dissatisfaction(p_sent, [int(s) for s in order[:t]])
             assert ((dis >= 0.0) & (dis <= 1.0)).all()
             assert (dis <= prev).all()
             prev = dis
