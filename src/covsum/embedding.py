@@ -23,13 +23,14 @@ their rows). Every model is bit-identical to the one-target-at-a-time loop
 ``train_reference`` in ``tests/reference.py``; ``test_train_matches_*`` and
 ``test_train_both_matches_*`` in ``tests/test_embedding.py`` check this
 with ``==`` on every matrix. A step writes every intermediate into buffers
-made once per call: it copies its rows into one, updates them there and
-copies them back, moving each row as one record (:func:`_records`). Scores
-and predictor gradients are one ``ndarray.dot`` gemv per kind; the loop
-calls no ``np.matmul``. :func:`_sigmoid` takes both of its branches from one
-``exp`` over ``min(x, 0)`` and ``-|x|``. That is exact: the two are the
-same float below zero, and ``exp(min(x, 0))`` is ``exp(0) == 1`` at or
-above it.
+made once per call and moves each row as one record (:func:`_records`).
+Per kind run two ``ndarray.dot`` gemvs (scores, predictor gradient) and the
+label subtract, a float op cheaper than a one-element ufunc; every other op
+is one call over the kind axis, bar the DM context's, on the DM row alone.
+:func:`_sigmoid` takes both of its branches from one ``exp`` over a buffer
+of ``min(x, 0)`` and ``-|x|``, whose halves the loop binds once. That is
+exact: the two are the same float below zero, and ``exp(min(x, 0))`` is
+``exp(0) == 1`` at or above it. The loops mute overflow warnings; :func:`_finished` reports it.
 
 :func:`train_each` fits one model per paragraph group (per-document
 training) in lockstep: one batched step advances every unfinished fit by
@@ -160,15 +161,17 @@ class ParagraphIds:
     sentences: tuple[int, ...]
 
 
-def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None, num: np.ndarray | None = None,
+             den: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid of ``x``, written over ``x`` and returned.
 
     ``exp(min(x, 0)) / (1 + exp(-|x|))``: 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below, so exp never overflows. Both exps are one
-    call over ``buf``, a scratch array of shape ``(2, *x.shape)``."""
+    call over ``buf``, a scratch array of shape ``(2, *x.shape)``. The SGD
+    steps also hand over its halves ``num, den = buf``, bound once per call."""
     if buf is None:
         buf = np.empty((2, *x.shape))
-    num, den = buf
+    num, den = buf if num is None else (num, den)
     np.minimum(x, 0.0, out=num)
     np.copysign(x, -1.0, out=den)
     np.exp(buf, out=buf)
@@ -265,8 +268,10 @@ def _finished(
     para_matrix: np.ndarray,
     word_in: np.ndarray | None,
     word_out: np.ndarray,
+    own: tuple | None = None,
 ) -> EmbeddingModel:
-    for name, mat in (("para", para_matrix), ("word_in", word_in), ("word_out", word_out)):
+    """The model, if its matrices, or ``own``, the only rows of each that can change, are finite."""
+    for name, mat in zip(("para", "word_in", "word_out"), own or (para_matrix, word_in, word_out)):
         # finite iff min and max are (NaN propagates), with no temporary array
         if mat is not None and not np.isfinite([mat.min(), mat.max()]).all():
             raise ArithmeticError(f"{name} matrix diverged; lower the learning rate")
@@ -388,49 +393,53 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     views = tuple(zip(out_rows, h, g, grad_h))  # one kind's 1-D operands each
     out_rec, ctx_recs = _records(out_rows.reshape(s * k1, d)), _records(ctx_buf)
     out_recs, in_recs = _records(word_out).reshape(-1), _records(word_in) if c else None
+    ctx_views = [(ctx_buf[:n], ctx_recs[:n]) for n in range(c + 1)]  # by context length
+    sig_num, sig_den = sig_buf
+    add, subtract, multiply, divide, add_at = np.add, np.subtract, np.multiply, np.divide, np.add.at
 
-    for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
-        tok, pid, par_start, v, cfg, c
-    ):
-        # Only kind 0's predictor shares its gradient with a context; lr / 1 is lr.
-        share_lr = np.stack([lr / (1 + num_ctx)] + [lr] * (s - 1), axis=1)
-        for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
-            pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
-            share_lr.tolist(), np.concatenate([out_idx + i * v for i in range(s)], axis=1),
-            out_repeats.tolist(), ctx_repeats.tolist(),
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence raises in _finished
+        for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
+            tok, pid, par_start, v, cfg, c
         ):
-            rows = para[:, p]
-            h[...] = rows  # read before the rows are updated below
-            if nc:
-                ctx = tok[ci:ti]
-                ctx_rows, ctx_rec = ctx_buf[:nc], ctx_recs[:nc]
-                in_recs.take(ctx, out=ctx_rec, mode="clip")
-                np.add(h_dm, ctx_rows.sum(axis=0, out=ctx_sum), out=h_dm)
-                np.divide(h_dm, 1 + nc, out=h_dm)
+            # Only kind 0's predictor shares its gradient with a context; lr / 1 is lr.
+            share_lr = np.stack([lr / (1 + num_ctx)] + [lr] * (s - 1), axis=1)[:, :, None]
+            for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
+                pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
+                share_lr, np.concatenate([out_idx + i * v for i in range(s)], axis=1),
+                out_repeats.tolist(), ctx_repeats.tolist(),
+            ):
+                rows = para[:, p]
+                h[...] = rows  # read before the rows are updated below
+                if nc:
+                    ctx = tok[ci:ti]
+                    ctx_rows, ctx_rec = ctx_views[nc]
+                    in_recs.take(ctx, out=ctx_rec, mode="clip")
+                    add(h_dm, add.reduce(ctx_rows, axis=0, out=ctx_sum), out=h_dm)
+                    divide(h_dm, 1 + nc, out=h_dm)
 
-            out_recs.take(idx, out=out_rec, mode="clip")
-            for o_k, h_k, g_k, _ in views:
-                o_k.dot(h_k, out=g_k)
-            _sigmoid(g, sig_buf)
-            for (o_k, _, g_k, gh_k), rate in zip(views, slr):
-                g_k[0] -= 1.0  # minus the labels (1, 0, ..., 0)
-                g_k.dot(o_k, out=gh_k)
-                np.multiply(gh_k, rate, out=gh_k)
-            np.multiply(g, nlr, out=g_lr)
-            np.multiply(g_col, h_row, out=upd)
-            if out_rep:
-                np.add.at(word_out.reshape(-1, d), idx, upd.reshape(-1, d))
-            else:
-                np.add(out_rows, upd, out=out_rows)
-                out_recs[idx] = out_rec
-
-            rows -= grad_h
-            if nc:
-                if ctx_rep:
-                    np.add.at(word_in, ctx, -shared_dm)
+                out_recs.take(idx, out=out_rec, mode="clip")
+                for o_k, h_k, g_k, _ in views:
+                    o_k.dot(h_k, out=g_k)
+                _sigmoid(g, sig_buf, sig_num, sig_den)
+                for o_k, _, g_k, gh_k in views:
+                    g_k[0] -= 1.0  # minus the labels (1, 0, ..., 0)
+                    g_k.dot(o_k, out=gh_k)
+                multiply(grad_h, slr, out=grad_h)
+                multiply(g, nlr, out=g_lr)
+                multiply(g_col, h_row, out=upd)
+                if out_rep:
+                    add_at(word_out.reshape(-1, d), idx, upd.reshape(-1, d))
                 else:
-                    np.subtract(ctx_rows, shared_dm, out=ctx_rows)
-                    in_recs[ctx] = ctx_rec
+                    add(out_rows, upd, out=out_rows)
+                    out_recs[idx] = out_rec
+
+                subtract(rows, grad_h, out=rows)
+                if nc:
+                    if ctx_rep:
+                        add_at(word_in, ctx, -shared_dm)
+                    else:
+                        subtract(ctx_rows, shared_dm, out=ctx_rows)
+                        in_recs[ctx] = ctx_rec
 
     for i, kind in enumerate(kinds):
         yield _finished(kind, cfg, para[i], word_in if kind == "dm" else None, word_out[i])
@@ -589,6 +598,7 @@ def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence raises in _finished
 def _train_wave(
     groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int], cfg: TrainConfig, kind: str
 ) -> tuple[list[_Fit], np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -647,6 +657,7 @@ def _train_wave(
     ctx_rec_buf = _records(ctx_buf.reshape(w * c, d)) if c else None
 
     slots = np.arange(c)
+    add, subtract, multiply, divide, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
@@ -700,6 +711,7 @@ def _train_wave(
                 upd_flat = upd.reshape(a * k1, d)
                 g3, grad3 = g_buf[:a], grad_buf[:a]
                 g, grad_h, sig = g3[:, :, 0], grad3[:, 0], sig_buf[: 2 * a * k1].reshape(2, a, k1)
+                sig_num, sig_den, g_pos = *sig, g[:, 0]
                 g_col, g_row, h_col, h_row = g[:, :, None], g[:, None, :], h[:, :, None], h[:, None, :]
                 if c:
                     ctx_rows, ctx_rec = ctx_buf[:a], ctx_rec_buf[: a * c]
@@ -709,27 +721,27 @@ def _train_wave(
             para_recs.take(p, out=row_rec, mode="clip")
             if c:
                 in_recs.take(ctx_idx[j, : a * c], out=ctx_rec, mode="clip")
-                np.add(rows, _context_sums(ctx_rows, num_ctx[j, :a]), out=h)
-                np.divide(h, den[j, :a], out=h)
+                add(rows, _context_sums(ctx_rows, num_ctx[j, :a]), out=h)
+                divide(h, den[j, :a], out=h)
                 np.copyto(h, rows, where=no_ctx[j, :a])
 
             out_recs.take(out_idx[j, : a * k1], out=out_rec, mode="clip")
-            np.matmul(out_rows, h_col, out=g3)
-            _sigmoid(g, sig)
-            g[:, 0] -= 1.0  # minus the labels (1, 0, ..., 0)
-            np.matmul(g_row, out_rows, out=grad3)
-            np.multiply(g, neg_lr[j, :a], out=g)
-            np.multiply(g_col, h_row, out=upd)
-            np.add(out_rows, upd, out=out_rows)
+            matmul(out_rows, h_col, out=g3)
+            _sigmoid(g, sig, sig_num, sig_den)
+            subtract(g_pos, 1.0, out=g_pos)  # minus the labels (1, 0, ..., 0)
+            matmul(g_row, out_rows, out=grad3)
+            multiply(g, neg_lr[j, :a], out=g)
+            multiply(g_col, h_row, out=upd)
+            add(out_rows, upd, out=out_rows)
             for src, dst, _ in out_links[j]:
                 out_flat[dst] = out_flat[src] + upd_flat[dst]
             out_recs[out_w[j, : a * k1]] = out_rec
 
-            np.multiply(grad_h, share_lr[j, :a], out=grad_h)
-            np.subtract(rows, grad_h, out=rows)
+            multiply(grad_h, share_lr[j, :a], out=grad_h)
+            subtract(rows, grad_h, out=rows)
             para_recs[p] = row_rec
             if c:
-                np.subtract(ctx_rows, shared, out=ctx_rows)
+                subtract(ctx_rows, shared, out=ctx_rows)
                 for src, dst, fit in ctx_links[j]:
                     ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
                 in_recs[ctx_w[j, : a * c]] = ctx_rec
@@ -741,16 +753,17 @@ def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.n
             word_in: np.ndarray | None, word_out: np.ndarray) -> EmbeddingModel:
     """A lockstep fit as the model ``train`` returns: the rows of terms the
     fit never saw keep their initial values, zero in ``word_out`` and the
-    seeded draw in ``word_in``."""
+    seeded draw in ``word_in``. Those are finite, so only the fit's own rows
+    are checked."""
     rows = slice(fit.row_off, fit.row_off + len(fit.terms))
     para_matrix = para[fit.para_off : fit.para_off + fit.num_paragraphs].copy()
-    full_in = None
+    own_in = full_in = None
     if kind == "dm":
         full_in = init[fit.num_paragraphs : fit.num_paragraphs + fit.vocab_size].copy()
-        full_in[fit.terms] = word_in[rows]
+        full_in[fit.terms] = own_in = word_in[rows]
     full_out = np.zeros((fit.vocab_size, cfg.dim))
-    full_out[fit.terms] = word_out[rows]
-    return _finished(kind, cfg, para_matrix, full_in, full_out)
+    full_out[fit.terms] = own_out = word_out[rows]
+    return _finished(kind, cfg, para_matrix, full_in, full_out, (para_matrix, own_in, own_out))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ def test_cli_reports_diverged_training(tmp_path):
     assert proc.returncode == 2
     assert "error: para matrix diverged; lower the learning rate\n" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # nor numpy's warnings on the way there
+    assert "embedding.py" not in proc.stderr
 
 
 def test_cli_rejects_unknown_flags():

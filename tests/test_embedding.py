@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -304,17 +305,22 @@ _SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073
 
 
 def _assert_sigmoid_bits(x):
-    want = sigmoid_reference(x.copy())
-    got = embedding._sigmoid(x.copy())
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # As the training steps call it, over a stale scratch buffer and its
+    # halves, and as the oracles call it, with no buffer.
+    want = sigmoid_reference(x.copy()).view(np.uint64)
+    buf = np.full((2, *x.shape), np.nan)
+    got = embedding._sigmoid(x.copy(), buf, *buf)
+    assert np.array_equal(got.view(np.uint64), want)
+    assert np.array_equal(embedding._sigmoid(x.copy()).view(np.uint64), want)
 
 
 def test_sigmoid_matches_reference_bits_at_the_edges():
     _assert_sigmoid_bits(np.array(_SIGMOID_EDGES))
-    # the scratch buffer of a training step, and a 2-D array
+    # a 2-D array, written over in place
     x = np.array(_SIGMOID_EDGES).reshape(2, 9)
     want = sigmoid_reference(x.copy())
-    got = embedding._sigmoid(x, np.full((2, *x.shape), np.nan))
+    buf = np.full((2, *x.shape), np.nan)
+    got = embedding._sigmoid(x, buf, *buf)
     assert got is x
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -458,15 +464,22 @@ def test_train_each_validates_every_group():
 
 
 def test_diverged_training_is_refused():
+    # The ArithmeticError reports a divergence; the overflows on the way there
+    # print no numpy RuntimeWarning, and the caller's error state is kept.
     cfg = TrainConfig(dim=4, epochs=3, negatives=2, learning_rate=1e200, seed=1)
+    runs = [lambda: list(train_both(_paras(), cfg, vocab_size=5))]
     for kind in KINDS:
-        with np.errstate(all="ignore"):
+        runs.append(lambda kind=kind: train(_paras(), cfg, kind, vocab_size=5))
+        runs.append(lambda kind=kind: list(
+            train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5)))
+    before = np.geterr()
+    for run in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ArithmeticError, match="diverged"):
-                train(_paras(), cfg, kind, vocab_size=5)
-            with pytest.raises(ArithmeticError, match="diverged"):
-                list(train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5))
-    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="diverged"):
-        list(train_both(_paras(), cfg, vocab_size=5))
+                run()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert np.geterr() == before
 
 
 def test_degenerate_single_term_vocab_runs():
