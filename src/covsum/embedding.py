@@ -44,9 +44,9 @@ fit's out or context slots hit a row twice, the step chains them
 (:func:`_chains`): a later slot of the row takes the previous slot's new row
 plus its own update, which is what ``np.add.at``'s in-order adds give. Only
 the row's last slot is written back; the others go to a sink row past the
-fits' rows, which no yielded model holds. Groups run in consecutive waves
-of at most about 2 MiB of ``word_out`` rows each, so memory does not grow
-with the number of groups.
+fits' rows, which no yielded model holds. All fits map one negative draw
+per chunk. Groups run in consecutive waves of at most about 2 MiB of
+``word_out`` rows each, so memory does not grow with the number of groups.
 
 Model files are flat binary (little-endian):
 
@@ -208,9 +208,12 @@ class NegativeSampler:
             raise ValueError("all counts are zero")
         self._rng = np.random.default_rng(seed)
 
+    def ids(self, uniforms: np.ndarray) -> np.ndarray:
+        """The term ids that draws ``uniforms`` from [0, 1) stand for."""
+        return np.searchsorted(self._cum, uniforms * self._cum[-1], side="right")
+
     def draw(self, n: int) -> np.ndarray:
-        r = self._rng.random(n) * self._cum[-1]
-        return np.searchsorted(self._cum, r, side="right")
+        return self.ids(self._rng.random(n))
 
 
 def _validate_paragraphs(
@@ -457,11 +460,11 @@ _WAVE_VALUES = 2**18
 
 
 class _Fit:
-    """One group's fit inside :func:`train_each`: its own order and negative
-    streams, its step count, and where its rows sit in the shared arrays."""
+    """One group's fit inside :func:`train_each`: its own order stream and
+    negative weights, its step count, and where its rows sit in the shared arrays."""
 
     def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg,
-                 seed_order, seed_neg):
+                 seed_order, neg_rng):
         self.terms, counts = np.unique(tok, return_counts=True)
         self.vocab_size = vocab_size
         self.base = base  # flat index of the fit's first target
@@ -471,10 +474,10 @@ class _Fit:
         self.num_targets = len(tok)
         self.total_steps = cfg.epochs * len(tok)
         self.rng_order = np.random.default_rng(seed_order)
-        # Draws local ids of exactly the terms a sampler over all vocab_size
-        # counts draws: the other terms' bins have zero width, and leaving
-        # zeros out of a running sum changes none of its values.
-        self.sampler = NegativeSampler(counts, cfg.unigram_power, seed_neg)
+        # Maps uniforms to local ids of exactly the terms a sampler over all
+        # vocab_size counts draws: the other terms' bins have zero width, and
+        # leaving zeros out of a running sum changes none of its values.
+        self.sampler = NegativeSampler(counts, cfg.unigram_power, neg_rng)
         self.pending = np.empty(0, dtype=np.int64)
 
     def next_targets(self, n: int) -> np.ndarray:
@@ -553,10 +556,12 @@ def train_each(
     the models in group order.
 
     Every model is bit-identical to ``train(group, cfg, kind, vocab_size)``.
-    Each fit keeps that call's seeded streams, epoch permutations, negative
+    Each fit gets that call's seeded init, epoch permutations, negative
     draws and learning-rate schedule; step s of every fit still training
-    runs as one batched step. Fits share no row, so batching them changes
-    no sum: gathers and scatters touch disjoint rows, the scores and
+    runs as one batched step. All live fits are at one place of one negative
+    stream, so a chunk draws it once and each fit maps the draw by its own
+    weights (:meth:`NegativeSampler.ids`). Fits share no row, so batching
+    changes no sum: gathers and scatters touch disjoint rows, the scores and
     predictor gradients come from stacked ``np.matmul`` (the BLAS gemv that
     ``np.dot`` calls), and the rest is elementwise. A fit whose out or
     context slots repeat a row adds their updates in slot order, each to
@@ -608,6 +613,7 @@ def _train_wave(
     k1 = k + 1
     c = cfg.context_size if kind == "dm" else 0
     seed_init, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
+    neg_rng = np.random.default_rng(seed_neg)  # every fit's sampler holds it
     # Every fit's init stream is the same seed_init stream: P x d paragraph
     # values, then V x d word_in values for DM. One draw as long as the
     # longest holds each fit's init as a prefix.
@@ -615,24 +621,24 @@ def _train_wave(
     init = np.random.default_rng(seed_init).uniform(-0.5 / d, 0.5 / d, (init_len, d))
 
     fits: list[_Fit] = []
-    # Shared rows of each target's term and flat index of each paragraph's
-    # first target, over all fits; paragraph i's row in ``para`` is row i.
-    tok_rows, par_firsts, para_parts, in_parts = [], [], [], []
+    # Per target over all fits: the shared rows of its term and of its
+    # paragraph, and the flat index of its paragraph's first target.
+    tok_rows, par_rows, par_starts, para_parts, in_parts = [], [], [], [], []
     base = row_off = para_off = 0
     for group, size in zip(groups, sizes):
-        tok, _, par_start = _flatten(group)
-        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order, seed_neg)
+        tok, pid, par_start = _flatten(group)
+        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order, neg_rng)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
-        par_firsts.append(base + np.unique(par_start))
+        par_rows.append(para_off + pid)
+        par_starts.append(base + par_start)
         para_parts.append(init[: len(group)])
         if kind == "dm":
             in_parts.append(init[len(group) + fit.terms])
         base += len(tok)
         row_off += len(fit.terms)
         para_off += len(group)
-    tok_rows = np.concatenate(tok_rows)
-    par_firsts = np.concatenate(par_firsts)
+    tok_rows, par_rows, par_starts = map(np.concatenate, (tok_rows, par_rows, par_starts))
     para = np.concatenate(para_parts)
     # Superseded slots of a repeated row are written to one sink row after
     # the fits' rows, which no model reads. Context slots past a target's
@@ -667,10 +673,11 @@ def _train_wave(
         m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
         t = np.zeros((m, active), dtype=np.int64)
         negs = np.zeros((m, active, k), dtype=np.int64)
+        uniforms = neg_rng.random((m, k))  # a fit finishing after n steps takes n rows
         for col, fit in enumerate(order[:active]):
             n = min(m, fit.total_steps - step)
             t[:n, col] = fit.next_targets(n)
-            negs[:n, col] = fit.row_off + fit.sampler.draw(k * n).reshape(n, k)
+            negs[:n, col] = fit.row_off + fit.sampler.ids(uniforms[:n])
         steps = np.arange(step, step + m)[:, None]
         lr = _learning_rates(steps, totals[:active], cfg)
         alive = totals[:active] > steps
@@ -682,10 +689,10 @@ def _train_wave(
         )
         out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
         out_idx = out_idx.reshape(m, -1)
-        p_rows = np.searchsorted(par_firsts, t, side="right") - 1
+        p_rows = par_rows[t]
         share_lr = lr  # lr / 1 when no context shares the predictor
         if c:
-            ctx_lo = np.maximum(t - c, par_firsts[p_rows])
+            ctx_lo = np.maximum(t - c, par_starts[t])
             num_ctx = t - ctx_lo
             no_ctx = (num_ctx == 0)[..., None]
             share_lr = lr / (1 + num_ctx)

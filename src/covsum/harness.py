@@ -291,9 +291,7 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         for (owner, _), model in zip(groups, models):
             path = _model_path(out_dir, kind, owner)
             path.parent.mkdir(parents=True, exist_ok=True)
-            # save_model replaces its file itself; the stage does not rely on it.
-            with _written(path) as part:
-                save_model(model, part)
+            save_model(model, path)
             saved.append(path)
             del model  # unless a joint pass holds it, freed before the next model is built
     for path in saved:

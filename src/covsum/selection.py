@@ -26,10 +26,11 @@ the Gram matrices of the representation's parts (BOW, DM, DBOW). Every
 Gram entry adds its products in column order from 0.0. The sparse BOW Gram
 is one product over the pairs of stored entries that share a column
 (:func:`_cosines`), so its work is the sum over columns of the squared
-number of rows storing that column; DM and DBOW add one outer product per
-column (:func:`_dense_cosines`). A caller building several representations
-of one document passes one ``parts`` dict to every call, and each part's
-Gram is built once and shared by every representation holding the part.
+number of rows storing that column; DM and DBOW sum one outer product per
+column (:func:`_dense_cosines`), in one reduction for a small document. A
+caller building several representations of one document passes one
+``parts`` dict to every call, and each part's Gram is built once and shared
+by every representation holding the part.
 
 Picks and scores equal those of ``oracles.brute_force_select`` bit for bit.
 MMR and JXDTD get there by filter and verify: after the first pick, a cheap
@@ -162,14 +163,16 @@ def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
     """TF-IDF over the terms the document uses, columns indexed by term id.
     Out-of-vocabulary tokens are skipped, and so are terms found in every
     document, whose weight is 0."""
-    df, n_docs = vocab.doc_freq, vocab.num_docs
-    ids = [[t for t in vocab.ids(s.tokens) if df[t] < n_docs] for s in doc.sentences]
+    df, n_docs = vocab.doc_freq_array, vocab.num_docs
+    ids = [vocab.ids(s.tokens) for s in doc.sentences]
     terms = np.fromiter(chain.from_iterable(ids), dtype=np.intp)
     rows = np.repeat(np.arange(1, len(ids) + 1), [len(i) for i in ids])
+    keep = df[terms] < n_docs
+    terms, rows = terms[keep], rows[keep]
     # Every token counts once in its sentence's row and once in the document's.
     keys, tf = np.unique(np.concatenate([terms, rows * vocab.size + terms]), return_counts=True)
     row, col = np.divmod(keys, vocab.size)
-    return row, col, tf * np.log(n_docs / np.asarray(df, dtype=np.float64)[col])
+    return row, col, tf * np.log(n_docs / df[col])
 
 
 def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarray:
@@ -185,7 +188,7 @@ def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarr
     return m
 
 
-# Products per np.add.at call in _cosines: bounds its pair arrays.
+# Products per np.add.at call in _cosines or reduction in _dense_cosines.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -224,15 +227,23 @@ def _cosines(row: np.ndarray, col: np.ndarray, u: np.ndarray, n_rows: int) -> np
 def _dense_cosines(u: np.ndarray) -> np.ndarray:
     """Cosines between all pairs of rows of a dense matrix with unit rows.
 
-    The Gram matrix is built from zeros one column at a time, in column
-    order: ``g += outer(u[:, t], u[:, t])``. Entry (a, b) so adds up
-    u[a, t] * u[b, t] in the same order as :func:`_cosines` on a matrix that
-    stores every column, with the same bits, and it equals entry (b, a)
-    exactly because IEEE multiplication commutes.
+    Entry (a, b) adds u[a, t] * u[b, t] in column order from 0.0, with the
+    bits of :func:`_cosines` on a matrix storing every column, and equals
+    entry (b, a) since IEEE multiplication commutes. For n > 1 rows whose
+    d * n**2 products fit in ``_PAIR_BLOCK``, one reduction over axis 0 adds
+    in order a C-contiguous buffer of +0.0, then every column's outer product
+    (numpy sums one row's pairwise); else ``g += outer(u[:, t], u[:, t])`` per column.
     """
-    g = np.zeros((len(u), len(u)))
+    n, d = u.shape
+    columns = np.ascontiguousarray(u.T)
+    if 1 < n and d * n * n <= _PAIR_BLOCK:
+        products = np.empty((d + 1, n, n))
+        products[0] = 0.0
+        np.multiply(columns[:, :, None], columns[:, None, :], out=products[1:])
+        return np.add.reduce(products, axis=0)
+    g = np.zeros((n, n))
     product = np.empty_like(g)
-    for column in np.ascontiguousarray(u.T):
+    for column in columns:
         np.multiply(column[:, None], column, out=product)
         g += product
     return g
@@ -273,10 +284,10 @@ def build_docview(
 
     BOW is stored sparse, and its Gram is one sparse product over the pairs
     of stored entries that share a column (:func:`_cosines`). DM and DBOW
-    store every column, so theirs is summed one column at a time over all
-    rows (:func:`_dense_cosines`); both add each entry's products in column
-    order from 0.0, so the tables are exactly symmetric and independent of
-    BLAS.
+    store every column, so theirs sums every column's outer product over
+    all rows (:func:`_dense_cosines`); both add each entry's products in
+    column order from 0.0, so the tables are exactly symmetric and
+    independent of BLAS.
 
     ``parts``, if given, caches each part's Gram by part name (``"BOW"``,
     ``"DM"``, ``"DBOW"``): a part found there is reused, one not found is

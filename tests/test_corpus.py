@@ -4,6 +4,7 @@ import tempfile
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,18 @@ def test_vocabulary_ids_and_doc_freq(tiny_docs):
         vocab.term_to_id["cats"],
         vocab.term_to_id["rain"],
     ]
+
+
+def test_vocabulary_doc_freq_array_is_a_read_only_copy(tiny_docs):
+    vocab, other = build_vocabulary(tiny_docs), build_vocabulary(tiny_docs)
+    df = vocab.doc_freq_array
+    assert df.dtype == np.float64 and df.tolist() == list(vocab.doc_freq)
+    assert vocab.doc_freq_array is df  # made once
+    with pytest.raises(ValueError):
+        df[0] = 2.0
+    # equality and repr ignore it: only vocab's array has been built
+    assert "doc_freq_array" not in vars(other)
+    assert vocab == other and repr(vocab) == repr(other)
 
 
 def test_vocabulary_reference_only_terms():

@@ -67,6 +67,15 @@ def test_sampler_never_draws_zero_count_terms():
     assert set(sampler.draw(1000)) == {1}
 
 
+def test_sampler_draw_maps_its_generator_uniforms():
+    # train_each maps one chunk draw through every fit's weights with ids
+    sampler = NegativeSampler(np.array([3.0, 0.0, 1.0, 7.0, 2.0]), power=0.75, seed=5)
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 100):
+        assert np.array_equal(sampler.draw(n), sampler.ids(rng.random(n)))
+    assert np.array_equal(sampler.draw(12).reshape(4, 3), sampler.ids(rng.random((4, 3))))
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         NegativeSampler(np.array([]))
@@ -433,6 +442,31 @@ def test_train_each_matches_separate_fits_across_chunks():
     assert max(steps) > embedding._LOCKSTEP_TARGETS // len(groups)
     for kind in KINDS:
         _assert_lockstep_matches_separate_fits(groups, cfg, kind, 70)
+
+
+def test_train_each_matches_separate_fits_finishing_mid_chunk():
+    # Small chunks and groups of very different lengths: fits finish inside
+    # chunks, in different chunks, and the shared negative draw of each
+    # chunk then serves fewer fits.
+    lengths = (1, 4, 9, 17, 23, 40)  # targets per group, in paragraphs of up to 5
+    groups = []
+    for i, n in enumerate(lengths):
+        tokens = [(3 * i + j * j) % 11 for j in range(n)]
+        groups.append([TrainingParagraph(p, tuple(tokens[a : a + 5]))
+                       for p, a in enumerate(range(0, n, 5))])
+    cfg = TrainConfig(dim=3, context_size=2, epochs=3, negatives=4, seed=17)
+    targets = 16
+    totals = sorted((cfg.epochs * n for n in lengths), reverse=True)
+    step, finished = 0, []  # the lockstep schedule of _train_wave, chunk by chunk
+    while step < totals[0]:
+        active = sum(t > step for t in totals)
+        m = min(max(1, targets // active), totals[0] - step)
+        finished.append([t for t in totals if step < t < step + m])
+        step += m
+    assert sum(1 for inside in finished if inside) >= 3
+    with mock.patch.object(embedding, "_LOCKSTEP_TARGETS", targets):
+        for kind in KINDS:
+            _assert_lockstep_matches_separate_fits(groups, cfg, kind, 11)
 
 
 def test_lockstep_holds_no_step_buffer_while_it_yields():

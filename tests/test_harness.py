@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -587,20 +588,68 @@ def test_failed_evaluate_keeps_earlier_outputs(tmp_path):
     assert snapshot(out) == before
 
 
+def failing_mid_write(fail_at=1):
+    """A save_model whose ``fail_at``-th call fails after it has opened its
+    ``.part`` file and written the header and paragraph rows; the other
+    calls save as usual."""
+    calls = []
+
+    def save(model, path):
+        calls.append(path)
+        if len(calls) != fail_at:
+            return embedding.save_model(model, path)
+        part = path.with_name(path.name + ".part")
+
+        class WordRows:  # written after the header and the paragraph rows
+            shape = model.word_out.shape
+
+            def __array__(self, *args, **kwargs):
+                if not part.exists():
+                    raise AssertionError("save_model failed before writing its part file")
+                raise OSError("disk full")
+
+        embedding.save_model(dataclasses.replace(model, word_out=WordRows()), path)
+
+    return save
+
+
 def test_failed_train_keeps_earlier_models(tmp_path, monkeypatch):
     config = run_config(tmp_path, grid_docs(), representations="DBOW")
     cmd_train(config)
     models = tmp_path / "out" / "models"
     before = snapshot(models)
 
-    def failing_save(model, path):
-        path.write_bytes(b"CVEM")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(harness, "save_model", failing_save)
+    monkeypatch.setattr(harness, "save_model", failing_mid_write())
     with pytest.raises(OSError, match="disk full"):
         cmd_train(run_config(tmp_path, grid_docs(), representations="DBOW", seed="4"))
-    assert snapshot(models) == before
+    assert snapshot(models) == before  # no .part file either
+
+
+def test_per_document_train_renames_each_model_once(tmp_path, monkeypatch):
+    config = run_config(
+        tmp_path, grid_docs(), representations="DBOW", per_document_training="true"
+    )
+    renames = []
+    replace = Path.replace
+
+    def counted(self, target):
+        renames.append((self.name, Path(target).name))
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", counted)
+    saved = cmd_train(config)
+    assert sorted(renames) == sorted((p.name + ".part", p.name) for p in saved)
+    models = tmp_path / "out" / "models"
+    assert sorted(p.name for p in models.rglob("*") if p.is_file()) == [
+        "ga.cvem", "gb.cvem", "gc.cvem"
+    ]
+    before = snapshot(models)
+
+    # The second model fails mid-write; the first is rewritten with the same bytes.
+    monkeypatch.setattr(harness, "save_model", failing_mid_write(fail_at=2))
+    with pytest.raises(OSError, match="disk full"):
+        cmd_train(config)
+    assert snapshot(models) == before  # no .part or .part.part file, no changed model
 
 
 def test_missing_corpus_errors_with_path(tmp_path):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -159,20 +159,31 @@ def column_order_gram(u):
 gram_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0))
 
 
+# Up to 12 columns: numpy sums more than 8 values pairwise, so an
+# out-of-order reduction shows.
 @given(
     st.integers(2, 7).flatmap(
         lambda n_rows: hnp.arrays(
-            np.float64, st.tuples(st.just(n_rows), st.integers(1, 6)), elements=gram_entry
+            np.float64, st.tuples(st.just(n_rows), st.integers(1, 12)), elements=gram_entry
         )
     ),
     st.integers(0, 6),
 )
+# A row of squares 1 and 11 * 2**-54 sums to 1 in order but not pairwise; a
+# row of negatives times the zero row gives only -0.0 products.
+@example(np.array([[1.0] + [2.0**-27] * 11, [0.0] * 12]), 1)
+@example(np.array([[-1.0, -0.0], [2.0, 1.0], [5.0, 5.0]]), 2)
 def test_dense_gram_is_its_column_order_definition(m, zero_row):
     m[min(zero_row, len(m) - 1)] = 0.0
-    for u in (m, unit_matrix(m)):
-        got = _dense_cosines(u)
-        assert got.tobytes() == column_order_gram(u).tobytes()  # bits, signs of zeros too
-        assert got.tobytes() == got.T.copy().tobytes()
+    n, d = m.shape
+    # d * n**2 products at the bound take the one-reduction path, one fewer
+    # allowed takes the per-column loop; a single row always takes the loop.
+    for u in (m, unit_matrix(m), m[:1]):
+        for block in (d * len(u) ** 2, d * len(u) ** 2 - 1, selection._PAIR_BLOCK):
+            with mock.patch.object(selection, "_PAIR_BLOCK", block):
+                got = _dense_cosines(u)
+            assert got.tobytes() == column_order_gram(u).tobytes()  # bits, signs of zeros too
+            assert got.tobytes() == got.T.copy().tobytes()
     # a DBOW view is the unit-row Gram, clamped; n_rows = 2 is a one-sentence document
     gram = np.clip(column_order_gram(unit_matrix(m)), 0.0, 1.0)
     view = dense_view(m)
