@@ -13,8 +13,11 @@ median. The file also holds the seed and seconds, ``os.cpu_count()``, the
 Python and numpy versions, the git commit (and whether tracked files
 differed from it), the line count of the Python files under ``src/``, the
 lines of the covsum modules that ``import covsum.harness`` loads (the
-source every pipeline stage compiles when no bytecode cache is written)
-and the ``PYTHONDONTWRITEBYTECODE`` value the runs inherit (null if unset).
+source every pipeline stage compiles when no bytecode cache is written),
+how many of those modules had a bytecode cache file before the runs
+started (``import_path_cached`` of ``import_path_modules``; a round reads
+a cache that exists whatever ``PYTHONDONTWRITEBYTECODE`` says) and the
+``PYTHONDONTWRITEBYTECODE`` value the runs inherit (null if unset).
 Exits 1 without writing the file if a run fails or reports a failed check.
 """
 
@@ -34,12 +37,18 @@ import numpy as np
 ROUNDS = re.compile(r"^\S+ seed \d+: (\d+) rounds, (\d+) operations, (\d+) failed$")
 PROBE = re.compile(r"^unscaled: probe median ([0-9.]+) s")
 
-# Run in a fresh interpreter: prints the lines of every covsum module loaded.
-IMPORT_PATH_LINES = (
-    "import sys, covsum.harness\n"
+# Run in a fresh interpreter that writes no bytecode: prints the modules
+# covsum loads, their lines and how many of them have a bytecode cache file.
+IMPORT_PATH = (
+    "import json, sys, covsum.harness\n"
+    "from importlib.util import cache_from_source\n"
     "from pathlib import Path\n"
-    "print(sum(len(Path(m.__file__).read_text(encoding='utf-8').splitlines())\n"
-    "          for n, m in sys.modules.items() if n.split('.')[0] == 'covsum'))\n"
+    "files = [Path(m.__file__) for n, m in sys.modules.items() if n.split('.')[0] == 'covsum']\n"
+    "print(json.dumps({'import_path_lines': sum(len(f.read_text(encoding='utf-8').splitlines())\n"
+    "                                           for f in files),\n"
+    "                  'import_path_modules': len(files),\n"
+    "                  'import_path_cached': sum(Path(cache_from_source(f)).is_file()\n"
+    "                                            for f in files)}))\n"
 )
 
 
@@ -76,13 +85,15 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src").rglob("*.py")))
 
 
-def import_path_lines(root: Path) -> int:
+def import_path(root: Path) -> dict[str, int]:
     """Lines of the covsum modules, package ``__init__`` included, that
-    ``import covsum.harness`` loads from ``root/src``."""
+    ``import covsum.harness`` loads from ``root/src``, their number, and how
+    many have a bytecode cache file. The import runs under ``-B``, so it
+    writes no cache itself."""
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", IMPORT_PATH_LINES], capture_output=True,
+    out = subprocess.run([sys.executable, "-B", "-c", IMPORT_PATH], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
-    return int(out)
+    return json.loads(out)
 
 
 def main() -> int:
@@ -95,6 +106,7 @@ def main() -> int:
     root = Path.cwd()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    modules = import_path(root)  # before the runs, which may write caches
     workloads = {}
     for entry in bench["workloads"]:
         name = entry["name"]
@@ -112,7 +124,7 @@ def main() -> int:
         "commit": git(root, "rev-parse", "HEAD"),
         "tracked_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "src_lines": src_lines(root),
-        "import_path_lines": import_path_lines(root),
+        **modules,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seed": args.seed,
         "seconds": seconds,

@@ -25,10 +25,7 @@ from .corpus import (
 )
 from .embedding import (
     EmbeddingModel,
-    ParagraphIds,
     TrainConfig,
-    TrainingParagraph,
-    build_training_paragraphs,
     load_model,
     save_model,
     train,

@@ -153,14 +153,6 @@ class EmbeddingModel:
         return self.word_out.shape[0]
 
 
-@dataclass(frozen=True)
-class ParagraphIds:
-    """Row indices of one document's paragraphs in a trained model."""
-
-    document: int
-    sentences: tuple[int, ...]
-
-
 def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None, num: np.ndarray | None = None,
              den: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid of ``x``, written over ``x`` and returned.
@@ -194,9 +186,9 @@ def _has_repeat(rows: np.ndarray) -> np.ndarray:
 
 
 class NegativeSampler:
-    """Seeded stream of term ids drawn proportionally to count**power."""
+    """Term weights count**power, and no generator: :meth:`ids` maps the caller's draws."""
 
-    def __init__(self, counts, power: float = 0.75, seed=0) -> None:
+    def __init__(self, counts, power: float = 0.75) -> None:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0:
             raise ValueError("empty count table")
@@ -206,14 +198,10 @@ class NegativeSampler:
         self._cum = np.cumsum(weights)
         if self._cum[-1] <= 0.0:
             raise ValueError("all counts are zero")
-        self._rng = np.random.default_rng(seed)
 
     def ids(self, uniforms: np.ndarray) -> np.ndarray:
         """The term ids that draws ``uniforms`` from [0, 1) stand for."""
         return np.searchsorted(self._cum, uniforms * self._cum[-1], side="right")
-
-    def draw(self, n: int) -> np.ndarray:
-        return self.ids(self._rng.random(n))
 
 
 def _validate_paragraphs(
@@ -293,8 +281,8 @@ def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size:
     context indices, context lengths, rates, out-rows (term, then negatives)
     and whether those or the ``c`` context slots repeat a row."""
     _, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_order = np.random.default_rng(seed_order)
-    sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power, seed_neg)
+    rng_order, rng_neg = np.random.default_rng(seed_order), np.random.default_rng(seed_neg)
+    sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power)
     num_targets = len(tok)
     total_steps = cfg.epochs * num_targets
     k = cfg.negatives
@@ -314,7 +302,7 @@ def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size:
 
             out_idx = np.empty((m, k + 1), dtype=np.int64)
             out_idx[:, 0] = tok[t]
-            out_idx[:, 1:] = sampler.draw(k * m).reshape(m, k)
+            out_idx[:, 1:] = sampler.ids(rng_neg.random(k * m)).reshape(m, k)
 
             ctx_lo = np.maximum(t - c, par_start[t])
             window = t[:, None] - ctx_back
@@ -463,8 +451,7 @@ class _Fit:
     """One group's fit inside :func:`train_each`: its own order stream and
     negative weights, its step count, and where its rows sit in the shared arrays."""
 
-    def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg,
-                 seed_order, neg_rng):
+    def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg, seed_order):
         self.terms, counts = np.unique(tok, return_counts=True)
         self.vocab_size = vocab_size
         self.base = base  # flat index of the fit's first target
@@ -477,7 +464,7 @@ class _Fit:
         # Maps uniforms to local ids of exactly the terms a sampler over all
         # vocab_size counts draws: the other terms' bins have zero width, and
         # leaving zeros out of a running sum changes none of its values.
-        self.sampler = NegativeSampler(counts, cfg.unigram_power, neg_rng)
+        self.sampler = NegativeSampler(counts, cfg.unigram_power)
         self.pending = np.empty(0, dtype=np.int64)
 
     def next_targets(self, n: int) -> np.ndarray:
@@ -558,9 +545,9 @@ def train_each(
     Every model is bit-identical to ``train(group, cfg, kind, vocab_size)``.
     Each fit gets that call's seeded init, epoch permutations, negative
     draws and learning-rate schedule; step s of every fit still training
-    runs as one batched step. All live fits are at one place of one negative
-    stream, so a chunk draws it once and each fit maps the draw by its own
-    weights (:meth:`NegativeSampler.ids`). Fits share no row, so batching
+    runs as one batched step. All live fits are at one place of the wave's
+    one ``seed_neg`` stream, so a chunk draws it once and each fit's weights
+    map the draw (:meth:`NegativeSampler.ids`). Fits share no row, so batching
     changes no sum: gathers and scatters touch disjoint rows, the scores and
     predictor gradients come from stacked ``np.matmul`` (the BLAS gemv that
     ``np.dot`` calls), and the rest is elementwise. A fit whose out or
@@ -613,7 +600,7 @@ def _train_wave(
     k1 = k + 1
     c = cfg.context_size if kind == "dm" else 0
     seed_init, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
-    neg_rng = np.random.default_rng(seed_neg)  # every fit's sampler holds it
+    neg_rng = np.random.default_rng(seed_neg)
     # Every fit's init stream is the same seed_init stream: P x d paragraph
     # values, then V x d word_in values for DM. One draw as long as the
     # longest holds each fit's init as a prefix.
@@ -627,7 +614,7 @@ def _train_wave(
     base = row_off = para_off = 0
     for group, size in zip(groups, sizes):
         tok, pid, par_start = _flatten(group)
-        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order, neg_rng)
+        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
         par_rows.append(para_off + pid)
@@ -857,28 +844,24 @@ def load_model(path: str | Path) -> EmbeddingModel:
 
 def build_training_paragraphs(
     docs: Sequence[Document], vocab: Vocabulary
-) -> tuple[list[TrainingParagraph], dict[str, ParagraphIds]]:
+) -> list[TrainingParagraph]:
     """Turn a corpus into training paragraphs: for each document, the whole
-    document first, then each of its sentences. Returns the paragraphs plus
-    a per-document map of row indices."""
+    document first, then each of its sentences. So a document's rows form
+    one span, which :func:`paragraph_index` locates."""
     paragraphs: list[TrainingParagraph] = []
     for doc in docs:
-        paragraphs.append(
-            TrainingParagraph(len(paragraphs), tuple(vocab.ids(doc.all_tokens())))
-        )
-        for sent in doc.sentences:
-            paragraphs.append(TrainingParagraph(len(paragraphs), tuple(vocab.ids(sent.tokens))))
-    return paragraphs, paragraph_index(docs)
+        for tokens in (doc.all_tokens(), *(sent.tokens for sent in doc.sentences)):
+            paragraphs.append(TrainingParagraph(len(paragraphs), tuple(vocab.ids(tokens))))
+    return paragraphs
 
 
-def paragraph_index(docs: Sequence[Document]) -> dict[str, ParagraphIds]:
-    """Per-document row indices of :func:`build_training_paragraphs`' paragraphs,
-    laid out from sentence counts alone: each document's row, then one row
-    per sentence, document after document."""
-    index: dict[str, ParagraphIds] = {}
-    pid = 0
+def paragraph_index(docs: Sequence[Document]) -> dict[str, int]:
+    """Each document's first row in :func:`build_training_paragraphs`' layout,
+    from sentence counts alone. Its rows are ``[first, first + 1 + n)`` for
+    n sentences: the document's row, then one row per sentence."""
+    index: dict[str, int] = {}
+    first = 0
     for doc in docs:
-        n = len(doc.sentences)
-        index[doc.id] = ParagraphIds(document=pid, sentences=tuple(range(pid + 1, pid + 1 + n)))
-        pid += n + 1
+        index[doc.id] = first
+        first += 1 + len(doc.sentences)
     return index

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from .corpus import Document, build_vocabulary, load_bundled_corpus, load_corpus
 from .embedding import (
+    KINDS,
     EmbeddingModel,
     TrainConfig,
     build_training_paragraphs,
@@ -135,7 +136,6 @@ _EMBED_KEYS = {
     "embed.epochs": ("epochs", int),
     "embed.learning_rate": ("learning_rate", float),
     "embed.negatives": ("negatives", int),
-    "embed.seed": ("seed", int),
     "embed.unigram_power": ("unigram_power", float),
 }
 
@@ -160,8 +160,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def build_experiment_config(pairs: dict[str, str]) -> ExperimentConfig:
     """Turn raw key/value strings into a validated ExperimentConfig.
 
-    Unknown keys are an error that names every offender. ``seed`` doubles as
-    the embedding seed unless ``embed.seed`` is given explicitly.
+    Unknown keys are an error that names every offender. ``seed`` is also
+    the embedding seed; there is no separate ``embed.seed`` key.
     """
     unknown = sorted(k for k in pairs if k not in _TOP_KEYS and k not in _EMBED_KEYS)
     if unknown:
@@ -179,7 +179,7 @@ def build_experiment_config(pairs: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config key {key}: bad value {raw!r} ({exc})") from exc
 
-    if "seed" in top and "seed" not in embed:
+    if "seed" in top:
         embed["seed"] = top["seed"]
     try:
         return ExperimentConfig(embed=TrainConfig(**embed), **top)
@@ -217,7 +217,7 @@ def _eval_docs(config: ExperimentConfig, docs: list[Document]) -> list[Document]
 
 def _required_kinds(representations: tuple[str, ...]) -> list[str]:
     needed = {parse_representation(rep)[1] for rep in representations}
-    return [kind for kind in ("dm", "dbow") if kind in needed]
+    return [kind for kind in KINDS if kind in needed]
 
 
 def _safe_name(doc_id: str) -> str:
@@ -279,7 +279,7 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
         return saved
 
     groups = _model_groups(config, docs, kinds)
-    paragraphs = [build_training_paragraphs(group, vocab)[0] for _, group in groups]
+    paragraphs = [build_training_paragraphs(group, vocab) for _, group in groups]
     joint = None
     if len(groups) == 1 and len(kinds) == 2:
         joint = train_both(paragraphs[0], config.embed, vocab.size)
@@ -307,7 +307,7 @@ def _checked_model(path: Path, vocab_size: int, num_paragraphs: int) -> Embeddin
     """The model at ``path``, refused unless its header fits the corpus: the
     corpus vocabulary size, and one paragraph per document and sentence of
     its group. A model that fails either was trained on another corpus, and
-    the group's paragraph ids would pick wrong rows of it without a word."""
+    the group's row spans would read wrong rows of it without a word."""
     model = load_model(path)
     for name, have, want in (
         ("vocab_size", model.vocab_size, vocab_size),
@@ -372,7 +372,7 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
             # Replaces the previous group's models only once these are loaded:
             # freeing them first made every load fault in fresh pages.
             index = paragraph_index(group)
-            num_paragraphs = sum(1 + len(ids.sentences) for ids in index.values())
+            num_paragraphs = sum(1 + len(doc.sentences) for doc in group)
             models = {
                 kind: _checked_model(_model_path(out_dir, kind, owner), vocab.size, num_paragraphs)
                 for kind in kinds
@@ -386,7 +386,7 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
                         representation,
                         vocab,
                         model=models.get(kind),
-                        para_ids=index[doc.id],
+                        para_row=index[doc.id],
                         parts=parts,
                     )
                     for cfg in selectors:

@@ -54,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Document, Sentence, Vocabulary
-from .embedding import EmbeddingModel, ParagraphIds
+from .embedding import EmbeddingModel
 
 METHODS = ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
 REPRESENTATIONS = ("BOW", "DM", "DBOW", "BOW+DM", "BOW+DBOW")
@@ -175,14 +175,13 @@ def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
     return row, col, tf * np.log(n_docs / df[col])
 
 
-def _paragraph_matrix(model: EmbeddingModel, para_ids: ParagraphIds) -> np.ndarray:
-    """The model's paragraph vectors for the document and its sentences, one
-    per row, in one gather; an id outside [0, P) raises ``IndexError``."""
-    ids = np.array([para_ids.document, *para_ids.sentences])
-    bad = ids[(ids < 0) | (ids >= model.num_paragraphs)]
-    if len(bad):
-        raise IndexError(f"paragraph id {bad[0]} out of range (model has {model.num_paragraphs})")
-    m = model.para_matrix[ids]
+def _paragraph_matrix(model: EmbeddingModel, para_row: int, n_rows: int) -> np.ndarray:
+    """Model rows ``[para_row, para_row + n_rows)``, copied since :func:`unit_rows`
+    scales them in place. A span outside [0, P) raises ``IndexError``."""
+    end, p = para_row + n_rows, model.num_paragraphs
+    if para_row < 0 or end > p:
+        raise IndexError(f"paragraph rows [{para_row}, {end}) out of range (model has {p})")
+    m = model.para_matrix[para_row:end].copy()
     if not np.isfinite(m).all():
         raise ValueError(f"{model.kind} model has non-finite paragraph vectors")
     return m
@@ -254,14 +253,14 @@ def _part_gram(
     doc: Document,
     vocab: Vocabulary | None,
     model: EmbeddingModel | None,
-    para_ids: ParagraphIds | None,
+    para_row: int | None,
 ) -> np.ndarray:
     """The unclamped Gram matrix of one representation part of a document."""
     n_rows = len(doc.sentences) + 1
     if part == "BOW":
         row, col, w = _bow_entries(doc, vocab)
         return _cosines(row, col, unit_rows(row, w, n_rows), n_rows)
-    m = _paragraph_matrix(model, para_ids)
+    m = _paragraph_matrix(model, para_row, n_rows)
     row = np.repeat(np.arange(n_rows), m.shape[1])
     return _dense_cosines(unit_rows(row, m.ravel(), n_rows).reshape(m.shape))
 
@@ -271,7 +270,7 @@ def build_docview(
     representation: str,
     vocab: Vocabulary | None = None,
     model: EmbeddingModel | None = None,
-    para_ids: ParagraphIds | None = None,
+    para_row: int | None = None,
     parts: dict[str, np.ndarray] | None = None,
 ) -> DocView:
     """Vectorize a document and precompute its relevance/similarity tables.
@@ -280,7 +279,8 @@ def build_docview(
     its sentences below, with its rows scaled to unit length. The table is
     the mean of the parts' Gram matrices (cosines), clamped into [0, 1]:
     ``rel`` is its document row and ``sim`` its sentence block. A zero row
-    scores 0 against everything.
+    scores 0 against everything. DM and DBOW copy the model's rows
+    ``[para_row, para_row + 1 + n)``, ``embedding.paragraph_index``'s span.
 
     BOW is stored sparse, and its Gram is one sparse product over the pairs
     of stored entries that share a column (:func:`_cosines`). DM and DBOW
@@ -302,19 +302,14 @@ def build_docview(
     if "BOW" in names and vocab is None:
         raise ValueError("BOW representation requires a vocabulary")
     if kind is not None:
-        if model is None or para_ids is None:
+        if model is None or para_row is None:
             raise ValueError(
                 f"{representation} representation requires a trained model "
-                "and the document's paragraph ids"
+                "and the document's first paragraph row"
             )
         if model.kind != kind:
             raise ValueError(
                 f"model kind {model.kind!r} does not provide {kind.upper()} vectors"
-            )
-        if len(para_ids.sentences) != len(doc.sentences):
-            raise ValueError(
-                f"document {doc.id!r} has {len(doc.sentences)} sentences but "
-                f"{len(para_ids.sentences)} sentence paragraphs"
             )
 
     n_rows = len(doc.sentences) + 1
@@ -322,7 +317,7 @@ def build_docview(
     cache = {} if parts is None else parts
     for name in names:
         if name not in cache:
-            cache[name] = _part_gram(name, doc, vocab, model, para_ids)
+            cache[name] = _part_gram(name, doc, vocab, model, para_row)
         gram += cache[name]
     gram /= len(names)
     np.clip(gram, 0.0, 1.0, out=gram)

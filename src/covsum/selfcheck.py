@@ -22,11 +22,12 @@ import numpy as np
 from . import oracles
 from .corpus import Document, Sentence, build_vocabulary, load_bundled_corpus
 from .embedding import (
+    KINDS,
     EmbeddingModel,
-    ParagraphIds,
     TrainConfig,
     TrainingParagraph,
     build_training_paragraphs,
+    paragraph_index,
     train,
 )
 from .rouge import evaluate, lcs_length, rouge_l, rouge_n
@@ -329,9 +330,7 @@ def _duplicate_view() -> DocView:
         kind="dbow", para_matrix=rows, word_out=np.zeros((1, 3)), word_in=None, context_size=0
     )
     sentences = (Sentence(0, ("u",)), Sentence(1, ("u",)), Sentence(2, ("w",)))
-    return build_docview(
-        Document("dup", sentences), "DBOW", model=model, para_ids=ParagraphIds(0, (1, 2, 3))
-    )
+    return build_docview(Document("dup", sentences), "DBOW", model=model, para_row=0)
 
 
 def check_duplicate_suppression() -> CheckResult:
@@ -383,12 +382,13 @@ def _pipeline_bytes(docs: list[Document], seed: int) -> bytes:
     """One miniature end-to-end run, rendered to bytes: train both model
     kinds, summarize a small grid, score, and serialize everything."""
     vocab = build_vocabulary(docs)
-    paragraphs, para_index = build_training_paragraphs(docs, vocab)
+    para_index = paragraph_index(docs)
+    paragraphs = build_training_paragraphs(docs, vocab)
     cfg = TrainConfig(dim=12, context_size=2, epochs=2, negatives=3, seed=seed)
-    models = {kind: train(paragraphs, cfg, kind, vocab.size) for kind in ("dm", "dbow")}
+    models = {kind: train(paragraphs, cfg, kind, vocab.size) for kind in KINDS}
 
     out = io.BytesIO()
-    for kind in ("dm", "dbow"):
+    for kind in KINDS:
         model = models[kind]
         out.write(model.para_matrix.tobytes())
         out.write(model.word_out.tobytes())
@@ -403,7 +403,7 @@ def _pipeline_bytes(docs: list[Document], seed: int) -> bytes:
                 representation,
                 vocab,
                 model=model,
-                para_ids=para_index[doc.id] if model else None,
+                para_row=para_index[doc.id] if model else None,
             )
             for method in ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD"):
                 got = greedy_select(view, SelectorConfig(method=method, alpha=1.0))

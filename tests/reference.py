@@ -88,7 +88,8 @@ def train_reference(
         np.concatenate([np.asarray(p.tokens) for p in paragraphs]),
         minlength=vocab_size,
     )
-    sampler = NegativeSampler(counts, cfg.unigram_power, seed_neg)
+    sampler = NegativeSampler(counts, cfg.unigram_power)
+    rng_neg = np.random.default_rng(seed_neg)
 
     targets = [(pi, j) for pi, par in enumerate(paragraphs) for j in range(len(par.tokens))]
     total_steps = cfg.epochs * len(targets)
@@ -110,7 +111,7 @@ def train_reference(
             h, ctx = _predictor(kind, para_matrix, word_in, par, j, cfg.context_size)
 
             out_idx[0] = par.tokens[j]
-            out_idx[1:] = sampler.draw(cfg.negatives)
+            out_idx[1:] = sampler.ids(rng_neg.random(cfg.negatives))
             out_rows = word_out[out_idx]  # fancy index: snapshot before update
             g = _sigmoid(out_rows @ h) - labels
             grad_h = g @ out_rows

@@ -19,6 +19,7 @@ from covsum.embedding import (
     TrainingParagraph,
     build_training_paragraphs,
     load_model,
+    paragraph_index,
     save_model,
     train,
     train_both,
@@ -56,24 +57,15 @@ def test_train_config_validation():
 
 
 def test_sampler_follows_powered_counts():
-    sampler = NegativeSampler(np.array([8.0, 1.0]), power=0.75, seed=123)
-    draws = sampler.draw(20000)
+    sampler = NegativeSampler(np.array([8.0, 1.0]), power=0.75)
+    draws = sampler.ids(np.random.default_rng(123).random(20000))
     want = 8**0.75 / (8**0.75 + 1.0)  # ~0.82629
     assert abs(np.mean(draws == 0) - want) < 0.01
 
 
 def test_sampler_never_draws_zero_count_terms():
-    sampler = NegativeSampler(np.array([0.0, 5.0, 0.0]), seed=7)
-    assert set(sampler.draw(1000)) == {1}
-
-
-def test_sampler_draw_maps_its_generator_uniforms():
-    # train_each maps one chunk draw through every fit's weights with ids
-    sampler = NegativeSampler(np.array([3.0, 0.0, 1.0, 7.0, 2.0]), power=0.75, seed=5)
-    rng = np.random.default_rng(5)
-    for n in (1, 7, 100):
-        assert np.array_equal(sampler.draw(n), sampler.ids(rng.random(n)))
-    assert np.array_equal(sampler.draw(12).reshape(4, 3), sampler.ids(rng.random((4, 3))))
+    sampler = NegativeSampler(np.array([0.0, 5.0, 0.0]))
+    assert set(sampler.ids(np.random.default_rng(7).random(1000))) == {1}
 
 
 def test_sampler_validation():
@@ -153,15 +145,15 @@ def test_train_steps_apply_batch_gradients():
         context_size=cfg.context_size,
     )
     counts = np.bincount(np.asarray(par.tokens), minlength=5)
-    sampler = NegativeSampler(counts, cfg.unigram_power, seed_neg)
-    rng_order = np.random.default_rng(seed_order)
+    sampler = NegativeSampler(counts, cfg.unigram_power)
+    rng_order, rng_neg = np.random.default_rng(seed_order), np.random.default_rng(seed_neg)
 
     lr_start, lr_end = cfg.learning_rate, cfg.learning_rate / 100.0
     total = cfg.epochs * len(par.tokens)
     step = 0
     for t in rng_order.permutation(len(par.tokens)):
         lr = lr_start + (lr_end - lr_start) * (step / (total - 1))
-        negs = tuple(int(x) for x in sampler.draw(cfg.negatives))
+        negs = tuple(int(x) for x in sampler.ids(rng_neg.random(cfg.negatives)))
         g_para, g_in, g_out = negative_sampling_gradients(model, [par], [(0, int(t), negs)])
         model.para_matrix = model.para_matrix - lr * g_para
         model.word_in = model.word_in - lr * g_in
@@ -703,18 +695,16 @@ def test_writes_to_a_loaded_model_never_reach_its_file(tmp_path):
 
 
 def test_build_training_paragraphs_layout(tiny_docs):
-    vocab = build_vocabulary(tiny_docs)
-    paragraphs, index = build_training_paragraphs(tiny_docs, vocab)
+    docs = [*tiny_docs, make_doc("d2", [["sun"]]), make_doc("d3", [["a", "b"], ["b"]] * 3)]
+    vocab = build_vocabulary(docs)
+    paragraphs = build_training_paragraphs(docs, vocab)
+    index = paragraph_index(docs)
     # one whole-document paragraph plus one per sentence, for each document
-    assert len(paragraphs) == sum(1 + len(d.sentences) for d in tiny_docs)
+    assert len(paragraphs) == sum(1 + len(d.sentences) for d in docs)
     assert [p.paragraph_id for p in paragraphs] == list(range(len(paragraphs)))
-
-    ids = index["d0"]
-    assert ids.document == 0
-    assert ids.sentences == (1, 2, 3)
-    doc_par = paragraphs[ids.document]
-    assert list(doc_par.tokens) == vocab.ids(tiny_docs[0].all_tokens())
-    sent_par = paragraphs[ids.sentences[1]]
-    assert list(sent_par.tokens) == vocab.ids(tiny_docs[0].sentences[1].tokens)
-
-    assert index["d1"].document == 4
+    assert index == {"d0": 0, "d1": 4, "d2": 8, "d3": 10}
+    for doc in docs:
+        first = index[doc.id]
+        assert list(paragraphs[first].tokens) == vocab.ids(doc.all_tokens())
+        for i, sent in enumerate(doc.sentences):
+            assert list(paragraphs[first + 1 + i].tokens) == vocab.ids(sent.tokens)

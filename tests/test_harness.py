@@ -96,10 +96,10 @@ def test_build_config_defaults_and_types():
     assert config.methods == ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
 
 
-def test_explicit_embed_seed_wins():
-    config = build_experiment_config({"seed": "9", "embed.seed": "4"})
-    assert config.seed == 9
-    assert config.embed.seed == 4
+def test_embed_seed_is_an_unknown_key():
+    # ``seed`` is the one seed setting; a second key for it is refused
+    with pytest.raises(ConfigError, match="unknown config key.*embed.seed"):
+        build_experiment_config({"seed": "9", "embed.seed": "4"})
 
 
 def test_unknown_keys_are_named():
@@ -140,9 +140,13 @@ def test_overrides_beat_file_keys(tmp_path):
 
 def test_config_to_pairs_round_trips():
     config = build_experiment_config(
-        {"corpus": "c.jsonl", "methods": "MMR,XDTD", "alpha": "2.0", "embed.dim": "7"}
+        {"corpus": "c.jsonl", "methods": "MMR,XDTD", "alpha": "2.0", "embed.dim": "7",
+         "seed": "5"}
     )
-    assert build_experiment_config(config_to_pairs(config)) == config
+    pairs = config_to_pairs(config)
+    assert pairs["seed"] == "5" and "embed.seed" not in pairs
+    assert build_experiment_config(pairs) == config
+    assert config.embed.seed == 5
 
 
 def test_experiment_config_validation():
@@ -236,7 +240,7 @@ def test_train_writes_both_kinds_as_separate_fits_would(tmp_path, monkeypatch):
     assert [p.name for p in saved] == ["dm.cvem", "dbow.cvem"]
     docs = load_corpus(config.corpus_path)
     vocab = build_vocabulary(docs)
-    paragraphs, _ = embedding.build_training_paragraphs(docs, vocab)
+    paragraphs = embedding.build_training_paragraphs(docs, vocab)
     for path in saved:
         model = embedding.train(paragraphs, config.embed, path.stem, vocab.size)
         embedding.save_model(model, tmp_path / "want.cvem")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from covsum import oracles, selection
 from covsum.corpus import build_vocabulary
-from covsum.embedding import ParagraphIds, TrainConfig, build_training_paragraphs, train
+from covsum.embedding import KINDS, TrainConfig, build_training_paragraphs, paragraph_index, train
 from covsum.selection import (
     METHODS,
     DocView,
@@ -72,25 +72,42 @@ def test_build_docview_validation(tiny_docs):
 
 def test_build_docview_rejects_wrong_model_kind(tiny_docs):
     vocab = build_vocabulary(tiny_docs)
-    paragraphs, index = build_training_paragraphs(tiny_docs, vocab)
+    paragraphs = build_training_paragraphs(tiny_docs, vocab)
     dbow = train(paragraphs, TrainConfig(dim=4, epochs=1), "dbow", vocab.size)
     with pytest.raises(ValueError, match="kind"):
-        build_docview(tiny_docs[0], "DM", vocab, model=dbow, para_ids=index["d0"])
-    short = ParagraphIds(index["d0"].document, index["d0"].sentences[:-1])
-    with pytest.raises(ValueError, match="sentence paragraphs"):
-        build_docview(tiny_docs[0], "DBOW", vocab, model=dbow, para_ids=short)
+        build_docview(tiny_docs[0], "DM", vocab, model=dbow, para_row=0)
 
 
 def test_build_docview_refuses_paragraph_ids_out_of_range(tiny_docs):
     vocab = build_vocabulary(tiny_docs)
-    paragraphs, index = build_training_paragraphs(tiny_docs, vocab)
+    paragraphs = build_training_paragraphs(tiny_docs, vocab)
     dbow = train(paragraphs, TrainConfig(dim=4, epochs=1), "dbow", vocab.size)
-    ids = index["d0"]
-    past_end = ParagraphIds(len(paragraphs), ids.sentences)
-    negative = ParagraphIds(ids.document, (*ids.sentences[:-1], -1))
-    for bad, name in ((past_end, len(paragraphs)), (negative, -1)):
-        with pytest.raises(IndexError, match=f"paragraph id {name} out of range"):
-            build_docview(tiny_docs[0], "DBOW", vocab, model=dbow, para_ids=bad)
+    doc, p = tiny_docs[0], len(paragraphs)
+    n_rows = 1 + len(doc.sentences)
+    # a negative first row, and a span ending one row past P
+    for first in (-1, p - n_rows + 1):
+        with pytest.raises(IndexError, match=rf"paragraph rows \[{first}, .*model has {p}"):
+            build_docview(doc, "DBOW", vocab, model=dbow, para_row=first)
+    # a span ending exactly at P is the model's last rows
+    view = build_docview(doc, "DBOW", vocab, model=dbow, para_row=p - n_rows)
+    assert view.sim.shape == (n_rows - 1, n_rows - 1)
+
+
+def test_build_docview_leaves_the_model_rows_unchanged(tiny_docs):
+    # unit_rows scales a part's matrix in place, so the rows must be a copy
+    vocab = build_vocabulary(tiny_docs)
+    paragraphs = build_training_paragraphs(tiny_docs, vocab)
+    cfg = TrainConfig(dim=5, epochs=2, context_size=1)
+    models = {kind: train(paragraphs, cfg, kind, vocab.size) for kind in KINDS}
+    before = {kind: model.para_matrix.tobytes() for kind, model in models.items()}
+    index = paragraph_index(tiny_docs)
+    for doc in tiny_docs:
+        for parts in (None, {}):  # no Gram cache, then one shared by the representations
+            for rep in ("DM", "BOW+DM", "DBOW", "BOW+DBOW"):
+                model = models[rep.split("+")[-1].lower()]
+                build_docview(doc, rep, vocab, model=model, para_row=index[doc.id], parts=parts)
+    for kind, model in models.items():
+        assert model.para_matrix.tobytes() == before[kind], kind
 
 
 def test_build_docview_tables(tiny_docs):
@@ -106,10 +123,10 @@ def test_build_docview_tables(tiny_docs):
 
 def test_embedding_docview_runs(tiny_docs):
     vocab = build_vocabulary(tiny_docs)
-    paragraphs, index = build_training_paragraphs(tiny_docs, vocab)
+    paragraphs = build_training_paragraphs(tiny_docs, vocab)
     model = train(paragraphs, TrainConfig(dim=6, epochs=2, context_size=1), "dm", vocab.size)
     for rep in ("DM", "BOW+DM"):
-        view = build_docview(tiny_docs[0], rep, vocab, model=model, para_ids=index["d0"])
+        view = build_docview(tiny_docs[0], rep, vocab, model=model, para_row=0)
         assert view.sim.shape == (3, 3)
 
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from covsum.corpus import build_vocabulary
 from covsum import selection
-from covsum.embedding import EmbeddingModel, ParagraphIds
+from covsum.embedding import EmbeddingModel
 from covsum.selection import _bow_entries, _cosines, _dense_cosines, build_docview, unit_rows
 
 from conftest import make_doc
@@ -38,8 +38,7 @@ def dense_view(rows, representation="DBOW", doc=None, vocab=None):
     """DocView whose embedding rows are ``rows``: the document, then one per sentence."""
     n = len(rows) - 1
     doc = doc or make_doc("d", [["w"]] * n)
-    ids = ParagraphIds(0, tuple(range(1, n + 1)))
-    return build_docview(doc, representation, vocab, model=dbow(rows), para_ids=ids)
+    return build_docview(doc, representation, vocab, model=dbow(rows), para_row=0)
 
 
 def bow_matrix(doc, vocab):
@@ -84,10 +83,8 @@ def reference_bow_cosine(a, b, vocab):
 def test_dense_vector_validation():
     with pytest.raises(ValueError, match="non-finite"):
         dense_view([[1.0, 0.0], [np.nan, 1.0]])
-    with pytest.raises(IndexError):  # paragraph id beyond the model's rows
-        build_docview(
-            make_doc("d", [["w"]]), "DBOW", model=dbow([[1.0]]), para_ids=ParagraphIds(0, (1,))
-        )
+    with pytest.raises(IndexError):  # a span past the model's rows
+        build_docview(make_doc("d", [["w"]]), "DBOW", model=dbow([[1.0]]), para_row=0)
 
 
 def test_idf_and_bow_weights():
