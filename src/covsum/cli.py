@@ -34,7 +34,7 @@ _FLAGS = {
     "repr": ("representations", "comma-separated sentence representations"),
     "alpha": ("alpha", "coverage weight"),
     "ratio": ("ratio", "word-budget ratio in (0, 1]"),
-    "seed": ("seed", "experiment seed (also seeds training)"),
+    "seed": ("seed", "training seed, the one seed of an experiment"),
     "split": ("split", "hold out the first N documents as a dev set"),
 }
 

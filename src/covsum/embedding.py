@@ -92,14 +92,10 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class TrainingParagraph:
-    """One unit of embedding training: a dense id and its term ids."""
+    """One unit of embedding training: its term ids. Its row of the
+    paragraph matrix is its position in the list trained on."""
 
-    paragraph_id: int
     tokens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValueError(f"paragraph {self.paragraph_id} has no tokens")
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,8 @@ def _validate_paragraphs(
     if not paragraphs:
         raise ValueError("no training paragraphs")
     for i, par in enumerate(paragraphs):
-        if par.paragraph_id != i:
-            raise ValueError("paragraph ids must be dense 0..P-1 in order")
+        if not par.tokens:
+            raise ValueError(f"paragraph {i} has no tokens")
         if min(par.tokens) < 0:
             raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
     max_id = max(max(par.tokens) for par in paragraphs)
@@ -848,11 +844,11 @@ def build_training_paragraphs(
     """Turn a corpus into training paragraphs: for each document, the whole
     document first, then each of its sentences. So a document's rows form
     one span, which :func:`paragraph_index` locates."""
-    paragraphs: list[TrainingParagraph] = []
-    for doc in docs:
-        for tokens in (doc.all_tokens(), *(sent.tokens for sent in doc.sentences)):
-            paragraphs.append(TrainingParagraph(len(paragraphs), tuple(vocab.ids(tokens))))
-    return paragraphs
+    return [
+        TrainingParagraph(tuple(vocab.ids(tokens)))
+        for doc in docs
+        for tokens in (doc.all_tokens(), *(sent.tokens for sent in doc.sentences))
+    ]
 
 
 def paragraph_index(docs: Sequence[Document]) -> dict[str, int]:

@@ -32,7 +32,6 @@ so it leaves no half-written file and the previous outputs as they were.
 from __future__ import annotations
 
 import json
-import math
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -75,32 +74,24 @@ class ExperimentConfig:
     representations: tuple[str, ...] = REPRESENTATIONS
     alpha: float = 1.0
     ratio: float = 0.10
-    seed: int = 1
     split: int = 0  # hold out the first `split` documents as a dev set
     per_document_training: bool = False
     embed: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
-        if not self.methods:
-            raise ConfigError("methods must be non-empty")
-        if not self.representations:
-            raise ConfigError("representations must be non-empty")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-        for r in self.representations:
-            if r not in REPRESENTATIONS:
-                raise ConfigError(
-                    f"unknown representation {r!r}; choose from {REPRESENTATIONS}"
-                )
         for name in ("methods", "representations"):
             values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be non-empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} lists a value twice: {', '.join(values)}")
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ConfigError("alpha must be finite and >= 0")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigError("ratio must be in (0, 1]")
+        try:  # each value is checked by the code that reads it
+            for method in self.methods:
+                SelectorConfig(method, self.alpha, self.ratio)
+            for representation in self.representations:
+                parse_representation(representation)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.split < 0:
             raise ConfigError("split must be >= 0")
 
@@ -125,12 +116,13 @@ _TOP_KEYS = {
     "representations": ("representations", _parse_list),
     "alpha": ("alpha", float),
     "ratio": ("ratio", float),
-    "seed": ("seed", int),
     "split": ("split", int),
     "per_document_training": ("per_document_training", _parse_bool),
 }
 
+# Keys of TrainConfig fields, ``seed`` included: it seeds training, the one seeded stage.
 _EMBED_KEYS = {
+    "seed": ("seed", int),
     "embed.dim": ("dim", int),
     "embed.context_size": ("context_size", int),
     "embed.epochs": ("epochs", int),
@@ -160,8 +152,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def build_experiment_config(pairs: dict[str, str]) -> ExperimentConfig:
     """Turn raw key/value strings into a validated ExperimentConfig.
 
-    Unknown keys are an error that names every offender. ``seed`` is also
-    the embedding seed; there is no separate ``embed.seed`` key.
+    Unknown keys are an error that names every offender. ``seed`` sets
+    ``config.embed.seed``, the one seed field; there is no ``embed.seed`` key.
     """
     unknown = sorted(k for k in pairs if k not in _TOP_KEYS and k not in _EMBED_KEYS)
     if unknown:
@@ -179,8 +171,6 @@ def build_experiment_config(pairs: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config key {key}: bad value {raw!r} ({exc})") from exc
 
-    if "seed" in top:
-        embed["seed"] = top["seed"]
     try:
         return ExperimentConfig(embed=TrainConfig(**embed), **top)
     except ValueError as exc:  # TrainConfig validation

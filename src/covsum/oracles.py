@@ -134,35 +134,38 @@ def _predictor(
     para_matrix: np.ndarray,
     word_in: np.ndarray | None,
     paragraph: TrainingParagraph,
+    row: int,
     position: int,
     context_size: int,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Predictor vector h for one target, plus the context term ids averaged
-    into it (empty for DBOW or a DM target with no usable context)."""
+    """Predictor vector h for one target of ``paragraph``, whose vector is
+    row ``row`` of ``para_matrix``, plus the context term ids averaged into
+    it (empty for DBOW or a DM target with no usable context)."""
     ctx: tuple[int, ...] = ()
     if kind == "dm" and context_size > 0:
         ctx = paragraph.tokens[max(0, position - context_size) : position]
-    row = para_matrix[paragraph.paragraph_id]
+    vec = para_matrix[row]
     if not ctx:
-        return row.copy(), ctx
-    h = (row + word_in[np.asarray(ctx)].sum(axis=0)) / (1 + len(ctx))
+        return vec.copy(), ctx
+    h = (vec + word_in[np.asarray(ctx)].sum(axis=0)) / (1 + len(ctx))
     return h, ctx
 
 
 def dm_context(
-    model: EmbeddingModel, paragraph: TrainingParagraph, position: int
+    model: EmbeddingModel, paragraph: TrainingParagraph, row: int, position: int
 ) -> np.ndarray:
-    """Mean of the paragraph vector and the in-vectors of the preceding
-    context words; positions near the start use whatever context exists."""
+    """Mean of the paragraph vector (model row ``row``) and the in-vectors of
+    the preceding context words; positions near the start use whatever
+    context exists."""
     if position < 0 or position >= len(paragraph.tokens):
         raise IndexError(f"position {position} outside paragraph")
     h, _ = _predictor(
-        model.kind, model.para_matrix, model.word_in, paragraph, position, model.context_size
+        model.kind, model.para_matrix, model.word_in, paragraph, row, position, model.context_size
     )
     return h
 
 
-TargetItem = tuple[int, int, tuple[int, ...]]  # (paragraph index, position, negative ids)
+TargetItem = tuple[int, int, tuple[int, ...]]  # (paragraph row, position, negative ids)
 
 
 def negative_sampling_loss(
@@ -175,7 +178,7 @@ def negative_sampling_loss(
     for pi, j, negs in items:
         par = paragraphs[pi]
         h, _ = _predictor(
-            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+            model.kind, model.para_matrix, model.word_in, par, pi, j, model.context_size
         )
         total.append(pair_loss(float(model.word_out[par.tokens[j]] @ h), 1))
         for neg in negs:
@@ -197,7 +200,7 @@ def negative_sampling_gradients(
     for pi, j, negs in items:
         par = paragraphs[pi]
         h, ctx = _predictor(
-            model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+            model.kind, model.para_matrix, model.word_in, par, pi, j, model.context_size
         )
         idx = np.asarray([par.tokens[j], *negs], dtype=np.int64)
         rows = model.word_out[idx]
@@ -206,7 +209,7 @@ def negative_sampling_gradients(
         np.add.at(g_out, idx, g[:, None] * h[None, :])
         grad_h = g @ rows
         share = grad_h / (1 + len(ctx))
-        g_para[par.paragraph_id] += share
+        g_para[pi] += share
         if ctx:
             np.add.at(g_in, np.asarray(ctx), share)
 
@@ -222,10 +225,10 @@ def positive_pair_loss(
     invariant under any permutation of tokens within a paragraph.
     """
     terms = []
-    for par in paragraphs:
+    for pi, par in enumerate(paragraphs):
         for j, w in enumerate(par.tokens):
             h, _ = _predictor(
-                model.kind, model.para_matrix, model.word_in, par, j, model.context_size
+                model.kind, model.para_matrix, model.word_in, par, pi, j, model.context_size
             )
             terms.append(pair_loss(float(model.word_out[w] @ h), 1))
     return math.fsum(terms)

@@ -297,8 +297,6 @@ def build_docview(
     order, divided by the number of parts, then clamped.
     """
     names, kind = parse_representation(representation)
-    if not doc.sentences:
-        raise ValueError(f"document {doc.id!r} has no sentences")
     if "BOW" in names and vocab is None:
         raise ValueError("BOW representation requires a vocabulary")
     if kind is not None:

@@ -108,7 +108,7 @@ def train_reference(
                 lr = lr_start
             pi, j = targets[t]
             par = paragraphs[pi]
-            h, ctx = _predictor(kind, para_matrix, word_in, par, j, cfg.context_size)
+            h, ctx = _predictor(kind, para_matrix, word_in, par, pi, j, cfg.context_size)
 
             out_idx[0] = par.tokens[j]
             out_idx[1:] = sampler.ids(rng_neg.random(cfg.negatives))
@@ -118,7 +118,7 @@ def train_reference(
             np.add.at(word_out, out_idx, (-lr) * g[:, None] * h[None, :])
 
             shared = (lr / (1 + len(ctx))) * grad_h
-            para_matrix[par.paragraph_id] -= shared
+            para_matrix[pi] -= shared
             if ctx:
                 np.add.at(word_in, np.asarray(ctx), -shared)
             step += 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -95,10 +96,25 @@ def test_cli_rejects_unknown_flags():
         main(["replicate"])
 
 
-def test_cli_selftest(capsys):
+def test_cli_selftest(capsys, monkeypatch, tmp_path):
+    # The determinism check's runs write only into a temporary directory,
+    # which is removed, and the selftest prints none of their paths.
+    cwd, tmp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmp.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert len(lines) == 10  # nine checks + a summary line
-    assert all(line.startswith("PASS") for line in lines[:-1])
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"PASS {name}"
+        for name in ("greedy-oracle-equivalence", "first-pick-reduction",
+                     "probability-invariants", "rouge-golden-and-lcs", "embedding-gradients",
+                     "dbow-invariances", "duplicate-suppression", "coverage-beats-relevance",
+                     "determinism")
+    ]
     assert lines[-1] == "9/9 checks passed"
+    assert list(cwd.iterdir()) == [] and list(tmp.iterdir()) == []
+    assert str(tmp_path) not in out  # the stages print the paths they write

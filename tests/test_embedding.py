@@ -43,8 +43,15 @@ def test_pair_loss_goldens():
 
 
 def test_training_paragraph_requires_tokens():
-    with pytest.raises(ValueError):
-        TrainingParagraph(0, ())
+    # A paragraph's row is its position, so the refusal names that position.
+    cfg = TrainConfig(dim=4, epochs=1)
+    paragraphs = [TrainingParagraph((0, 1)), TrainingParagraph((2,)), TrainingParagraph(())]
+    with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
+        train(paragraphs, cfg, "dbow")
+    with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
+        list(train_both(paragraphs, cfg))
+    with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
+        list(train_each([paragraphs[:2], paragraphs], cfg, "dm"))
 
 
 def test_train_config_validation():
@@ -79,9 +86,9 @@ def test_sampler_validation():
 
 def _paras():
     return [
-        TrainingParagraph(0, (0, 1, 2, 1)),
-        TrainingParagraph(1, (3, 2)),
-        TrainingParagraph(2, (4, 0, 1)),
+        TrainingParagraph((0, 1, 2, 1)),
+        TrainingParagraph((3, 2)),
+        TrainingParagraph((4, 0, 1)),
     ]
 
 
@@ -90,14 +97,12 @@ def test_train_validates_inputs():
     with pytest.raises(ValueError):
         train([], cfg, "dm")
     with pytest.raises(ValueError):
-        train([TrainingParagraph(1, (0,))], cfg, "dm")  # ids must start at 0
-    with pytest.raises(ValueError):
         train(_paras(), cfg, "dm", vocab_size=3)  # token id 4 out of range
     with pytest.raises(ValueError):
         train(_paras(), cfg, "skipgram")
     with pytest.raises(ValueError, match="term id 4"):
         list(train_both(_paras(), cfg, vocab_size=3))
-    negative = [TrainingParagraph(0, (0, 1)), TrainingParagraph(1, (0, 1, -1, 2))]
+    negative = [TrainingParagraph((0, 1)), TrainingParagraph((0, 1, -1, 2))]
     with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
         train(negative, cfg, "dbow", vocab_size=4)
     with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
@@ -129,7 +134,7 @@ def test_dm_without_context_trains_exactly_like_dbow():
 def test_train_steps_apply_batch_gradients():
     """Replay training by hand: each SGD step must subtract the learning
     rate times the analytic gradient of that step's (target, negatives)."""
-    par = TrainingParagraph(0, (3, 1))
+    par = TrainingParagraph((3, 1))
     cfg = TrainConfig(dim=3, context_size=2, epochs=1, negatives=2,
                       learning_rate=0.5, seed=42)
     got = train([par], cfg, "dm", vocab_size=5)
@@ -182,8 +187,8 @@ def _training_runs(draw):
     vocab = draw(st.integers(1, 8))
     tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)
     paragraphs = [
-        TrainingParagraph(i, tuple(toks))
-        for i, toks in enumerate(draw(st.lists(tokens, min_size=1, max_size=5)))
+        TrainingParagraph(tuple(toks))
+        for toks in draw(st.lists(tokens, min_size=1, max_size=5))
     ]
     cfg = TrainConfig(
         dim=draw(st.integers(1, 6)),
@@ -207,7 +212,7 @@ def test_train_matches_per_target_reference(run):
 
 
 def test_train_matches_reference_on_a_single_target():
-    par = [TrainingParagraph(0, (2,))]
+    par = [TrainingParagraph((2,))]
     cfg = TrainConfig(dim=5, context_size=3, epochs=1, negatives=4, seed=9)
     for kind in KINDS:  # total_steps == 1: the learning rate never decays
         _assert_same_model(train(par, cfg, kind, vocab_size=4),
@@ -217,8 +222,8 @@ def test_train_matches_reference_on_a_single_target():
 def test_train_matches_reference_across_chunks():
     rng = np.random.default_rng(4)
     paragraphs = [
-        TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 40, rng.integers(1, 30))))
-        for i in range(160)
+        TrainingParagraph(tuple(int(t) for t in rng.integers(0, 40, rng.integers(1, 30))))
+        for _ in range(160)
     ]
     assert sum(len(p.tokens) for p in paragraphs) > 2 * embedding._CHUNK
     cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
@@ -247,8 +252,8 @@ def test_train_both_matches_two_fits(run):
 def test_train_both_matches_two_fits_across_chunks():
     rng = np.random.default_rng(6)
     paragraphs = [
-        TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 50, rng.integers(1, 30))))
-        for i in range(250)
+        TrainingParagraph(tuple(int(t) for t in rng.integers(0, 50, rng.integers(1, 30))))
+        for _ in range(250)
     ]
     assert sum(len(p.tokens) for p in paragraphs) > 2 * embedding._CHUNK
     cfg = TrainConfig(dim=7, context_size=3, epochs=2, negatives=4, seed=13)
@@ -345,8 +350,8 @@ def test_train_calls_share_no_state():
     # Two train_each calls advanced in turn, one group per wave: each wave
     # makes its step buffers while the other call's waves are still open.
     runs = [
-        (cfg, 5, [_paras(), _paras()[:1], [TrainingParagraph(0, (2, 2, 4, 2))]]),
-        (other, 6, [[TrainingParagraph(0, (5, 1, 5, 5, 0))], _paras()[:2], _paras()]),
+        (cfg, 5, [_paras(), _paras()[:1], [TrainingParagraph((2, 2, 4, 2))]]),
+        (other, 6, [[TrainingParagraph((5, 1, 5, 5, 0))], _paras()[:2], _paras()]),
     ]
     with mock.patch.object(embedding, "_WAVE_VALUES", 1):
         for kind in KINDS:
@@ -364,13 +369,13 @@ def _lockstep_runs(draw):
     vocab = draw(st.integers(1, 8))
     tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)
     groups = [
-        [TrainingParagraph(i, tuple(toks)) for i, toks in enumerate(paragraphs)]
+        [TrainingParagraph(tuple(toks)) for toks in paragraphs]
         for paragraphs in draw(
             st.lists(st.lists(tokens, min_size=1, max_size=4), min_size=1, max_size=8)
         )
     ]
     if draw(st.booleans()):
-        single = [TrainingParagraph(0, (draw(st.integers(0, vocab - 1)),))]
+        single = [TrainingParagraph((draw(st.integers(0, vocab - 1)),))]
         groups.insert(draw(st.integers(0, len(groups))), single)
     cfg = TrainConfig(
         dim=draw(st.integers(1, 6)),
@@ -402,7 +407,7 @@ def test_train_each_matches_separate_fits(run):
 
 
 def test_waves_cover_the_groups_in_order():
-    groups = [[TrainingParagraph(0, tuple(range(n)))] for n in (5, 1, 3, 3, 8, 2, 2)]
+    groups = [[TrainingParagraph(tuple(range(n)))] for n in (5, 1, 3, 3, 8, 2, 2)]
     rows = [5, 1, 3, 3, 8, 2, 2]  # distinct terms per group, 24 in all
     for wave_values, sizes in ((10**6, [7]), (24 * 4 // 2, [4, 3]), (24 * 4 // 3, [3, 2, 2]),
                                (1, [1] * 7)):
@@ -420,14 +425,14 @@ def test_train_each_matches_separate_fits_across_chunks():
     rng = np.random.default_rng(8)
     groups = [
         [
-            TrainingParagraph(i, tuple(int(t) for t in rng.integers(0, 60, rng.integers(1, 30))))
-            for i in range(count)
+            TrainingParagraph(tuple(int(t) for t in rng.integers(0, 60, rng.integers(1, 30))))
+            for _ in range(count)
         ]
         for count in (300, 90, 12, 1)
     ]
     # One term: every out slot and every full context hits one row, so each
     # step chains a row through all negatives + 1 and context_size slots.
-    groups.append([TrainingParagraph(i, (7,) * n) for i, n in enumerate((12, 5, 1, 30))])
+    groups.append([TrainingParagraph((7,) * n) for n in (12, 5, 1, 30)])
     cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
     steps = [cfg.epochs * sum(len(p.tokens) for p in g) for g in groups]
     # the first chunk gives each of the fits this many steps
@@ -444,8 +449,7 @@ def test_train_each_matches_separate_fits_finishing_mid_chunk():
     groups = []
     for i, n in enumerate(lengths):
         tokens = [(3 * i + j * j) % 11 for j in range(n)]
-        groups.append([TrainingParagraph(p, tuple(tokens[a : a + 5]))
-                       for p, a in enumerate(range(0, n, 5))])
+        groups.append([TrainingParagraph(tuple(tokens[a : a + 5])) for a in range(0, n, 5)])
     cfg = TrainConfig(dim=3, context_size=2, epochs=3, negatives=4, seed=17)
     targets = 16
     totals = sorted((cfg.epochs * n for n in lengths), reverse=True)
@@ -481,7 +485,7 @@ def test_train_each_validates_every_group():
     cfg = TrainConfig(dim=4, epochs=1)
     with pytest.raises(ValueError, match="term id 4"):
         list(train_each([_paras()[:1], _paras()], cfg, "dbow", vocab_size=3))
-    negative = [TrainingParagraph(0, (0, 1, -1, 2))]
+    negative = [TrainingParagraph((0, 1, -1, 2))]
     with pytest.raises(ValueError, match="paragraph 0 has negative term id -1"):
         list(train_each([_paras()[:1], negative], cfg, "dbow", vocab_size=4))
     with pytest.raises(ValueError, match="kind"):
@@ -509,7 +513,7 @@ def test_diverged_training_is_refused():
 
 
 def test_degenerate_single_term_vocab_runs():
-    par = TrainingParagraph(0, (0, 0, 0))
+    par = TrainingParagraph((0, 0, 0))
     cfg = TrainConfig(dim=4, epochs=2, negatives=1, seed=1)
     model = train([par], cfg, "dbow")
     assert model.vocab_size == 1
@@ -521,19 +525,19 @@ def test_dm_context_predictor():
     rng = np.random.default_rng(0)
     model = EmbeddingModel(
         kind="dm",
-        para_matrix=rng.normal(size=(1, 4)),
+        para_matrix=rng.normal(size=(2, 4)),
         word_out=np.zeros((5, 4)),
         word_in=rng.normal(size=(5, 4)),
         context_size=2,
     )
-    par = TrainingParagraph(0, (2, 0, 4))
+    par = TrainingParagraph((2, 0, 4))
     # no context at position 0: predictor is the bare paragraph row
-    assert np.array_equal(dm_context(model, par, 0), model.para_matrix[0])
+    assert np.array_equal(dm_context(model, par, 1, 0), model.para_matrix[1])
     # two context words at position 2
-    want = (model.para_matrix[0] + model.word_in[2] + model.word_in[0]) / 3.0
-    assert np.array_equal(dm_context(model, par, 2), want)
+    want = (model.para_matrix[1] + model.word_in[2] + model.word_in[0]) / 3.0
+    assert np.array_equal(dm_context(model, par, 1, 2), want)
     with pytest.raises(IndexError):
-        dm_context(model, par, 3)
+        dm_context(model, par, 1, 3)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -701,7 +705,6 @@ def test_build_training_paragraphs_layout(tiny_docs):
     index = paragraph_index(docs)
     # one whole-document paragraph plus one per sentence, for each document
     assert len(paragraphs) == sum(1 + len(d.sentences) for d in docs)
-    assert [p.paragraph_id for p in paragraphs] == list(range(len(paragraphs)))
     assert index == {"d0": 0, "d1": 4, "d2": 8, "d3": 10}
     for doc in docs:
         first = index[doc.id]

@@ -91,8 +91,7 @@ def test_build_config_defaults_and_types():
     assert config.corpus_path == "x.jsonl"
     assert config.alpha == 0.5
     assert config.ratio == 0.10
-    assert config.seed == 9
-    assert config.embed.seed == 9  # top-level seed flows into training
+    assert config.embed.seed == 9  # the seed key sets the one seed field
     assert config.methods == ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
 
 
@@ -149,13 +148,28 @@ def test_config_to_pairs_round_trips():
     assert config.embed.seed == 5
 
 
+def test_config_to_pairs_writes_the_training_seed():
+    # A config built in code has one seed field, and its dump trains at it.
+    config = ExperimentConfig(embed=embedding.TrainConfig(seed=9))
+    pairs = config_to_pairs(config)
+    assert pairs["seed"] == "9"
+    assert build_experiment_config(pairs) == config
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(methods=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"representation must be one of .*got 'LSA'"):
         ExperimentConfig(representations=("LSA",))
     with pytest.raises(ConfigError):
         ExperimentConfig(split=-1)
+    # selection's own rules, raised as config errors
+    with pytest.raises(ConfigError, match=r"method must be one of .*got 'BOGUS'"):
+        ExperimentConfig(methods=("MMR", "BOGUS"))
+    with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+        ExperimentConfig(alpha=-1.0)
+    with pytest.raises(ConfigError, match=r"ratio must be in \(0, 1\]"):
+        ExperimentConfig(ratio=1.5)
 
 
 _CONFIG_KEYS = tuple(config_to_pairs(ExperimentConfig()))
