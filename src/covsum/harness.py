@@ -13,12 +13,12 @@ overrides, and runs in three stages that share one output directory:
 seed is deterministic, byte for byte.
 
 Each stage does a document's work once, not once per grid cell.
-``summarize`` hands one dict per document to ``build_docview``, so every
-part's Gram matrix (BOW, DM, DBOW) is built once and reused by each
-representation holding it. ``evaluate`` checks every summary record
-against its cell and its document, then scores each distinct (document,
-ordered picks) pair once with ROUGE; every cell that made the same picks
-reuses those scores.
+``summarize`` hands one dict of Grams per document to ``build_docview``,
+the BOW one built with a run of documents by ``bow_grams``, so each part's
+Gram (BOW, DM, DBOW) is built once for every representation holding it.
+``evaluate`` checks every summary record against its cell and its
+document, then scores each distinct (document, ordered picks) pair once
+with ROUGE; every cell that made the same picks reuses those scores.
 
 Documents share models by group (:func:`_model_groups`): all of them, or one
 each with ``per_document_training``. Per-document models are trained in
@@ -56,6 +56,7 @@ from .selection import (
     METHODS,
     REPRESENTATIONS,
     SelectorConfig,
+    bow_grams,
     build_docview,
     greedy_select,
     parse_representation,
@@ -324,9 +325,12 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
     """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
-    targets = {doc.id for doc in _eval_docs(config, docs)}
+    evaluated = _eval_docs(config, docs)
+    targets = {doc.id for doc in evaluated}
     kinds = _required_kinds(config.representations)
     out_dir = Path(config.output_dir)
+    bow = bow_grams(evaluated, vocab)  # in the order the loop below visits them
+    needs_bow = any("BOW" in parse_representation(rep)[0] for rep in config.representations)
     groups = [
         (owner, group)
         for owner, group in _model_groups(config, docs, kinds)
@@ -369,6 +373,8 @@ def cmd_summarize(config: ExperimentConfig) -> list[Path]:
             }
             for doc in (d for d in group if d.id in targets):
                 parts = {}  # each part's Gram, shared by the representations holding it
+                if needs_bow:  # the previous run's Grams are dropped before this is built
+                    parts["BOW"] = next(bow)
                 for representation in config.representations:
                     kind = parse_representation(representation)[1]
                     view = build_docview(

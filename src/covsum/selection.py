@@ -25,12 +25,12 @@ lower sentence index.
 the Gram matrices of the representation's parts (BOW, DM, DBOW). Every
 Gram entry adds its products in column order from 0.0. The sparse BOW Gram
 is one product over the pairs of stored entries that share a column
-(:func:`_cosines`), so its work is the sum over columns of the squared
-number of rows storing that column; DM and DBOW sum one outer product per
-column (:func:`_dense_cosines`), in one reduction for a small document. A
-caller building several representations of one document passes one
-``parts`` dict to every call, and each part's Gram is built once and shared
-by every representation holding the part.
+(:func:`_cosines`), built for a run of documents at once by
+:func:`bow_grams`; DM and DBOW sum one outer product per column
+(:func:`_dense_cosines`), in one reduction for a small document. A caller
+building several representations of one document passes one ``parts``
+dict to every call, holding the document's BOW Gram from :func:`bow_grams`
+or not, and each part's Gram is built once and shared by them all.
 
 Picks and scores equal those of ``oracles.brute_force_select`` bit for bit.
 MMR and JXDTD get there by filter and verify: after the first pick, a cheap
@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -153,28 +154,6 @@ def unit_rows(row: np.ndarray, w: np.ndarray, n_rows: int) -> np.ndarray:
     return w
 
 
-# A representation part as a sparse matrix: (row, column, weight) of every
-# stored entry in row-major order. Row 0 is the document, rows 1..n its
-# sentences.
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _bow_entries(doc: Document, vocab: Vocabulary) -> Entries:
-    """TF-IDF over the terms the document uses, columns indexed by term id.
-    Out-of-vocabulary tokens are skipped, and so are terms found in every
-    document, whose weight is 0."""
-    df, n_docs = vocab.doc_freq_array, vocab.num_docs
-    ids = [vocab.ids(s.tokens) for s in doc.sentences]
-    terms = np.fromiter(chain.from_iterable(ids), dtype=np.intp)
-    rows = np.repeat(np.arange(1, len(ids) + 1), [len(i) for i in ids])
-    keep = df[terms] < n_docs
-    terms, rows = terms[keep], rows[keep]
-    # Every token counts once in its sentence's row and once in the document's.
-    keys, tf = np.unique(np.concatenate([terms, rows * vocab.size + terms]), return_counts=True)
-    row, col = np.divmod(keys, vocab.size)
-    return row, col, tf * np.log(n_docs / df[col])
-
-
 def _paragraph_matrix(model: EmbeddingModel, para_row: int, n_rows: int) -> np.ndarray:
     """Model rows ``[para_row, para_row + n_rows)``, copied since :func:`unit_rows`
     scales them in place. A span outside [0, P) raises ``IndexError``."""
@@ -187,40 +166,87 @@ def _paragraph_matrix(model: EmbeddingModel, para_row: int, n_rows: int) -> np.n
     return m
 
 
-# Products per np.add.at call in _cosines or reduction in _dense_cosines.
+# Products per np.add.at call in _cosines or reduction in _dense_cosines,
+# and bound on the products of a run of documents in bow_grams.
 _PAIR_BLOCK = 1 << 16
 
 
-def _cosines(row: np.ndarray, col: np.ndarray, u: np.ndarray, n_rows: int) -> np.ndarray:
-    """Cosines between all pairs of rows of a sparse matrix with unit rows.
-
-    The stored entries are sorted by (column, row), and every pair of
-    entries that share a column gives one product. All products go into the
-    flat Gram with ``np.add.at``, which adds them one at a time in the order
-    given: column by column, in blocks of whole columns. Entry (a, b) so
-    adds up u[a, t] * u[b, t] over the columns t both rows store, in column
-    order, from 0.0. It equals entry (b, a) exactly, and equal rows get
-    equal entries wherever they sit. The work is the sum over columns of
-    the squared number of rows storing it.
-    """
-    order = np.lexsort((row, col))
-    row, col, u = row[order], col[order], u[order]
-    starts = np.flatnonzero(np.diff(col, prepend=-1))
-    sizes = np.diff(starts, append=len(col))
-    ends = np.cumsum(sizes * sizes)  # products up to and including each column
-    g = np.zeros(n_rows * n_rows)
+def _pieces(ends: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[first, last)`` item ranges of at most ``_PAIR_BLOCK`` products
+    (``ends``: the running total through each item), or of one item needing more."""
     first = 0
-    while first < len(starts):
+    while first < len(ends):
         done = ends[first - 1] if first else 0
         last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        yield first, last
+        first = last
+
+
+def _cosines(
+    u: np.ndarray, lead: np.ndarray, trail: np.ndarray, sizes: np.ndarray, length: int
+) -> np.ndarray:
+    """Sums of the products of the stored entries of a sparse matrix that share a column.
+
+    The entries are sorted by (column, row), ``sizes[t]`` of them in column
+    t. ``np.add.at`` adds u[i] * u[j] of each pair (i, j) of one column at
+    ``lead[i] + trail[j]`` of ``length`` zeros, one at a time in column
+    order. With ``lead = row * n`` and ``trail = row`` over n unit rows this
+    is their Gram: entry (a, b) adds u[a, t] * u[b, t] over the columns t
+    both store, in column order, from 0.0, and equals entry (b, a) exactly.
+    """
+    starts = np.cumsum(sizes) - sizes
+    g = np.zeros(length)
+    for first, last in _pieces(np.cumsum(sizes * sizes)):
         size = sizes[first:last]
         reps = np.repeat(size, size)  # each entry pairs with every entry of its column
         left = np.repeat(np.arange(starts[first], starts[first] + len(reps)), reps)
-        offset = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-        right = np.repeat(np.repeat(starts[first:last], size), reps) + offset
-        np.add.at(g, row[left] * n_rows + row[right], u[left] * u[right])
-        first = last
-    return g.reshape(n_rows, n_rows)
+        # right = the first entry of left's column + the rank of the pair among left's
+        right = np.repeat(np.repeat(starts[first:last], size) - np.cumsum(reps) + reps, reps)
+        right += np.arange(len(left))
+        np.add.at(g, lead[left] + trail[right], u[left] * u[right])
+    return g
+
+
+def bow_grams(docs: Sequence[Document], vocab: Vocabulary) -> Iterator[np.ndarray]:
+    """The unclamped BOW Gram of each document of ``docs``, in turn.
+
+    A document's BOW matrix is TF-IDF over its in-vocabulary terms but those
+    in every document, which weigh 0: the document in row 0, its sentences
+    below, each row scaled to unit length (:func:`unit_rows`). The Grams are
+    built a run at a time (:func:`_run_grams`): the consecutive documents
+    whose pair products can total at most ``_PAIR_BLOCK``, or one that can
+    need more. A document's n + 1 rows times twice its tokens bounds them.
+    """
+    bound = np.cumsum([2 * (len(doc.sentences) + 1) * doc.word_count for doc in docs])
+    for first, last in _pieces(bound):
+        yield from _run_grams(docs[first:last], vocab)
+
+
+def _run_grams(run: Sequence[Document], vocab: Vocabulary) -> list[np.ndarray]:
+    """The BOW Grams of a run of documents, views of one :func:`_cosines` array.
+
+    One walk over the tokens and one ``np.unique`` over (document, term, row)
+    keys give the entries, each (document, term) a column, and a pair lands at
+    its document's offset plus a * n + b: every entry adds the same products in
+    the same order whatever run its document is in.
+    """
+    df, n_docs, v = vocab.doc_freq_array, vocab.num_docs, vocab.size
+    n = np.array([len(doc.sentences) + 1 for doc in run], np.intp)
+    m = int(n.max())
+    tokens = [s.tokens for doc in run for s in doc.sentences]
+    terms = np.fromiter(map(vocab.term_to_id.get, chain.from_iterable(tokens), repeat(-1)), np.intp)
+    rows = [d * v * m + s.index + 1 for d, doc in enumerate(run) for s in doc.sentences]
+    keys, known = terms * m + np.repeat(rows, [len(t) for t in tokens]), terms >= 0
+    keys = keys[known][df[terms[known]] < n_docs]
+    # Every token counts once in its sentence's row and once in its document's.
+    keys, tf = np.unique(np.concatenate([keys - keys % m, keys]), return_counts=True)
+    col, local = np.divmod(keys, m)
+    doc, term = np.divmod(col, v)
+    u = unit_rows(doc * m + local, tf * np.log(n_docs / df[term]), len(run) * m)
+    sizes = np.diff(np.flatnonzero(np.diff(col, prepend=-1, append=-1)))
+    flat = np.append(0, np.cumsum(n * n))  # each Gram's offset in the run's array
+    g = _cosines(u, flat[doc] + local * n[doc], local, sizes, int(flat[-1]))
+    return [g[flat[d] : flat[d + 1]].reshape(k, k) for d, k in enumerate(n.tolist())]
 
 
 def _dense_cosines(u: np.ndarray) -> np.ndarray:
@@ -230,16 +256,15 @@ def _dense_cosines(u: np.ndarray) -> np.ndarray:
     bits of :func:`_cosines` on a matrix storing every column, and equals
     entry (b, a) since IEEE multiplication commutes. For n > 1 rows whose
     d * n**2 products fit in ``_PAIR_BLOCK``, one reduction over axis 0 adds
-    in order a C-contiguous buffer of +0.0, then every column's outer product
-    (numpy sums one row's pairwise); else ``g += outer(u[:, t], u[:, t])`` per column.
+    in order every column's outer product (numpy sums one row's pairwise),
+    and ``+ 0.0`` turns a sum of only -0.0 products into the +0.0 a sum from
+    0.0 gives; else ``g += outer(u[:, t], u[:, t])`` per column.
     """
     n, d = u.shape
     columns = np.ascontiguousarray(u.T)
     if 1 < n and d * n * n <= _PAIR_BLOCK:
-        products = np.empty((d + 1, n, n))
-        products[0] = 0.0
-        np.multiply(columns[:, :, None], columns[:, None, :], out=products[1:])
-        return np.add.reduce(products, axis=0)
+        products = np.multiply(columns[:, :, None], columns[:, None, :])
+        return np.add.reduce(products, axis=0) + 0.0
     g = np.zeros((n, n))
     product = np.empty_like(g)
     for column in columns:
@@ -256,10 +281,9 @@ def _part_gram(
     para_row: int | None,
 ) -> np.ndarray:
     """The unclamped Gram matrix of one representation part of a document."""
-    n_rows = len(doc.sentences) + 1
     if part == "BOW":
-        row, col, w = _bow_entries(doc, vocab)
-        return _cosines(row, col, unit_rows(row, w, n_rows), n_rows)
+        return next(bow_grams([doc], vocab))
+    n_rows = len(doc.sentences) + 1
     m = _paragraph_matrix(model, para_row, n_rows)
     row = np.repeat(np.arange(n_rows), m.shape[1])
     return _dense_cosines(unit_rows(row, m.ravel(), n_rows).reshape(m.shape))

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covsum
-from covsum import embedding, harness, rouge
-from covsum.corpus import build_vocabulary, load_corpus, save_corpus
+from covsum import embedding, harness, rouge, selection
+from covsum.corpus import build_vocabulary, load_bundled_corpus, load_corpus, save_corpus
 from covsum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -482,6 +482,43 @@ def test_full_grid_summaries_equal_one_run_per_representation(tmp_path):
         single = dict(grid, representations=representation)
         cmd_summarize(run_config(tmp_path, grid_docs(), **single))
     assert snapshot(summaries) == together
+
+
+def test_bow_cells_equal_one_docview_per_document(tmp_path, monkeypatch):
+    # summarize builds BOW Grams run by run; every record of a cell holding BOW
+    # is what the document's own build_docview and greedy_select give
+    docs = load_bundled_corpus()
+    grid = {"methods": ",".join(METHODS), "representations": "BOW,BOW+DM,BOW+DBOW", "split": "2"}
+    config = run_config(tmp_path, docs, **grid)
+    cmd_train(config)
+    runs = []
+    real_runs = selection._run_grams
+
+    def recorded(run, vocab):
+        runs.append(len(run))
+        return real_runs(run, vocab)
+
+    monkeypatch.setattr(selection, "_run_grams", recorded)
+    monkeypatch.setattr(selection, "_PAIR_BLOCK", 5000)  # runs of a few documents each
+    cmd_summarize(config)
+    assert len(runs) > 1 and max(runs) > 1 and sum(runs) == len(docs) - 2
+
+    vocab = build_vocabulary(docs)
+    index = embedding.paragraph_index(docs)
+    models = {kind: embedding.load_model(tmp_path / "out" / "models" / f"{kind}.cvem")
+              for kind in ("dm", "dbow")}
+    for representation in config.representations:
+        kind = selection.parse_representation(representation)[1]
+        for method in config.methods:
+            cell = tmp_path / "out" / "summaries" / f"{representation}__{method}.jsonl"
+            want = []
+            for doc in docs[2:]:
+                view = selection.build_docview(
+                    doc, representation, vocab, models.get(kind), index[doc.id]
+                )
+                summary = selection.greedy_select(view, selection.SelectorConfig(method))
+                want.append(json.dumps({"representation": representation, **summary.to_dict()}))
+            assert cell.read_text().splitlines() == want
 
 
 def test_evaluate_scores_each_distinct_summary_once(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from covsum.corpus import build_vocabulary
 from covsum import selection
 from covsum.embedding import EmbeddingModel
-from covsum.selection import _bow_entries, _cosines, _dense_cosines, build_docview, unit_rows
+from covsum.selection import _cosines, _dense_cosines, bow_grams, build_docview, unit_rows
 
 from conftest import make_doc
 
@@ -41,11 +41,24 @@ def dense_view(rows, representation="DBOW", doc=None, vocab=None):
     return build_docview(doc, representation, vocab, model=dbow(rows), para_row=0)
 
 
-def bow_matrix(doc, vocab):
-    row, col, w = _bow_entries(doc, vocab)
+def tfidf_matrix(doc, vocab):
+    """The document's TF-IDF rows by their definition, the document first:
+    tf * ln(N / df) over its in-vocabulary tokens. A term found in every
+    document weighs 0."""
     m = np.zeros((len(doc.sentences) + 1, vocab.size))
-    m[row, col] = w
-    return m
+    for i, sentence in enumerate(doc.sentences, start=1):
+        for tid in vocab.ids(sentence.tokens):
+            m[0, tid] += 1.0
+            m[i, tid] += 1.0
+    return m * np.log(vocab.num_docs / vocab.doc_freq_array)
+
+
+def sparse_gram(row, col, u, n_rows):
+    """_cosines of one matrix of n_rows rows, stored entries (row, col, u)."""
+    order = np.lexsort((row, col))
+    row, col, u = row[order], col[order], u[order]
+    sizes = np.unique(col, return_counts=True)[1]
+    return _cosines(u, row * n_rows, row, sizes, n_rows * n_rows).reshape(n_rows, n_rows)
 
 
 def unit_matrix(m):
@@ -89,16 +102,22 @@ def test_dense_vector_validation():
 
 def test_idf_and_bow_weights():
     docs = [
-        make_doc("a", [["common", "rare"]]),
-        make_doc("b", [["common"]]),
+        make_doc("a", [["common", "rare", "mid"]]),
+        make_doc("b", [["common", "mid"]]),
+        make_doc("c", [["common"]]),
     ]
     vocab = build_vocabulary(docs)
-    row, col, w = _bow_entries(make_doc("q", [["rare", "rare", "common"], ["rare"]]), vocab)
-    # tf * ln(N / df), the document row first; "common" is in every document,
-    # weighs 0 and is not stored
-    assert list(row) == [0, 1, 2]
-    assert list(col) == [vocab.term_to_id["rare"]] * 3
-    assert w == pytest.approx([3.0 * math.log(2.0), 2.0 * math.log(2.0), math.log(2.0)])
+    q = make_doc("q", [["rare", "rare", "mid", "common"], ["rare"], ["mid"], ["common"]])
+    gram = next(bow_grams([q], vocab))
+    # tf * ln(N / df) over (rare, mid), the document row first; "common" is
+    # in every document and weighs 0, so the last sentence is a zero row
+    rare, mid = math.log(3.0), math.log(1.5)
+    rows = np.array([[3 * rare, 2 * mid], [2 * rare, mid], [rare, 0.0], [0.0, mid], [0.0, 0.0]])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    unit = rows / np.where(norms == 0.0, 1.0, norms)
+    assert gram == pytest.approx(unit @ unit.T, abs=1e-15)
+    assert (gram[4] == 0.0).all() and (gram[:, 4] == 0.0).all()
+    assert gram[2, 3] == 0.0 and gram[2, 2] == 1.0
 
 
 def test_bow_vector_skips_oov():
@@ -122,7 +141,7 @@ def test_cosine_mixed_sparse_dense_agree():
     docs = [make_doc("a", [["x", "y", "y"], ["y", "z"], ["w"]]), make_doc("b", [["z", "v"]])]
     vocab = build_vocabulary(docs)
     bow = build_docview(docs[0], "BOW", vocab)
-    dense = dense_view(bow_matrix(docs[0], vocab), doc=docs[0])
+    dense = dense_view(tfidf_matrix(docs[0], vocab), doc=docs[0])
     assert tables(bow) == pytest.approx(tables(dense), abs=1e-15)
 
 
@@ -170,6 +189,9 @@ gram_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 
 # row of negatives times the zero row gives only -0.0 products.
 @example(np.array([[1.0] + [2.0**-27] * 11, [0.0] * 12]), 1)
 @example(np.array([[-1.0, -0.0], [2.0, 1.0], [5.0, 5.0]]), 2)
+# With row 0 zeroed, every product in column 2 of the Gram but the diagonal's
+# is -0.0: a reduction without a start of 0.0 would leave those entries -0.0.
+@example(np.array([[1.0, 2.0], [3.0, 0.5], [-0.0, -0.0]]), 0)
 def test_dense_gram_is_its_column_order_definition(m, zero_row):
     m[min(zero_row, len(m) - 1)] = 0.0
     n, d = m.shape
@@ -181,6 +203,7 @@ def test_dense_gram_is_its_column_order_definition(m, zero_row):
                 got = _dense_cosines(u)
             assert got.tobytes() == column_order_gram(u).tobytes()  # bits, signs of zeros too
             assert got.tobytes() == got.T.copy().tobytes()
+            assert not (np.signbit(got) & (got == 0.0)).any()  # a sum from 0.0 is never -0.0
     # a DBOW view is the unit-row Gram, clamped; n_rows = 2 is a one-sentence document
     gram = np.clip(column_order_gram(unit_matrix(m)), 0.0, 1.0)
     view = dense_view(m)
@@ -239,7 +262,7 @@ def test_bow_gram_is_its_shared_column_definition(matrix, block):
         for r, c, x in zip(row.tolist(), col.tolist(), u.tolist()):
             stored[r][c] = x
         with mock.patch.object(selection, "_PAIR_BLOCK", block):  # products per np.add.at
-            got = _cosines(row, col, u, n_rows)
+            got = sparse_gram(row, col, u, n_rows)
         assert got.tobytes() == shared_column_gram(stored).tobytes()  # bits, signs of zeros too
         assert got.tobytes() == got.T.copy().tobytes()
 
@@ -249,12 +272,15 @@ def test_bow_view_is_the_clamped_shared_column_gram(corpus, pick):
     docs = [make_doc(f"d{i}", sents) for i, sents in enumerate(corpus)]
     vocab = build_vocabulary(docs)
     doc = docs[pick % len(docs)]
-    row, col, w = _bow_entries(doc, vocab)
-    u = unit_rows(row, w, len(doc.sentences) + 1)
+    m = tfidf_matrix(doc, vocab)
+    row, col = np.nonzero(m)  # terms found in every document weigh 0 and are not stored
+    u = unit_rows(row, m[row, col], len(doc.sentences) + 1)
     stored = [{} for _ in range(len(doc.sentences) + 1)]
     for r, c, x in zip(row.tolist(), col.tolist(), u.tolist()):
         stored[r][c] = x
-    gram = np.clip(shared_column_gram(stored), 0.0, 1.0)
+    gram = shared_column_gram(stored)
+    assert next(bow_grams([doc], vocab)).tobytes() == gram.tobytes()
+    gram = np.clip(gram, 0.0, 1.0)
     view = build_docview(doc, "BOW", vocab)
     assert view.rel.tobytes() == gram[0, 1:].tobytes()
     assert view.sim.tobytes() == gram[1:, 1:].tobytes()
@@ -314,16 +340,43 @@ def test_concat_cosine_is_mean_of_part_cosines():
     assert got.sim[2, 0] == 0.0 and dense_cos[3, 1] < 0.0
 
 
-@given(st.lists(sentences, min_size=1, max_size=3))
-def test_bow_tables_match_reference_cosine(corpus):
+@given(st.lists(sentences, min_size=1, max_size=3), st.sampled_from([1, selection._PAIR_BLOCK]))
+def test_bow_tables_match_reference_cosine(corpus, block):
     docs = [make_doc(f"d{i}", sents) for i, sents in enumerate(corpus)]
     vocab = build_vocabulary(docs)
-    for doc in docs:
-        view = build_docview(doc, "BOW", vocab)
+    with mock.patch.object(selection, "_PAIR_BLOCK", block):  # one run, or one per document
+        grams = list(bow_grams(docs, vocab))
+    for doc, gram in zip(docs, grams, strict=True):
+        rel, sim = np.clip(gram[0, 1:], 0.0, 1.0), np.clip(gram[1:, 1:], 0.0, 1.0)
         tokens = [s.tokens for s in doc.sentences]
         everything = doc.all_tokens()
         want_rel = [reference_bow_cosine(t, everything, vocab) for t in tokens]
         want_sim = [[reference_bow_cosine(a, b, vocab) for b in tokens] for a in tokens]
-        assert np.array_equal(view.sim, view.sim.T)
-        assert view.rel == pytest.approx(want_rel, abs=1e-12)
-        assert view.sim == pytest.approx(np.array(want_sim), abs=1e-12)
+        assert np.array_equal(sim, sim.T)
+        assert rel == pytest.approx(want_rel, abs=1e-12)
+        assert sim == pytest.approx(np.array(want_sim), abs=1e-12)
+
+
+@given(
+    st.lists(sentences, min_size=1, max_size=6),
+    st.lists(st.integers(1, 5), max_size=4),
+    st.sampled_from([1, 5, 100, selection._PAIR_BLOCK]),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_run_built_bow_grams_equal_single_document_grams(corpus, cuts, block, split, oov):
+    # "the" is in every document, so the last document, which holds nothing
+    # else, has only zero rows
+    docs = [make_doc(f"d{i}", [["the", *sents[0]], *sents[1:]]) for i, sents in enumerate(corpus)]
+    docs.append(make_doc("only-the", [["the"], ["the", "the"]]))
+    # a vocabulary of fewer documents leaves the others' own terms out of it
+    vocab = build_vocabulary(docs[::2] if oov else docs)
+    single = [next(bow_grams([doc], vocab)).tobytes() for doc in docs]
+    assert not single[-1].strip(b"\0")
+    held_out = docs[min(split, len(docs) - 1) :]  # a split holds out the first documents
+    bounds = sorted({0, len(held_out), *(c for c in cuts if c < len(held_out))})
+    with mock.patch.object(selection, "_PAIR_BLOCK", block):  # bounds each run's products
+        got = [
+            g.tobytes() for a, b in zip(bounds, bounds[1:]) for g in bow_grams(held_out[a:b], vocab)
+        ]
+    assert got == single[len(docs) - len(held_out) :]
