@@ -23,14 +23,17 @@ their rows). Every model is bit-identical to the one-target-at-a-time loop
 ``train_reference`` in ``tests/reference.py``; ``test_train_matches_*`` and
 ``test_train_both_matches_*`` in ``tests/test_embedding.py`` check this
 with ``==`` on every matrix. A step writes every intermediate into buffers
-made once per call and moves each row as one record (:func:`_records`).
+made once per call and moves each row as one record (:func:`_records`); a
+paragraph's rows of every kind are one block of the paragraph-major matrix.
 Per kind run two ``ndarray.dot`` gemvs (scores, predictor gradient) and the
 label subtract, a float op cheaper than a one-element ufunc; every other op
 is one call over the kind axis, bar the DM context's, on the DM row alone.
 :func:`_sigmoid` takes both of its branches from one ``exp`` over a buffer
-of ``min(x, 0)`` and ``-|x|``, whose halves the loop binds once. That is
-exact: the two are the same float below zero, and ``exp(min(x, 0))`` is
-``exp(0) == 1`` at or above it. The loops mute overflow warnings; :func:`_finished` reports it.
+of ``min(x, 0)`` and ``-|x|``. That is exact: the two are the same float
+below zero, and ``exp(min(x, 0))`` is ``exp(0) == 1`` at or above it. The
+loops pass it its constants as arrays of the scores' shape, which numpy
+takes faster than scalars (:func:`_sigmoid_ops`). The loops mute overflow
+warnings; :func:`_finished` reports it.
 
 :func:`train_each` fits one model per paragraph group (per-document
 training) in lockstep: one batched step advances every unfinished fit by
@@ -44,9 +47,11 @@ fit's out or context slots hit a row twice, the step chains them
 (:func:`_chains`): a later slot of the row takes the previous slot's new row
 plus its own update, which is what ``np.add.at``'s in-order adds give. Only
 the row's last slot is written back; the others go to a sink row past the
-fits' rows, which no yielded model holds. All fits map one negative draw
-per chunk. Groups run in consecutive waves of at most about 2 MiB of
-``word_out`` rows each, so memory does not grow with the number of groups.
+fits' rows, which no yielded model holds. Each wave plans every fit's
+targets and negatives once (:func:`_plan`): one draw of the shared
+negative stream, sorted once and mapped through each fit's weights. Groups
+run in consecutive waves of at most about 2 MiB of ``word_out`` rows each,
+so memory does not grow with the number of groups.
 
 Model files are flat binary (little-endian):
 
@@ -149,22 +154,28 @@ class EmbeddingModel:
         return self.word_out.shape[0]
 
 
-def _sigmoid(x: np.ndarray, buf: np.ndarray | None = None, num: np.ndarray | None = None,
-             den: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, ops: tuple | None = None) -> np.ndarray:
     """Logistic sigmoid of ``x``, written over ``x`` and returned.
 
     ``exp(min(x, 0)) / (1 + exp(-|x|))``: 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below, so exp never overflows. Both exps are one
-    call over ``buf``, a scratch array of shape ``(2, *x.shape)``. The SGD
-    steps also hand over its halves ``num, den = buf``, bound once per call."""
-    if buf is None:
-        buf = np.empty((2, *x.shape))
-    num, den = buf if num is None else (num, den)
-    np.minimum(x, 0.0, out=num)
-    np.copysign(x, -1.0, out=den)
+    call over a scratch array of shape ``(2, *x.shape)``. ``ops`` is
+    :func:`_sigmoid_ops` of ``x.shape``; the SGD steps make it once and
+    pass it to every step."""
+    buf, num, den, zero, minus, one = ops or _sigmoid_ops(x.shape)
+    np.minimum(x, zero, out=num)
+    np.copysign(x, minus, out=den)
     np.exp(buf, out=buf)
-    np.add(den, 1.0, out=den)
+    np.add(den, one, out=den)
     return np.divide(num, den, out=x)
+
+
+def _sigmoid_ops(shape: tuple[int, ...]) -> tuple:
+    """:func:`_sigmoid`'s scratch array, its halves and arrays of ``shape``
+    holding its constants 0, -1 and 1, which numpy pairs with ``x`` faster
+    than it broadcasts a scalar."""
+    buf = np.empty((2, *shape))
+    return (buf, *buf, np.zeros(shape), np.full(shape, -1.0), np.ones(shape))
 
 
 def _records(mat: np.ndarray) -> np.ndarray:
@@ -363,9 +374,9 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     only kind 0, DM if present, reads a context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    # Paragraph p's rows of every kind are the view ``para[:, p]``; kind i's
-    # out-rows are ``word_out[i]``, records i*V .. (i+1)*V - 1 of ``out_recs``.
-    para = np.stack([rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))] * s)
+    # Paragraph p's rows are the block ``para[p]``, kind i's matrix the view
+    # ``para[:, i]``; its out-rows ``word_out[i]`` are records i*V .. (i+1)*V - 1.
+    para = np.stack([rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))] * s, axis=1)
     word_in = rng.uniform(-0.5 / d, 0.5 / d, (v, d)) if kinds[0] == "dm" else None
     word_out = np.zeros((s, v, d))
 
@@ -373,15 +384,16 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     c = cfg.context_size if kinds[0] == "dm" else 0
     # Every intermediate of a step is written into one of these. Gathers use
     # take(mode="clip"), which fills out= without a temporary; no index clips.
-    h, g, sig_buf = np.empty((s, d)), np.empty((s, k1)), np.empty((2, s, k1))
+    h, g, sig = np.empty((s, d)), np.empty((s, k1)), _sigmoid_ops((s, k1))
     g_lr, upd, grad_h = np.empty((s, k1)), np.empty((s, k1, d)), np.empty((s, d))
     out_rows, ctx_buf, ctx_sum = np.empty((s, k1, d)), np.empty((c, d)), np.empty(d)
     g_col, h_row, h_dm, shared_dm = g_lr[:, :, None], h[:, None, :], h[0], grad_h[0]
     views = tuple(zip(out_rows, h, g, grad_h))  # one kind's 1-D operands each
     out_rec, ctx_recs = _records(out_rows.reshape(s * k1, d)), _records(ctx_buf)
     out_recs, in_recs = _records(word_out).reshape(-1), _records(word_in) if c else None
-    ctx_views = [(ctx_buf[:n], ctx_recs[:n]) for n in range(c + 1)]  # by context length
-    sig_num, sig_den = sig_buf
+    # By context length n: its rows of ctx_buf and their records, and 1 + n
+    # as an array, which numpy divides by faster than by a scalar.
+    ctx_views = [(ctx_buf[:n], ctx_recs[:n], np.full(d, 1.0 + n)) for n in range(c + 1)]
     add, subtract, multiply, divide, add_at = np.add, np.subtract, np.multiply, np.divide, np.add.at
 
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence raises in _finished
@@ -395,19 +407,19 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
                 share_lr, np.concatenate([out_idx + i * v for i in range(s)], axis=1),
                 out_repeats.tolist(), ctx_repeats.tolist(),
             ):
-                rows = para[:, p]
+                rows = para[p]
                 h[...] = rows  # read before the rows are updated below
                 if nc:
                     ctx = tok[ci:ti]
-                    ctx_rows, ctx_rec = ctx_views[nc]
+                    ctx_rows, ctx_rec, den = ctx_views[nc]
                     in_recs.take(ctx, out=ctx_rec, mode="clip")
                     add(h_dm, add.reduce(ctx_rows, axis=0, out=ctx_sum), out=h_dm)
-                    divide(h_dm, 1 + nc, out=h_dm)
+                    divide(h_dm, den, out=h_dm)
 
                 out_recs.take(idx, out=out_rec, mode="clip")
                 for o_k, h_k, g_k, _ in views:
                     o_k.dot(h_k, out=g_k)
-                _sigmoid(g, sig_buf, sig_num, sig_den)
+                _sigmoid(g, sig)
                 for o_k, _, g_k, gh_k in views:
                     g_k[0] -= 1.0  # minus the labels (1, 0, ..., 0)
                     g_k.dot(o_k, out=gh_k)
@@ -429,7 +441,7 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
                         in_recs[ctx] = ctx_rec
 
     for i, kind in enumerate(kinds):
-        yield _finished(kind, cfg, para[i], word_in if kind == "dm" else None, word_out[i])
+        yield _finished(kind, cfg, para[:, i], word_in if kind == "dm" else None, word_out[i])
 
 
 # Targets per chunk of the lockstep schedule, over all fits: every fit
@@ -444,10 +456,10 @@ _WAVE_VALUES = 2**18
 
 
 class _Fit:
-    """One group's fit inside :func:`train_each`: its own order stream and
-    negative weights, its step count, and where its rows sit in the shared arrays."""
+    """One group's fit inside :func:`train_each`: its negative weights, its
+    step count, and where its rows sit in the shared arrays."""
 
-    def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg, seed_order):
+    def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg):
         self.terms, counts = np.unique(tok, return_counts=True)
         self.vocab_size = vocab_size
         self.base = base  # flat index of the fit's first target
@@ -456,21 +468,36 @@ class _Fit:
         self.num_paragraphs = num_paragraphs
         self.num_targets = len(tok)
         self.total_steps = cfg.epochs * len(tok)
-        self.rng_order = np.random.default_rng(seed_order)
         # Maps uniforms to local ids of exactly the terms a sampler over all
         # vocab_size counts draws: the other terms' bins have zero width, and
         # leaving zeros out of a running sum changes none of its values.
         self.sampler = NegativeSampler(counts, cfg.unigram_power)
-        self.pending = np.empty(0, dtype=np.int64)
 
-    def next_targets(self, n: int) -> np.ndarray:
-        """Flat indices of the next ``n`` targets, one permutation per epoch,
-        drawn when the previous epoch's targets run out."""
-        while len(self.pending) < n:
-            perm = self.rng_order.permutation(self.num_targets)
-            self.pending = np.concatenate([self.pending, perm])
-        t, self.pending = self.pending[:n], self.pending[n:]
-        return self.base + t
+
+def _plan(order: Sequence[_Fit], cfg: TrainConfig, seed_order, seed_neg
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each lockstep step's flat target and local negative ids for the fits
+    of ``order``, longest first: ``(steps, fits)`` and ``(steps, fits, k)``
+    arrays of the smallest dtypes that hold them, zero past a fit's end.
+    Every fit draws from one ``seed_neg`` stream, so one draw for the longest
+    holds each fit's draws as a prefix. It is sorted once, so each fit's
+    weights map it with a search over sorted keys, then put back in order."""
+    k, steps = cfg.negatives, order[0].total_steps
+    # Made before the draw's temporaries, which then leave no freed hole
+    # below the plan: the other order raised per-doc peak RSS by 0.5 MiB.
+    targets = np.zeros((steps, len(order)), np.min_scalar_type(sum(f.num_targets for f in order)))
+    negatives = np.zeros((steps, len(order), k), np.min_scalar_type(max(len(f.terms) for f in order)))
+    uniforms = np.random.default_rng(seed_neg).random(steps * k)
+    by = np.argsort(uniforms)
+    uniforms = uniforms[by]
+    ids = np.empty(steps * k, negatives.dtype)
+    for col, fit in enumerate(order):
+        rng, n = np.random.default_rng(seed_order), fit.total_steps
+        perms = [rng.permutation(fit.num_targets) for _ in range(cfg.epochs)]
+        targets[:n, col] = fit.base + np.concatenate(perms)
+        ids[by] = fit.sampler.ids(uniforms)
+        negatives[:n, col] = ids[: n * k].reshape(n, k)
+    return targets, negatives
 
 
 def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
@@ -542,20 +569,22 @@ def train_each(
     Each fit gets that call's seeded init, epoch permutations, negative
     draws and learning-rate schedule; step s of every fit still training
     runs as one batched step. All live fits are at one place of the wave's
-    one ``seed_neg`` stream, so a chunk draws it once and each fit's weights
-    map the draw (:meth:`NegativeSampler.ids`). Fits share no row, so batching
-    changes no sum: gathers and scatters touch disjoint rows, the scores and
-    predictor gradients come from stacked ``np.matmul`` (the BLAS gemv that
-    ``np.dot`` calls), and the rest is elementwise. A fit whose out or
-    context slots repeat a row adds their updates in slot order, each to
-    the row's previous slot, as ``train``'s ``np.add.at`` does; only the
-    row's last slot is written back and the rest go to a sink row that no
-    model holds (:func:`_chains`). The step writes into buffers made once
-    per wave. Only the rows of the terms a group uses are held; the others
-    never change (zero ``word_out`` rows, seeded ``word_in`` rows), and a
-    model is expanded to ``vocab_size`` rows when it is yielded. Groups run
-    in consecutive waves (:func:`_waves`), so memory does not grow with
-    their number.
+    one ``seed_neg`` stream, so the wave draws it once and each fit's weights
+    map the draw (:func:`_plan`). Fits share no row, so batching changes no
+    sum: gathers and scatters touch disjoint rows, the scores and predictor
+    gradients come from stacked ``np.matmul`` (the BLAS gemv that ``np.dot``
+    calls), and the rest is elementwise. The update's products come from
+    ``np.einsum``, which adds each to 0.0 and so turns a -0.0 product into
+    +0.0; a ``word_out`` row is never -0.0, so adding either to it gives the
+    same bits. A fit whose out or context slots repeat a row adds their
+    updates in slot order, each to the row's previous slot, as ``train``'s
+    ``np.add.at`` does; only the row's last slot is written back and the
+    rest go to a sink row that no model holds (:func:`_chains`). The step
+    writes into buffers made once per wave. Only the rows of the terms a
+    group uses are held; the others never change (zero ``word_out`` rows,
+    seeded ``word_in`` rows), and a model is expanded to ``vocab_size`` rows
+    when it is yielded. Groups run in consecutive waves (:func:`_waves`), so
+    memory does not grow with their number.
     """
     kind = _check_kind(kind)
     sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
@@ -580,7 +609,7 @@ def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slic
 def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int],
               cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
     """Yield one :func:`train_each` wave's models in group order, trained by
-    :func:`_train_wave`, whose frame and step buffers end before the first yield."""
+    :func:`_train_wave`, whose frame, plan and step buffers end before the first yield."""
     fits, init, para, word_in, word_out = _train_wave(groups, sizes, cfg, kind)
     for fit in fits:
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)
@@ -596,7 +625,6 @@ def _train_wave(
     k1 = k + 1
     c = cfg.context_size if kind == "dm" else 0
     seed_init, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
-    neg_rng = np.random.default_rng(seed_neg)
     # Every fit's init stream is the same seed_init stream: P x d paragraph
     # values, then V x d word_in values for DM. One draw as long as the
     # longest holds each fit's init as a prefix.
@@ -610,7 +638,7 @@ def _train_wave(
     base = row_off = para_off = 0
     for group, size in zip(groups, sizes):
         tok, pid, par_start = _flatten(group)
-        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg, seed_order)
+        fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
         par_rows.append(para_off + pid)
@@ -635,13 +663,13 @@ def _train_wave(
 
     # Every intermediate of a step is written into one of these, made for
     # the wave's fit count; a step with ``a`` live fits uses their ``[:a]``
-    # prefixes. Scores and predictor gradients keep the trailing and middle
-    # unit axes of the stacked matmul products they hold.
+    # prefixes, and the sigmoid's operands are made for ``a``. Scores and
+    # predictor gradients keep the trailing and middle unit axes of the
+    # stacked matmul products they hold.
     w = len(fits)
     row_buf, out_buf, upd_buf = np.empty((w, d)), np.empty((w, k1, d)), np.empty((w, k1, d))
     h_buf = np.empty((w, d)) if c else row_buf
-    g_buf, sig_buf, grad_buf = np.empty((w, k1, 1)), np.empty(2 * w * k1), np.empty((w, 1, d))
-    ctx_buf = np.empty((w, c, d))
+    g_buf, grad_buf, ctx_buf = np.empty((w, k1, 1)), np.empty((w, 1, d)), np.empty((w, c, d))
     row_recs, out_rec_buf = _records(row_buf), _records(out_buf.reshape(w * k1, d))
     ctx_rec_buf = _records(ctx_buf.reshape(w * c, d)) if c else None
 
@@ -650,17 +678,14 @@ def _train_wave(
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
+    row_offs = np.array([f.row_off for f in order])[:, None]
+    plan_targets, plan_negs = _plan(order, cfg, seed_order, seed_neg)
     step, last = 0, 0
     while step < totals[0]:
         active = int(np.count_nonzero(totals > step))
         m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
-        t = np.zeros((m, active), dtype=np.int64)
-        negs = np.zeros((m, active, k), dtype=np.int64)
-        uniforms = neg_rng.random((m, k))  # a fit finishing after n steps takes n rows
-        for col, fit in enumerate(order[:active]):
-            n = min(m, fit.total_steps - step)
-            t[:n, col] = fit.next_targets(n)
-            negs[:n, col] = fit.row_off + fit.sampler.ids(uniforms[:n])
+        t = plan_targets[step : step + m, :active].astype(np.int64)
+        negs = plan_negs[step : step + m, :active] + row_offs[:active]
         steps = np.arange(step, step + m)[:, None]
         lr = _learning_rates(steps, totals[:active], cfg)
         alive = totals[:active] > steps
@@ -700,9 +725,8 @@ def _train_wave(
                 out_flat, upd = out_rows.reshape(a * k1, d), upd_buf[:a]
                 upd_flat = upd.reshape(a * k1, d)
                 g3, grad3 = g_buf[:a], grad_buf[:a]
-                g, grad_h, sig = g3[:, :, 0], grad3[:, 0], sig_buf[: 2 * a * k1].reshape(2, a, k1)
-                sig_num, sig_den, g_pos = *sig, g[:, 0]
-                g_col, g_row, h_col, h_row = g[:, :, None], g[:, None, :], h[:, :, None], h[:, None, :]
+                g, grad_h, sig = g3[:, :, 0], grad3[:, 0], _sigmoid_ops((a, k1))
+                g_row, h_col, g_pos = g[:, None, :], h[:, :, None], g[:, 0]
                 if c:
                     ctx_rows, ctx_rec = ctx_buf[:a], ctx_rec_buf[: a * c]
                     ctx_flat, shared = ctx_rows.reshape(a * c, d), grad_h[:, None, :]
@@ -717,11 +741,11 @@ def _train_wave(
 
             out_recs.take(out_idx[j, : a * k1], out=out_rec, mode="clip")
             matmul(out_rows, h_col, out=g3)
-            _sigmoid(g, sig, sig_num, sig_den)
+            _sigmoid(g, sig)
             subtract(g_pos, 1.0, out=g_pos)  # minus the labels (1, 0, ..., 0)
             matmul(g_row, out_rows, out=grad3)
             multiply(g, neg_lr[j, :a], out=g)
-            multiply(g_col, h_row, out=upd)
+            np.einsum("fi,fd->fid", g, h, out=upd)
             add(out_rows, upd, out=out_rows)
             for src, dst, _ in out_links[j]:
                 out_flat[dst] = out_flat[src] + upd_flat[dst]
@@ -782,7 +806,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         matrices.insert(1, model.word_in)
     with written(path) as part, open(part, "wb") as fh:
         fh.write(header)
-        for mat in matrices:  # written from the array's own buffer, not a copy
+        for mat in matrices:  # from the array's own buffer; a strided view is copied
             fh.write(np.ascontiguousarray(mat, dtype="<f8").data)
 
 

@@ -75,6 +75,53 @@ def test_sampler_never_draws_zero_count_terms():
     assert set(sampler.ids(np.random.default_rng(7).random(1000))) == {1}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any), st.data())
+def test_sampler_maps_sorted_draws_as_it_maps_them_in_draw_order(counts, data):
+    # A lockstep wave maps its draw through each fit's weights in sorted
+    # order and puts the ids back in draw order. Draws include 0.0, repeats
+    # and the bin edges, where a zero-count term's bin is empty.
+    sampler = NegativeSampler(counts)
+    edges = sampler._cum / sampler._cum[-1]
+    pool = [0.0, *edges[edges < 1.0], *np.nextafter(edges, 0.0)]
+    draws = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0, exclude_max=True))
+    uniforms = np.array(data.draw(st.lists(draws, min_size=1, max_size=40)))
+    by = np.argsort(uniforms)
+    ids = np.empty(len(uniforms), dtype=np.int64)
+    ids[by] = sampler.ids(uniforms[by])
+    assert np.array_equal(ids, sampler.ids(uniforms))
+
+
+def test_split_negative_draws_equal_one_draw():
+    # A lockstep wave draws its seed_neg uniforms at once; train draws them
+    # one chunk of targets at a time, in (targets, negatives) shapes.
+    seed_neg = np.random.SeedSequence(5).spawn(3)[2]
+    for a, b in ((0, 7), (6, 0), (1, 1), (5 * embedding._CHUNK, 37), (3, 5000)):
+        whole = np.random.default_rng(seed_neg).random(a + b)
+        rng = np.random.default_rng(seed_neg)
+        parts = np.concatenate([rng.random(a), rng.random((b, 1)).ravel()])
+        assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 6), st.data())
+def test_einsum_outer_product_updates_rows_as_multiply_does(fits, slots, dim, data):
+    # The lockstep update takes g[f, i] * h[f, d] from np.einsum, which adds
+    # each product to 0.0: only a -0.0 product comes out +0.0. A word_out
+    # row starts at +0.0 and is never -0.0, so adding either to it gives the
+    # same bits as train's broadcast multiply.
+    values = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324]))
+    g = data.draw(hnp.arrays(np.float64, (fits, slots), elements=values))
+    h = data.draw(hnp.arrays(np.float64, (fits, dim), elements=values))
+    rows = data.draw(hnp.arrays(np.float64, (fits, slots, dim), elements=values))
+    rows[rows == 0.0] = 0.0  # +0.0, as word_out rows are
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+        want = np.multiply(g[:, :, None], h[:, None, :])
+        got = np.einsum("fi,fd->fid", g, h, out=np.empty_like(want))
+        assert np.array_equal(got.view(np.uint64), (want + 0.0).view(np.uint64))
+        assert np.array_equal((rows + got).view(np.uint64), (rows + want).view(np.uint64))
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         NegativeSampler(np.array([]))
@@ -310,25 +357,34 @@ _SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073
                   math.inf, -math.inf, math.nan, -math.nan]
 
 
+def _stale_sigmoid_ops(shape):
+    # The operands the training steps pass, their scratch array left full of
+    # NaNs as a previous step might leave it.
+    ops = embedding._sigmoid_ops(shape)
+    ops[0].fill(np.nan)
+    return ops
+
+
 def _assert_sigmoid_bits(x):
-    # As the training steps call it, over a stale scratch buffer and its
-    # halves, and as the oracles call it, with no buffer.
+    # As the training steps call it, with same-shape constant operands over
+    # a stale scratch array, and as the oracles call it, with no operands.
     want = sigmoid_reference(x.copy()).view(np.uint64)
-    buf = np.full((2, *x.shape), np.nan)
-    got = embedding._sigmoid(x.copy(), buf, *buf)
+    got = embedding._sigmoid(x.copy(), _stale_sigmoid_ops(x.shape))
     assert np.array_equal(got.view(np.uint64), want)
     assert np.array_equal(embedding._sigmoid(x.copy()).view(np.uint64), want)
 
 
 def test_sigmoid_matches_reference_bits_at_the_edges():
     _assert_sigmoid_bits(np.array(_SIGMOID_EDGES))
-    # a 2-D array, written over in place
+    # a 2-D array, written over in place, its operands used twice
     x = np.array(_SIGMOID_EDGES).reshape(2, 9)
     want = sigmoid_reference(x.copy())
-    buf = np.full((2, *x.shape), np.nan)
-    got = embedding._sigmoid(x, buf, *buf)
-    assert got is x
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    ops = _stale_sigmoid_ops(x.shape)
+    for _ in range(2):
+        y = x.copy()
+        got = embedding._sigmoid(y, ops)
+        assert got is y
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -466,17 +522,17 @@ def test_train_each_matches_separate_fits_finishing_mid_chunk():
 
 
 def test_lockstep_holds_no_step_buffer_while_it_yields():
-    # A wave's step buffers are dropped before its first model is yielded;
-    # while the caller holds that model, the wave keeps only what the later
-    # models are expanded from.
+    # A wave's step buffers and its plan of targets and negatives are
+    # dropped before its first model is yielded; while the caller holds that
+    # model, the wave keeps only what the later models are expanded from.
     cfg = TrainConfig(dim=4, epochs=2, context_size=2, seed=3)
     for kind in KINDS:
         models = train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5)
         next(models)
         frame = models.gi_yieldfrom.gi_frame
         assert frame.f_code is embedding._lockstep.__code__
-        buffers = {"row_buf", "h_buf", "out_buf", "upd_buf", "g_buf", "sig_buf", "grad_buf",
-                   "ctx_buf", "out_rows", "upd", "ctx_rows"}
+        buffers = {"row_buf", "h_buf", "out_buf", "upd_buf", "g_buf", "sig", "grad_buf",
+                   "ctx_buf", "out_rows", "upd", "ctx_rows", "plan_targets", "plan_negs"}
         assert not buffers & set(frame.f_locals)
         assert len(list(models)) == 1
 
@@ -559,6 +615,17 @@ def test_save_load_round_trip(tmp_path):
         resaved = tmp_path / f"{kind}2.cvem"
         save_model(loaded, resaved)
         assert path.read_bytes() == resaved.read_bytes()
+
+
+def test_joint_models_save_as_single_kind_models_do(tmp_path):
+    # A joint pass's paragraph matrices are strided views of its
+    # paragraph-major rows; each is written as train's own model is.
+    cfg = TrainConfig(dim=5, epochs=2, negatives=3, context_size=2, seed=4)
+    for model in train_both(_paras(), cfg, vocab_size=5):
+        assert not model.para_matrix.flags.c_contiguous
+        save_model(model, tmp_path / "joint.cvem")
+        save_model(train(_paras(), cfg, model.kind, vocab_size=5), tmp_path / "one.cvem")
+        assert (tmp_path / "joint.cvem").read_bytes() == (tmp_path / "one.cvem").read_bytes()
 
 
 def test_load_rejects_corrupt_files(tmp_path):
