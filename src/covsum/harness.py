@@ -446,6 +446,8 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
     record must be a summary of its cell (see :func:`_summary_record`).
     Cells often pick the same sentences for a document, so each distinct
     (document, ordered picks) pair is scored once and its scores reused.
+    The documents, and so their reference objects, live for the whole
+    stage, so :func:`evaluate` builds each reference's ROUGE table once.
     """
     docs = _load_docs(config)
     targets = _eval_docs(config, docs)
