@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import operator
 import re
 import unicodedata
 from collections.abc import Iterable, Sequence
@@ -214,33 +215,49 @@ def _token_lists(raw: list, where: str, what: str) -> list[tuple[str, ...]]:
     return lists
 
 
+# The last corpus text that parsed, its documents and, once built, their
+# vocabulary: a process running several stages on one file parses it and
+# counts its terms once. The tuple is replaced whole, never edited, so a
+# reader always sees one text with its own documents.
+_last: tuple[str | None, tuple[Document, ...], Vocabulary | None] = (None, (), None)
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a JSONL corpus file into Documents, in file order.
 
     Raises :class:`CorpusError` naming the offending line for malformed
     records, and both lines for a repeated document id; blank lines are
-    skipped.
+    skipped. The file is read on every call. Text equal to the last text
+    that parsed gives a new list of that parse's documents, which are
+    immutable; they stay in memory until other text parses.
     """
-    docs = []
-    first_line: dict[str, int] = {}
+    global _last
     # Undecodable bytes become lone surrogates, refused with the line's number.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
-                raise CorpusError(f"line {line_no}: unreadable JSON ({exc})") from None
-            doc = _parse_document(record, line_no)
-            seen = first_line.setdefault(doc.id, line_no)
-            if seen != line_no:
-                raise CorpusError(
-                    f"line {line_no}: duplicate document id {doc.id!r} (first on line {seen})"
-                )
-            docs.append(doc)
+        text = fh.read()
+    last_text, last_docs, _ = _last
+    if text == last_text:
+        return list(last_docs)
+    docs = []
+    first_line: dict[str, int] = {}
+    # Universal newlines turned "\r" and "\r\n" into "\n": these are the file's lines.
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+            raise CorpusError(f"line {line_no}: unreadable JSON ({exc})") from None
+        doc = _parse_document(record, line_no)
+        seen = first_line.setdefault(doc.id, line_no)
+        if seen != line_no:
+            raise CorpusError(
+                f"line {line_no}: duplicate document id {doc.id!r} (first on line {seen})"
+            )
+        docs.append(doc)
+    _last = (text, tuple(docs), None)
     return docs
 
 
@@ -277,9 +294,16 @@ def build_vocabulary(docs: Sequence[Document]) -> Vocabulary:
     Every token occurring in a document body or a reference summary gets an
     id (first-seen order). Document frequency counts each document at most
     once and ignores references; reference-only terms get doc_freq 1.
+    ``docs`` holding exactly the documents of the last :func:`load_corpus`
+    parse, the same objects in order, get one Vocabulary, built once.
     """
+    global _last
     if not docs:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
+    text, last_docs, vocab = _last
+    loaded = len(docs) == len(last_docs) and all(map(operator.is_, docs, last_docs))
+    if loaded and vocab is not None:
+        return vocab
 
     term_to_id: dict[str, int] = {}
     doc_freq: list[int] = []
@@ -305,6 +329,7 @@ def build_vocabulary(docs: Sequence[Document]) -> Vocabulary:
                         term_to_id[tok] = len(doc_freq)
                         doc_freq.append(1)
 
-    return Vocabulary(
-        term_to_id=term_to_id, doc_freq=tuple(doc_freq), num_docs=len(docs)
-    )
+    vocab = Vocabulary(term_to_id=term_to_id, doc_freq=tuple(doc_freq), num_docs=len(docs))
+    if loaded:
+        _last = (text, last_docs, vocab)
+    return vocab

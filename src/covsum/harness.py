@@ -19,6 +19,9 @@ Gram (BOW, DM, DBOW) is built once for every representation holding it.
 ``evaluate`` checks every summary record against its cell and its
 document, then scores each distinct (document, ordered picks) pair once
 with ROUGE; every cell that made the same picks reuses those scores.
+Stages run in one process on an unchanged corpus file share one parse of
+it and one vocabulary (see :func:`corpus.load_corpus`); each CLI command
+is its own process and parses the file itself.
 
 Documents share models by group (:func:`_model_groups`): all of them, or one
 each with ``per_document_training``. Per-document models are trained in
@@ -446,8 +449,9 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
     record must be a summary of its cell (see :func:`_summary_record`).
     Cells often pick the same sentences for a document, so each distinct
     (document, ordered picks) pair is scored once and its scores reused.
-    The documents, and so their reference objects, live for the whole
-    stage, so :func:`evaluate` builds each reference's ROUGE table once.
+    The documents, and so their reference objects, live while their corpus
+    stays the last one loaded, so :func:`evaluate` builds each reference's
+    ROUGE table once, and a later stage on the same corpus reuses it.
     """
     docs = _load_docs(config)
     targets = _eval_docs(config, docs)

@@ -9,7 +9,8 @@ import pytest
 
 import covsum
 from covsum.cli import main
-from covsum.corpus import save_corpus
+from covsum.corpus import build_vocabulary, load_corpus, save_corpus
+from covsum.harness import cmd_evaluate, cmd_summarize, cmd_train, load_experiment_config
 
 from conftest import make_doc
 from test_harness import grid_docs
@@ -87,6 +88,39 @@ def test_cli_reports_diverged_training(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr  # nor numpy's warnings on the way there
     assert "embedding.py" not in proc.stderr
+
+
+def _tree(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_stages_in_one_process_write_what_separate_commands_write(tmp_path):
+    # One process per command parses the corpus each time; stages run in one
+    # process after a set-up load share the parse and the vocabulary.
+    corpus = tmp_path / "c.jsonl"
+    save_corpus(grid_docs(), corpus)
+    src = Path(covsum.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    trees = []
+    for run in ("commands", "stages"):
+        cfg = tmp_path / f"{run}.cfg"
+        cfg.write_text(
+            f"corpus = {corpus}\nout = {tmp_path / run}\nper_document_training = true\n"
+            "representations = BOW+DBOW\nembed.dim = 4\nembed.epochs = 2\nseed = 9\n"
+        )
+        if run == "commands":
+            for stage in ("train", "summarize", "evaluate"):
+                subprocess.run([sys.executable, "-m", "covsum", stage, "--config", str(cfg)],
+                               env=env, check=True, capture_output=True, timeout=120)
+        else:
+            config = load_experiment_config(str(cfg))
+            build_vocabulary(load_corpus(config.corpus_path))
+            cmd_train(config)
+            cmd_summarize(config)
+            cmd_evaluate(config)
+        trees.append(_tree(tmp_path / run))
+    assert len(trees[0]) == 3 + 4 + 2  # per-document models, cells, results
+    assert trees[0] == trees[1]
 
 
 def test_cli_rejects_unknown_flags():

@@ -1,4 +1,6 @@
 import json
+import operator
+import os
 import sys
 import tempfile
 from itertools import product
@@ -163,6 +165,81 @@ def test_blank_lines_skipped(tmp_path):
     assert len(load_corpus(path)) == 1
 
 
+def test_line_numbers_count_every_kind_of_line_end(tmp_path):
+    # "\r\n" and a lone "\r" each end a line, as universal newlines read them;
+    # other line breaks of str.splitlines, inside a JSON string, do not.
+    path = tmp_path / "ends.jsonl"
+    cases = {
+        b'{"id": "a", "sentences": [["x"]]}\r\n{"id": "b", "sentences": [["y"]]}\r\nnot json\r\n':
+            "line 3: invalid JSON",
+        b'{"id": "a", "sentences": [["x"]]}\n{"id": "b",\r"sentences": [["y"]]}\n':
+            "line 2: invalid JSON",
+        b'\r{"id": "a", "sentences": [["x"]]}\r\n{"id": "a", "sentences": [["y"]]}\n':
+            r"line 3: duplicate document id 'a' \(first on line 2\)",
+        '{"id": "a", "raw_sentences": ["x\u2028y\x85z"]}\n{"id": "a", "sentences": [["y"]]}\n'
+        .encode(): r"line 2: duplicate document id 'a' \(first on line 1\)",
+    }
+    for data, message in cases.items():
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=message):
+            load_corpus(path)
+
+
+def test_load_reads_the_file_on_every_call(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "sentences": [["x"]]}\n')
+    (first,) = load_corpus(path)
+    stat = path.stat()
+    path.write_text('{"id": "b", "sentences": [["y"]]}\n')  # as long, same mtime
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    (second,) = load_corpus(path)
+    assert (first.id, second.id) == ("a", "b")
+
+
+def test_a_refused_rewrite_keeps_the_last_parse(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = '{"id": "a", "sentences": [["x"]]}\n{"id": "b", "sentences": [["y"]]}\n'
+    path.write_text(good)
+    docs = load_corpus(path)
+    path.write_text(good + "not json\n")
+    with pytest.raises(CorpusError, match="line 3: invalid JSON"):
+        load_corpus(path)
+    path.write_text(good)
+    again = load_corpus(path)
+    assert again == docs and all(map(operator.is_, again, docs))
+
+
+def test_a_returned_list_is_the_callers_own(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "sentences": [["x"]]}\n{"id": "b", "sentences": [["y"]]}\n')
+    docs = load_corpus(path)
+    docs.reverse()
+    docs.pop()
+    assert [doc.id for doc in load_corpus(path)] == ["a", "b"]
+
+
+def test_vocabulary_of_the_loaded_documents_is_built_once(tmp_path, tiny_docs):
+    path = tmp_path / "c.jsonl"
+    save_corpus(tiny_docs, path)
+    docs = load_corpus(path)
+    vocab = build_vocabulary(docs)
+    assert build_vocabulary(load_corpus(path)) is vocab
+    today = build_vocabulary(tiny_docs)  # equal documents, other objects
+    assert today == vocab and today is not vocab
+    # Anything but the loaded objects in their order is counted afresh.
+    for part, same in ((docs[:1], tiny_docs[:1]), (docs[::-1], tiny_docs[::-1])):
+        fresh = build_vocabulary(part)
+        assert fresh is not vocab and fresh == build_vocabulary(same)
+    assert build_vocabulary(docs) is vocab
+    copy = tmp_path / "copy.jsonl"
+    copy.write_text(path.read_text() + "\n")  # other text, the same documents
+    parsed = load_corpus(copy)
+    assert parsed == docs and not any(map(operator.is_, parsed, docs))
+    fresh = build_vocabulary(parsed)
+    assert fresh is not vocab and fresh == vocab
+    assert build_vocabulary(docs) is not vocab
+
+
 def test_vocabulary_ids_and_doc_freq(tiny_docs):
     vocab = build_vocabulary(tiny_docs)
     # first-seen order within and across documents
@@ -260,7 +337,11 @@ def test_any_file_is_refused_or_round_trips(data):
         path.write_bytes(data)
         try:
             docs = load_corpus(path)
-        except CorpusError:
+        except CorpusError as exc:
+            with pytest.raises(CorpusError) as second:
+                load_corpus(path)
+            assert str(second.value) == str(exc)
             return
+        assert load_corpus(path) == docs
         save_corpus(docs, again)
         assert load_corpus(again) == docs
