@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
+from .files import written
+
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or invariant violations."""
@@ -274,8 +276,9 @@ def load_bundled_corpus() -> list[Document]:
 
 
 def save_corpus(docs: Sequence[Document], path: str | Path) -> None:
-    """Write documents back out in the canonical JSONL schema."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write documents back out in the canonical JSONL schema. The file is
+    replaced whole, so a failed write leaves the previous file as it was."""
+    with written(path) as part, open(part, "w", encoding="utf-8") as fh:
         for doc in docs:
             record = {
                 "id": doc.id,

@@ -10,9 +10,10 @@ approximated with negative sampling: one positive pair per target word plus
 ``unigram_power``. Its whole-batch loss and gradients are in ``oracles``.
 
 Training is single-threaded, seeded, and bitwise reproducible: identical
-seed, config, and input produce an identical model. One loop trains a corpus
-model: :func:`train` runs it for one kind, :func:`train_both` for DM and
-DBOW at once. Every kind draws every value from the same ``cfg.seed``
+seed, config, and input produce an identical model. :func:`fit` trains one
+model of each given kind on each paragraph group; :func:`train` is its
+case of one group and one kind. One loop trains a single group, every kind
+at once. Every kind draws every value from the same ``cfg.seed``
 streams, so the kinds share the chunk bookkeeping and are stacked on a
 leading axis, and each model is bit-identical to its one-kind fit. The
 loop is exact per-target SGD in which only the bookkeeping is batched:
@@ -35,23 +36,31 @@ loops pass it its constants as arrays of the scores' shape, which numpy
 takes faster than scalars (:func:`_sigmoid_ops`). The loops mute overflow
 warnings; :func:`_finished` reports it.
 
-:func:`train_each` fits one model per paragraph group (per-document
-training) in lockstep: one batched step advances every unfinished fit by
-one target. Fits share no row, so the batch is exact, and every model is
-bit-identical to a separate :func:`train` call on its group;
+Several groups (per-document training) are fitted one kind at a time in
+lockstep: one batched step advances every unfinished fit by one target.
+Each fit keeps its own ``train`` call's seeded init, epoch permutations,
+negative draws and learning-rate schedule. Fits share no row, so batching
+changes no sum: gathers and scatters touch disjoint rows, scores and
+predictor gradients are stacked ``np.matmul`` calls with ``out=`` (the
+BLAS gemv that ``np.dot`` calls), and the rest is elementwise. The
+update's products come from ``np.einsum``, which adds each to 0.0 and so
+turns a -0.0 product into +0.0; a ``word_out`` row is never -0.0, so
+adding either to it gives the same bits. So every model is bit-identical
+to a separate :func:`train` call on its group;
 ``test_train_each_matches_separate_fits`` guards this with ``==`` on every
-matrix. The step is buffered like the corpus loop's: its buffers are made
-once per wave for the wave's fits, it moves rows as records, and scores and
-predictor gradients are stacked ``np.matmul`` calls with ``out=``. Where one
-fit's out or context slots hit a row twice, the step chains them
-(:func:`_chains`): a later slot of the row takes the previous slot's new row
-plus its own update, which is what ``np.add.at``'s in-order adds give. Only
-the row's last slot is written back; the others go to a sink row past the
-fits' rows, which no yielded model holds. Each wave plans every fit's
-targets and negatives once (:func:`_plan`): one draw of the shared
-negative stream, sorted once and mapped through each fit's weights. Groups
-run in consecutive waves of at most about 2 MiB of ``word_out`` rows each,
-so memory does not grow with the number of groups.
+matrix. The step's buffers are made once per wave for the wave's fits, and
+it moves rows as records. Where one fit's out or context slots hit a row
+twice, the step chains them (:func:`_chains`): a later slot of the row
+takes the previous slot's new row plus its own update, which is what
+``np.add.at``'s in-order adds give. Only the row's last slot is written
+back; the others go to a sink row past the fits' rows, which no yielded
+model holds. Each wave plans every fit's targets and negatives once
+(:func:`_plan`): one draw of the shared negative stream, sorted once and
+mapped through each fit's weights. A fit holds only the rows of the terms
+its group uses; the others never change, and :func:`_expand` fills them in
+when the model is yielded. Groups run in consecutive waves of at most
+about 2 MiB of ``word_out`` rows each, so memory does not grow with the
+number of groups.
 
 Model files are flat binary (little-endian):
 
@@ -229,13 +238,6 @@ def _validate_paragraphs(
     return vocab_size
 
 
-def _check_kind(kind: str) -> str:
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return kind
-
-
 def _flatten(
     paragraphs: Sequence[TrainingParagraph],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,7 +327,7 @@ def train(
     kind: str,
     vocab_size: int | None = None,
     *,
-    joint: Iterator[EmbeddingModel] | None = None,
+    trained: Iterator[EmbeddingModel] | None = None,
 ) -> EmbeddingModel:
     """Run seeded SGD over all (paragraph, position) targets.
 
@@ -334,44 +336,62 @@ def train(
     out-vectors; the sampled stream may repeat the target itself. Target
     order is reshuffled every epoch from the seeded generator.
 
-    With ``joint``, a :func:`train_both` pass over the same arguments, the
-    model is that pass's next one (DM, then DBOW), the same bit for bit;
-    ``cmd_train`` takes both through here, one ``train`` call per fit. A
-    pass whose next model is of another kind, or has another number of
-    paragraphs or vocabulary size, or that has no model left, is refused
-    with ``ValueError``; a refused model is used up.
+    With ``trained``, a :func:`fit` pass whose next group is ``paragraphs``,
+    the model is that pass's next one, bit for bit, and the paragraphs are
+    not walked again; ``cmd_train`` takes every model through here. A pass
+    whose next model is of another kind, or has another number of
+    paragraphs, or another vocabulary size than a given ``vocab_size``, or
+    that has no model left, is refused with ``ValueError``; a refused model
+    is used up.
     """
-    kind = _check_kind(kind)
-    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
-    if joint is not None:
-        model = next(joint, None)
-        if model is None:
-            raise ValueError(f"joint pass is exhausted; it holds no {kind} model")
-        if model.kind != kind:
-            raise ValueError(f"joint pass yields a {model.kind} model next, not {kind}")
-        if (model.num_paragraphs, model.vocab_size) != (len(paragraphs), vocab_size):
-            raise ValueError(
-                f"joint pass trained {model.num_paragraphs} paragraphs over "
-                f"{model.vocab_size} terms, not {len(paragraphs)} over {vocab_size}"
-            )
-        return model
-
-    return next(_fits(paragraphs, cfg, (kind,), vocab_size))
+    kind = kind.lower()
+    models = fit([paragraphs], cfg, (kind,), vocab_size) if trained is None else trained
+    model = next(models, None)
+    if model is None:
+        raise ValueError(f"fit pass is exhausted; it holds no {kind} model")
+    if model.kind != kind:
+        raise ValueError(f"fit pass yields a {model.kind} model next, not {kind}")
+    want = (len(paragraphs), model.vocab_size if vocab_size is None else vocab_size)
+    if (model.num_paragraphs, model.vocab_size) != want:
+        raise ValueError(
+            f"fit pass trained {model.num_paragraphs} paragraphs over "
+            f"{model.vocab_size} terms, not {want[0]} over {want[1]}"
+        )
+    return model
 
 
-def train_both(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig,
-               vocab_size: int | None = None) -> Iterator[EmbeddingModel]:
-    """Yield ``train(paragraphs, cfg, "dm", vocab_size)``, then the same
-    call's ``"dbow"`` model, bit for bit, from one pass over the targets.
-    The models are views of the stacked arrays the pass updates."""
-    return _fits(paragraphs, cfg, KINDS, _validate_paragraphs(paragraphs, vocab_size))
+def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: Sequence[str],
+        vocab_size: int | None = None) -> Iterator[EmbeddingModel]:
+    """Train one model of each of ``kinds`` on each paragraph group, and
+    yield them kind-major, each kind's in group order.
+
+    ``kinds`` are distinct and in ``KINDS`` order. Every model is
+    bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group is
+    validated once, when the first model is asked for; without
+    ``vocab_size``, a group's vocabulary is its largest term id + 1. One
+    group is trained by one :func:`_fits` pass over all kinds, which takes
+    a single fit faster than lockstep does. Several groups are trained one
+    kind at a time, all fits in lockstep (see the module docstring), in
+    consecutive waves (:func:`_waves`).
+    """
+    kinds = tuple(kind.lower() for kind in kinds)
+    if not kinds or kinds != tuple(kind for kind in KINDS if kind in kinds):
+        raise ValueError(f"kinds must be distinct kinds of {KINDS}, in that order")
+    sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
+    if len(groups) == 1:
+        yield from _fits(groups[0], cfg, kinds, sizes[0])
+        return
+    waves = _waves(groups, cfg.dim)
+    for kind in kinds:
+        for wave in waves:
+            yield from _lockstep(groups[wave], sizes[wave], cfg, kind)
 
 
 def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
           vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train one model of each of ``kinds`` over validated paragraphs in one
-    pass, and yield them in order. ``kinds`` is ``(kind,)`` or ``KINDS``;
-    only kind 0, DM if present, reads a context."""
+    pass, and yield them in order. Only kind 0, DM if present, reads a
+    context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     # Paragraph p's rows are the block ``para[p]``, kind i's matrix the view
@@ -456,7 +476,7 @@ _WAVE_VALUES = 2**18
 
 
 class _Fit:
-    """One group's fit inside :func:`train_each`: its negative weights, its
+    """One group's fit in a lockstep wave: its negative weights, its
     step count, and where its rows sit in the shared arrays."""
 
     def __init__(self, tok, vocab_size, base, row_off, para_off, num_paragraphs, cfg):
@@ -556,44 +576,8 @@ def _chains(keys: np.ndarray, flagged: np.ndarray) -> tuple[np.ndarray, list]:
     return superseded, links
 
 
-def train_each(
-    groups: Sequence[Sequence[TrainingParagraph]],
-    cfg: TrainConfig,
-    kind: str,
-    vocab_size: int | None = None,
-) -> Iterator[EmbeddingModel]:
-    """Train one model per paragraph group, all fits in lockstep, and yield
-    the models in group order.
-
-    Every model is bit-identical to ``train(group, cfg, kind, vocab_size)``.
-    Each fit gets that call's seeded init, epoch permutations, negative
-    draws and learning-rate schedule; step s of every fit still training
-    runs as one batched step. All live fits are at one place of the wave's
-    one ``seed_neg`` stream, so the wave draws it once and each fit's weights
-    map the draw (:func:`_plan`). Fits share no row, so batching changes no
-    sum: gathers and scatters touch disjoint rows, the scores and predictor
-    gradients come from stacked ``np.matmul`` (the BLAS gemv that ``np.dot``
-    calls), and the rest is elementwise. The update's products come from
-    ``np.einsum``, which adds each to 0.0 and so turns a -0.0 product into
-    +0.0; a ``word_out`` row is never -0.0, so adding either to it gives the
-    same bits. A fit whose out or context slots repeat a row adds their
-    updates in slot order, each to the row's previous slot, as ``train``'s
-    ``np.add.at`` does; only the row's last slot is written back and the
-    rest go to a sink row that no model holds (:func:`_chains`). The step
-    writes into buffers made once per wave. Only the rows of the terms a
-    group uses are held; the others never change (zero ``word_out`` rows,
-    seeded ``word_in`` rows), and a model is expanded to ``vocab_size`` rows
-    when it is yielded. Groups run in consecutive waves (:func:`_waves`), so
-    memory does not grow with their number.
-    """
-    kind = _check_kind(kind)
-    sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
-    for wave in _waves(groups, cfg.dim):
-        yield from _lockstep(groups[wave], sizes[wave], cfg, kind)
-
-
 def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slice]:
-    """Consecutive runs of groups for :func:`train_each`: the fewest runs
+    """Consecutive runs of groups for lockstep waves: the fewest runs
     whose mean size is within ``_WAVE_VALUES`` term-row values, cut where
     the running count of distinct terms passes each multiple of that mean,
     so a run exceeds the mean by less than its last group."""
@@ -608,7 +592,7 @@ def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slic
 
 def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int],
               cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
-    """Yield one :func:`train_each` wave's models in group order, trained by
+    """Yield one lockstep wave's models in group order, trained by
     :func:`_train_wave`, whose frame, plan and step buffers end before the first yield."""
     fits, init, para, word_in, word_out = _train_wave(groups, sizes, cfg, kind)
     for fit in fits:

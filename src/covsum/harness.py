@@ -24,9 +24,10 @@ it and one vocabulary (see :func:`corpus.load_corpus`); each CLI command
 is its own process and parses the file itself.
 
 Documents share models by group (:func:`_model_groups`): all of them, or one
-each with ``per_document_training``. Per-document models are trained in
-lockstep by ``embedding.train_each``, bit-identical to one ``train`` call per
-document (``tests/test_embedding.py::test_train_each_matches_separate_fits``).
+each with ``per_document_training``. One ``embedding.fit`` pass trains every
+model: both kinds of a corpus model at once, per-document models in
+lockstep, each bit-identical to one ``train`` call on its group
+(``tests/test_embedding.py::test_train_each_matches_separate_fits``).
 Output files are written as ``.part``
 files and renamed when complete; a failed stage deletes its ``.part`` files,
 so it leaves no half-written file and the previous outputs as they were.
@@ -46,12 +47,11 @@ from .embedding import (
     EmbeddingModel,
     TrainConfig,
     build_training_paragraphs,
+    fit,
     load_model,
     paragraph_index,
     save_model,
     train,
-    train_both,
-    train_each,
 )
 from .files import written as _written
 from .rouge import evaluate
@@ -137,8 +137,10 @@ _EMBED_KEYS = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment, blanks ignored."""
+    """Read ``key = value`` lines; ``#`` starts a comment, blanks ignored.
+    A key given twice is refused, naming both lines."""
     pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -149,6 +151,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if not key or not value:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            if key in lines:
+                raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
+            lines[key] = line_no
             pairs[key] = value
     return pairs
 
@@ -258,10 +263,10 @@ def _model_path(out_dir: Path, kind: str, owner: str | None = None) -> Path:
 def cmd_train(config: ExperimentConfig) -> list[Path]:
     """Train every embedding kind the configured grid needs and persist it.
 
-    Several model groups are trained in lockstep by ``train_each``, whose
-    models are bit-identical to one ``train`` call per group; a single group
-    goes through ``train``, which is faster for one fit. For both kinds it
-    hands over the models of one exact ``train_both`` pass (README, training).
+    One ``fit`` pass trains every model, and each is taken through
+    ``train``, one call per (kind, group), in the pass's order: kind-major,
+    then group. The pass trains a single group's kinds together and several
+    groups in lockstep (README, training).
     """
     docs = _load_docs(config)
     vocab = build_vocabulary(docs)
@@ -274,20 +279,15 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
 
     groups = _model_groups(config, docs, kinds)
     paragraphs = [build_training_paragraphs(group, vocab) for _, group in groups]
-    joint = None
-    if len(groups) == 1 and len(kinds) == 2:
-        joint = train_both(paragraphs[0], config.embed, vocab.size)
+    models = fit(paragraphs, config.embed, kinds, vocab.size)
     for kind in kinds:
-        if len(groups) == 1:
-            models = [train(paragraphs[0], config.embed, kind, vocab.size, joint=joint)]
-        else:
-            models = train_each(paragraphs, config.embed, kind, vocab.size)
-        for (owner, _), model in zip(groups, models):
+        for (owner, _), group_paragraphs in zip(groups, paragraphs):
+            model = train(group_paragraphs, config.embed, kind, vocab.size, trained=models)
             path = _model_path(out_dir, kind, owner)
             path.parent.mkdir(parents=True, exist_ok=True)
             save_model(model, path)
             saved.append(path)
-            del model  # unless a joint pass holds it, freed before the next model is built
+            del model  # unless the pass holds it, freed before the next model is built
     for path in saved:
         print(f"wrote {path}")
     return saved

@@ -72,6 +72,19 @@ def test_round_trip(tmp_path, tiny_docs):
     assert load_corpus(path) == tiny_docs
 
 
+def test_failed_save_keeps_the_previous_file(tmp_path, tiny_docs):
+    # A lone surrogate cannot be encoded, so the second document fails to
+    # write after the first has been written.
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_docs, path)
+    before = path.read_bytes()
+    docs = [make_doc("a", [["x"]]), make_doc("b", [["\udcff"]])]
+    with pytest.raises(UnicodeEncodeError):
+        save_corpus(docs, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]  # no .part file
+
+
 def test_load_raw_sentences(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text(json.dumps({"id": "r", "raw_sentences": ["The cat.", "A dog!"]}) + "\n")

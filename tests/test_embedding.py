@@ -18,12 +18,11 @@ from covsum.embedding import (
     TrainConfig,
     TrainingParagraph,
     build_training_paragraphs,
+    fit,
     load_model,
     paragraph_index,
     save_model,
     train,
-    train_both,
-    train_each,
 )
 from covsum.oracles import dm_context, negative_sampling_gradients, pair_loss
 
@@ -49,9 +48,9 @@ def test_training_paragraph_requires_tokens():
     with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
         train(paragraphs, cfg, "dbow")
     with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
-        list(train_both(paragraphs, cfg))
+        list(fit([paragraphs], cfg, KINDS))
     with pytest.raises(ValueError, match="paragraph 2 has no tokens"):
-        list(train_each([paragraphs[:2], paragraphs], cfg, "dm"))
+        list(fit([paragraphs[:2], paragraphs], cfg, ("dm",)))
 
 
 def test_train_config_validation():
@@ -148,12 +147,12 @@ def test_train_validates_inputs():
     with pytest.raises(ValueError):
         train(_paras(), cfg, "skipgram")
     with pytest.raises(ValueError, match="term id 4"):
-        list(train_both(_paras(), cfg, vocab_size=3))
+        list(fit([_paras()], cfg, KINDS, vocab_size=3))
     negative = [TrainingParagraph((0, 1)), TrainingParagraph((0, 1, -1, 2))]
     with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
         train(negative, cfg, "dbow", vocab_size=4)
     with pytest.raises(ValueError, match="paragraph 1 has negative term id -1"):
-        list(train_both(negative, cfg, vocab_size=4))
+        list(fit([negative], cfg, KINDS, vocab_size=4))
 
 
 def test_train_deterministic_and_seed_sensitive():
@@ -278,14 +277,14 @@ def test_train_matches_reference_across_chunks():
         _assert_same_model(train(paragraphs, cfg, kind), train_reference(paragraphs, cfg, kind))
 
 
-def _assert_train_both_matches_two_fits(paragraphs, cfg, vocab):
-    got = list(train_both(paragraphs, cfg, vocab_size=vocab))
+def _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, vocab):
+    got = list(fit([paragraphs], cfg, KINDS, vocab_size=vocab))
     assert [model.kind for model in got] == list(KINDS)
     for model, kind in zip(got, KINDS):
         want = train(paragraphs, cfg, kind, vocab_size=vocab)
         _assert_same_model(model, want)
         assert model.context_size == want.context_size
-        # train runs the same loop, so also hold the joint pass to the reference
+        # train runs the same loop, so also hold the two-kind pass to the reference
         _assert_same_model(model, train_reference(paragraphs, cfg, kind, vocab_size=vocab))
 
 
@@ -293,7 +292,7 @@ def _assert_train_both_matches_two_fits(paragraphs, cfg, vocab):
 @given(_training_runs())
 def test_train_both_matches_two_fits(run):
     paragraphs, cfg, _, vocab = run
-    _assert_train_both_matches_two_fits(paragraphs, cfg, vocab)
+    _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, vocab)
 
 
 def test_train_both_matches_two_fits_across_chunks():
@@ -304,7 +303,7 @@ def test_train_both_matches_two_fits_across_chunks():
     ]
     assert sum(len(p.tokens) for p in paragraphs) > 2 * embedding._CHUNK
     cfg = TrainConfig(dim=7, context_size=3, epochs=2, negatives=4, seed=13)
-    _assert_train_both_matches_two_fits(paragraphs, cfg, None)
+    _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, None)
 
 
 def test_train_both_yields_dm_before_a_dbow_divergence():
@@ -312,7 +311,7 @@ def test_train_both_yields_dm_before_a_dbow_divergence():
     # then train's own error for DBOW.
     cfg = TrainConfig(dim=4, epochs=2, negatives=2, context_size=4, learning_rate=1e23, seed=3)
     with np.errstate(all="ignore"):
-        models = train_both(_paras(), cfg, vocab_size=5)
+        models = fit([_paras()], cfg, KINDS, vocab_size=5)
         _assert_same_model(next(models), train(_paras(), cfg, "dm", vocab_size=5))
         with pytest.raises(ArithmeticError) as want:
             train(_paras(), cfg, "dbow", vocab_size=5)
@@ -323,33 +322,49 @@ def test_train_both_yields_dm_before_a_dbow_divergence():
 
 def test_train_refuses_a_joint_pass_of_another_kind():
     cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
-    joint = train_both(_paras(), cfg, vocab_size=5)
+    trained = fit([_paras()], cfg, KINDS, vocab_size=5)
     with pytest.raises(ValueError, match="yields a dm model next, not dbow"):
-        train(_paras(), cfg, "dbow", vocab_size=5, joint=joint)
+        train(_paras(), cfg, "dbow", vocab_size=5, trained=trained)
     # the refused model is consumed; the pass goes on with DBOW
-    _assert_same_model(train(_paras(), cfg, "dbow", vocab_size=5, joint=joint),
+    _assert_same_model(train(_paras(), cfg, "dbow", vocab_size=5, trained=trained),
                        train(_paras(), cfg, "dbow", vocab_size=5))
 
 
 def test_train_refuses_an_exhausted_joint_pass():
     cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
-    joint = train_both(_paras(), cfg, vocab_size=5)
+    trained = fit([_paras()], cfg, KINDS, vocab_size=5)
     for kind in KINDS:
-        train(_paras(), cfg, kind, vocab_size=5, joint=joint)
+        train(_paras(), cfg, kind, vocab_size=5, trained=trained)
     with pytest.raises(ValueError, match="exhausted; it holds no dbow model"):
-        train(_paras(), cfg, "dbow", vocab_size=5, joint=joint)
+        train(_paras(), cfg, "dbow", vocab_size=5, trained=trained)
 
 
 def test_train_refuses_a_joint_pass_over_other_paragraphs():
     cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    trained = fit([_paras()], cfg, KINDS, vocab_size=5)
     with pytest.raises(ValueError, match="3 paragraphs over 5 terms, not 2 over 5"):
-        train(_paras()[:2], cfg, "dm", vocab_size=5, joint=train_both(_paras(), cfg, vocab_size=5))
+        train(_paras()[:2], cfg, "dm", vocab_size=5, trained=trained)
+    # without vocab_size, the paragraph count is still checked
+    with pytest.raises(ValueError, match="3 paragraphs over 5 terms, not 2 over 5"):
+        train(_paras()[:2], cfg, "dbow", trained=trained)
 
 
 def test_train_refuses_a_joint_pass_over_another_vocabulary():
     cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    trained = fit([_paras()], cfg, KINDS, vocab_size=5)
     with pytest.raises(ValueError, match="3 paragraphs over 5 terms, not 3 over 6"):
-        train(_paras(), cfg, "dm", vocab_size=6, joint=train_both(_paras(), cfg, vocab_size=5))
+        train(_paras(), cfg, "dm", vocab_size=6, trained=trained)
+
+
+def test_train_takes_the_vocabulary_size_of_a_handed_over_pass():
+    # A corpus vocabulary may hold reference-only terms past the paragraphs'
+    # largest id + 1; without vocab_size, train takes the pass's size.
+    cfg = TrainConfig(dim=4, epochs=1, negatives=2, seed=2)
+    trained = fit([_paras()], cfg, KINDS, vocab_size=7)
+    for kind in KINDS:
+        model = train(_paras(), cfg, kind, trained=trained)
+        assert model.vocab_size == 7
+        _assert_same_model(model, train(_paras(), cfg, kind, vocab_size=7))
 
 
 _SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
@@ -394,16 +409,16 @@ def test_sigmoid_matches_reference_bits(x):
 
 
 def test_train_calls_share_no_state():
-    # A step's buffers belong to its call: a joint pass and fits of another
-    # shape in between leave a second call's model unchanged.
+    # A step's buffers belong to its call: a two-kind pass and fits of
+    # another shape in between leave a second call's model unchanged.
     cfg = TrainConfig(dim=5, epochs=2, negatives=3, context_size=2, seed=8)
     other = TrainConfig(dim=7, epochs=1, negatives=6, context_size=3, seed=9)
     for kind in KINDS:
         first = train(_paras(), cfg, kind, vocab_size=5)
-        list(train_both(_paras(), other, vocab_size=6))
+        list(fit([_paras()], other, KINDS, vocab_size=6))
         train(_paras(), other, kind, vocab_size=6)
         _assert_same_model(train(_paras(), cfg, kind, vocab_size=5), first)
-    # Two train_each calls advanced in turn, one group per wave: each wave
+    # Two lockstep passes advanced in turn, one group per wave: each wave
     # makes its step buffers while the other call's waves are still open.
     runs = [
         (cfg, 5, [_paras(), _paras()[:1], [TrainingParagraph((2, 2, 4, 2))]]),
@@ -411,7 +426,7 @@ def test_train_calls_share_no_state():
     ]
     with mock.patch.object(embedding, "_WAVE_VALUES", 1):
         for kind in KINDS:
-            calls = [train_each(groups, c, kind, vocab_size=v) for c, v, groups in runs]
+            calls = [fit(groups, c, (kind,), vocab_size=v) for c, v, groups in runs]
             for i in range(3):
                 for call, (c, v, groups) in zip(calls, runs):
                     _assert_same_model(next(call), train(groups[i], c, kind, vocab_size=v))
@@ -444,13 +459,16 @@ def _lockstep_runs(draw):
     size = draw(st.sampled_from([vocab, vocab + 3, None]))
     # one wave, a few, or one group per wave
     wave_values = draw(st.sampled_from([embedding._WAVE_VALUES, 24, 1]))
-    return groups, cfg, draw(st.sampled_from(KINDS)), size, wave_values
+    kinds = draw(st.sampled_from([("dm",), ("dbow",), KINDS]))
+    return groups, cfg, kinds, size, wave_values
 
 
-def _assert_lockstep_matches_separate_fits(groups, cfg, kind, size):
-    got = list(train_each(groups, cfg, kind, vocab_size=size))
-    assert len(got) == len(groups)
-    for model, group in zip(got, groups):
+def _assert_lockstep_matches_separate_fits(groups, cfg, kinds, size):
+    # kind-major, then group order
+    got = list(fit(groups, cfg, kinds, vocab_size=size))
+    want = [(kind, group) for kind in kinds for group in groups]
+    assert [model.kind for model in got] == [kind for kind, _ in want]
+    for model, (kind, group) in zip(got, want):
         _assert_same_model(model, train(group, cfg, kind, vocab_size=size))
 
 
@@ -493,8 +511,7 @@ def test_train_each_matches_separate_fits_across_chunks():
     steps = [cfg.epochs * sum(len(p.tokens) for p in g) for g in groups]
     # the first chunk gives each of the fits this many steps
     assert max(steps) > embedding._LOCKSTEP_TARGETS // len(groups)
-    for kind in KINDS:
-        _assert_lockstep_matches_separate_fits(groups, cfg, kind, 70)
+    _assert_lockstep_matches_separate_fits(groups, cfg, KINDS, 70)
 
 
 def test_train_each_matches_separate_fits_finishing_mid_chunk():
@@ -517,8 +534,7 @@ def test_train_each_matches_separate_fits_finishing_mid_chunk():
         step += m
     assert sum(1 for inside in finished if inside) >= 3
     with mock.patch.object(embedding, "_LOCKSTEP_TARGETS", targets):
-        for kind in KINDS:
-            _assert_lockstep_matches_separate_fits(groups, cfg, kind, 11)
+        _assert_lockstep_matches_separate_fits(groups, cfg, KINDS, 11)
 
 
 def test_lockstep_holds_no_step_buffer_while_it_yields():
@@ -527,7 +543,7 @@ def test_lockstep_holds_no_step_buffer_while_it_yields():
     # model, the wave keeps only what the later models are expanded from.
     cfg = TrainConfig(dim=4, epochs=2, context_size=2, seed=3)
     for kind in KINDS:
-        models = train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5)
+        models = fit([_paras(), _paras()[:1]], cfg, (kind,), vocab_size=5)
         next(models)
         frame = models.gi_yieldfrom.gi_frame
         assert frame.f_code is embedding._lockstep.__code__
@@ -540,24 +556,27 @@ def test_lockstep_holds_no_step_buffer_while_it_yields():
 def test_train_each_validates_every_group():
     cfg = TrainConfig(dim=4, epochs=1)
     with pytest.raises(ValueError, match="term id 4"):
-        list(train_each([_paras()[:1], _paras()], cfg, "dbow", vocab_size=3))
+        list(fit([_paras()[:1], _paras()], cfg, ("dbow",), vocab_size=3))
     negative = [TrainingParagraph((0, 1, -1, 2))]
     with pytest.raises(ValueError, match="paragraph 0 has negative term id -1"):
-        list(train_each([_paras()[:1], negative], cfg, "dbow", vocab_size=4))
-    with pytest.raises(ValueError, match="kind"):
-        list(train_each([_paras()], cfg, "skipgram"))
-    assert list(train_each([], cfg, "dm")) == []
+        list(fit([_paras()[:1], negative], cfg, ("dbow",), vocab_size=4))
+    # kinds are distinct kinds in KINDS order: DM, the only kind with a
+    # context, must come first in a pass over one group
+    for kinds in (("skipgram",), (), ("dbow", "dm"), ("dm", "dm")):
+        with pytest.raises(ValueError, match="kinds must be distinct kinds"):
+            list(fit([_paras()], cfg, kinds))
+    assert list(fit([], cfg, ("dm",))) == []
 
 
 def test_diverged_training_is_refused():
     # The ArithmeticError reports a divergence; the overflows on the way there
     # print no numpy RuntimeWarning, and the caller's error state is kept.
     cfg = TrainConfig(dim=4, epochs=3, negatives=2, learning_rate=1e200, seed=1)
-    runs = [lambda: list(train_both(_paras(), cfg, vocab_size=5))]
+    runs = [lambda: list(fit([_paras()], cfg, KINDS, vocab_size=5))]
     for kind in KINDS:
         runs.append(lambda kind=kind: train(_paras(), cfg, kind, vocab_size=5))
         runs.append(lambda kind=kind: list(
-            train_each([_paras(), _paras()[:1]], cfg, kind, vocab_size=5)))
+            fit([_paras(), _paras()[:1]], cfg, (kind,), vocab_size=5)))
     before = np.geterr()
     for run in runs:
         with warnings.catch_warnings(record=True) as caught:
@@ -618,10 +637,10 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_joint_models_save_as_single_kind_models_do(tmp_path):
-    # A joint pass's paragraph matrices are strided views of its
+    # A two-kind pass's paragraph matrices are strided views of its
     # paragraph-major rows; each is written as train's own model is.
     cfg = TrainConfig(dim=5, epochs=2, negatives=3, context_size=2, seed=4)
-    for model in train_both(_paras(), cfg, vocab_size=5):
+    for model in fit([_paras()], cfg, KINDS, vocab_size=5):
         assert not model.para_matrix.flags.c_contiguous
         save_model(model, tmp_path / "joint.cvem")
         save_model(train(_paras(), cfg, model.kind, vocab_size=5), tmp_path / "one.cvem")

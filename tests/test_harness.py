@@ -76,6 +76,18 @@ def test_parse_config_file(tmp_path):
     assert pairs == {"corpus": "docs.jsonl", "alpha": "2.5", "embed.dim": "32"}
 
 
+def test_parse_config_refuses_a_repeated_key(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 1\nalpha = 2.0\n# seed = 3\nseed = 2\n")
+    with pytest.raises(ConfigError, match=r"exp.cfg:4: key 'seed' repeats line 1"):
+        parse_config_file(cfg)
+    with pytest.raises(ConfigError, match="repeats line 1"):
+        load_experiment_config(cfg)
+    # a CLI override still replaces a file key
+    cfg.write_text("seed = 1\nalpha = 2.0\n")
+    assert load_experiment_config(cfg, {"seed": "2"}).embed.seed == 2
+
+
 def test_parse_config_rejects_bad_lines(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("just some words\n")
@@ -240,25 +252,63 @@ def test_train_writes_only_needed_kinds(tmp_path):
     assert cmd_train(bow_only) == []
 
 
-def test_train_writes_both_kinds_as_separate_fits_would(tmp_path, monkeypatch):
-    calls = []
+def trained_through_train(monkeypatch):
+    """Record each ``harness.train`` call, as the benchmark's tracer counts
+    fits, and each walk over a group's paragraphs."""
+    calls, walks = [], []
+    validate = embedding._validate_paragraphs
 
-    def counted(paragraphs, cfg, kind, vocab_size=None, *, joint=None):
-        calls.append((kind, joint is not None))
-        return embedding.train(paragraphs, cfg, kind, vocab_size, joint=joint)
+    def counted(paragraphs, cfg, kind, vocab_size=None, *, trained=None):
+        calls.append((kind, len(paragraphs), trained is not None))
+        return embedding.train(paragraphs, cfg, kind, vocab_size, trained=trained)
 
-    monkeypatch.setattr(harness, "train", counted)  # one call per fit, as the tracer counts
-    config = run_config(tmp_path, grid_docs(), representations="DM,DBOW")
-    saved = cmd_train(config)
-    assert calls == [("dm", True), ("dbow", True)]
-    assert [p.name for p in saved] == ["dm.cvem", "dbow.cvem"]
-    docs = load_corpus(config.corpus_path)
-    vocab = build_vocabulary(docs)
-    paragraphs = embedding.build_training_paragraphs(docs, vocab)
-    for path in saved:
-        model = embedding.train(paragraphs, config.embed, path.stem, vocab.size)
+    def validated(paragraphs, vocab_size):
+        walks.append(len(paragraphs))
+        return validate(paragraphs, vocab_size)
+
+    monkeypatch.setattr(harness, "train", counted)
+    monkeypatch.setattr(embedding, "_validate_paragraphs", validated)
+    return calls, walks
+
+
+def assert_saved_as_separate_fits(tmp_path, config, saved, fits):
+    """Each saved file holds the bytes of one separate ``train`` call, one
+    per (kind, documents) pair of ``fits``."""
+    vocab = build_vocabulary(load_corpus(config.corpus_path))
+    assert len(saved) == len(fits)
+    for path, (kind, group) in zip(saved, fits):
+        paragraphs = embedding.build_training_paragraphs(group, vocab)
+        model = embedding.train(paragraphs, config.embed, kind, vocab.size)
         embedding.save_model(model, tmp_path / "want.cvem")
         assert path.read_bytes() == (tmp_path / "want.cvem").read_bytes()
+
+
+def test_train_writes_both_kinds_as_separate_fits_would(tmp_path, monkeypatch):
+    calls, walks = trained_through_train(monkeypatch)
+    config = run_config(tmp_path, grid_docs(), representations="DM,DBOW")
+    saved = cmd_train(config)
+    paragraphs = sum(1 + len(doc.sentences) for doc in grid_docs())
+    assert calls == [("dm", paragraphs, True), ("dbow", paragraphs, True)]
+    assert walks == [paragraphs]  # the corpus is validated once
+    assert [p.name for p in saved] == ["dm.cvem", "dbow.cvem"]
+    docs = load_corpus(config.corpus_path)
+    assert_saved_as_separate_fits(tmp_path, config, saved, [("dm", docs), ("dbow", docs)])
+
+
+def test_per_document_train_takes_every_model_through_train(tmp_path, monkeypatch):
+    # One train call per (kind, document) in save order, each handed the
+    # pass, so a traced run times and counts every per-document fit.
+    calls, walks = trained_through_train(monkeypatch)
+    config = run_config(
+        tmp_path, grid_docs(), representations="DBOW", per_document_training="true"
+    )
+    saved = cmd_train(config)
+    paragraphs = [1 + len(doc.sentences) for doc in grid_docs()]
+    assert calls == [("dbow", n, True) for n in paragraphs]
+    assert walks == paragraphs  # each document is validated once
+    assert [p.name for p in saved] == ["ga.cvem", "gb.cvem", "gc.cvem"]
+    docs = load_corpus(config.corpus_path)
+    assert_saved_as_separate_fits(tmp_path, config, saved, [("dbow", [doc]) for doc in docs])
 
 
 def test_summarize_then_evaluate(tmp_path):
