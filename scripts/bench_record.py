@@ -14,7 +14,7 @@ Python and numpy versions, the git commit (and whether tracked files
 differed from it), the line count of the Python files under ``src/``, the
 lines of the covsum modules that ``import covsum.harness`` loads (the
 source every pipeline stage compiles when no bytecode cache is written),
-how many of those modules had a bytecode cache file before the runs
+in all and per module (``import_path_files``, by module name), how many of those modules had a bytecode cache file before the runs
 started (``import_path_cached`` of ``import_path_modules``; a round reads
 a cache that exists whatever ``PYTHONDONTWRITEBYTECODE`` says) and the
 ``PYTHONDONTWRITEBYTECODE`` value the runs inherit (null if unset).
@@ -43,12 +43,14 @@ IMPORT_PATH = (
     "import json, sys, covsum.harness\n"
     "from importlib.util import cache_from_source\n"
     "from pathlib import Path\n"
-    "files = [Path(m.__file__) for n, m in sys.modules.items() if n.split('.')[0] == 'covsum']\n"
-    "print(json.dumps({'import_path_lines': sum(len(f.read_text(encoding='utf-8').splitlines())\n"
-    "                                           for f in files),\n"
+    "files = {n: Path(m.__file__) for n, m in sorted(sys.modules.items())\n"
+    "         if n.split('.')[0] == 'covsum'}\n"
+    "lines = {n: len(f.read_text(encoding='utf-8').splitlines()) for n, f in files.items()}\n"
+    "print(json.dumps({'import_path_lines': sum(lines.values()),\n"
+    "                  'import_path_files': lines,\n"
     "                  'import_path_modules': len(files),\n"
     "                  'import_path_cached': sum(Path(cache_from_source(f)).is_file()\n"
-    "                                            for f in files)}))\n"
+    "                                            for f in files.values())}))\n"
 )
 
 
@@ -87,8 +89,8 @@ def src_lines(root: Path) -> int:
 
 def import_path(root: Path) -> dict[str, int]:
     """Lines of the covsum modules, package ``__init__`` included, that
-    ``import covsum.harness`` loads from ``root/src``, their number, and how
-    many have a bytecode cache file. The import runs under ``-B``, so it
+    ``import covsum.harness`` loads from ``root/src``, in all and by module
+    name, their number, and how many have a bytecode cache file. The import runs under ``-B``, so it
     writes no cache itself."""
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-B", "-c", IMPORT_PATH], capture_output=True,

@@ -18,7 +18,6 @@ from .corpus import (
     Sentence,
     Vocabulary,
     build_vocabulary,
-    load_bundled_corpus,
     load_corpus,
     save_corpus,
     tokenize,
@@ -34,7 +33,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     cmd_evaluate,
-    cmd_selftest,
     cmd_summarize,
     cmd_train,
     load_experiment_config,
@@ -51,9 +49,9 @@ from .selection import (
     summary_sentences,
 )
 
-# The diagnostics pull in the oracles and the synthetic corpus generator,
+# The diagnostics pull in the oracles and the random-document generator,
 # which no pipeline stage uses, so they load on first access (PEP 562).
-_SELFCHECK_NAMES = ("CheckResult", "run_all")
+_SELFCHECK_NAMES = ("CheckResult", "cmd_selftest", "load_bundled_corpus", "run_all")
 
 
 def __getattr__(name: str):

@@ -20,7 +20,6 @@ from .corpus import CorpusError
 from .harness import (
     ConfigError,
     cmd_evaluate,
-    cmd_selftest,
     cmd_summarize,
     cmd_train,
     load_experiment_config,
@@ -65,6 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
+            from .selfcheck import cmd_selftest  # the checks and oracles no stage loads
+
             return cmd_selftest()
         overrides = {
             key: getattr(args, flag)

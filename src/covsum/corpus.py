@@ -12,7 +12,6 @@ case each string is run through :func:`tokenize`.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import operator
 import re
@@ -187,6 +186,9 @@ def _parse_document(record: dict, line_no: int) -> Document:
         if not isinstance(ref, list) or not ref:
             raise CorpusError(f"{where}: reference {r} must be a non-empty list")
         sents = _token_lists(ref, where, f"reference {r} sentence")
+        for i, toks in enumerate(sents):
+            if not toks:
+                raise CorpusError(f"{where}: reference {r} sentence {i} has no tokens")
         references.append(ReferenceSummary(tuple(sents)))
 
     # A lone surrogate, from a \ud800 escape or an undecodable byte, has no
@@ -261,18 +263,6 @@ def load_corpus(path: str | Path) -> list[Document]:
         docs.append(doc)
     _last = (text, tuple(docs), None)
     return docs
-
-
-def load_bundled_corpus() -> list[Document]:
-    """Load the selftest corpus shipped inside the package."""
-    ref = importlib.resources.files("covsum").joinpath("data/selftest_corpus.jsonl")
-    if not ref.is_file():
-        raise CorpusError(
-            "bundled selftest corpus is missing; regenerate it with "
-            "scripts/make_selftest_corpus.py"
-        )
-    with importlib.resources.as_file(ref) as path:
-        return load_corpus(path)
 
 
 def save_corpus(docs: Sequence[Document], path: str | Path) -> None:

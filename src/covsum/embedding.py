@@ -22,7 +22,7 @@ of learning rates and vectorised flags for targets whose negatives or
 context repeat a row (those scatter with ``np.add.at``, the rest assign
 their rows). Every model is bit-identical to the one-target-at-a-time loop
 ``train_reference`` in ``tests/reference.py``; ``test_train_matches_*`` and
-``test_train_both_matches_*`` in ``tests/test_embedding.py`` check this
+``test_fit_of_both_kinds_matches_*`` in ``tests/test_embedding.py`` check this
 with ``==`` on every matrix. A step writes every intermediate into buffers
 made once per call and moves each row as one record (:func:`_records`); a
 paragraph's rows of every kind are one block of the paragraph-major matrix.
@@ -47,7 +47,7 @@ update's products come from ``np.einsum``, which adds each to 0.0 and so
 turns a -0.0 product into +0.0; a ``word_out`` row is never -0.0, so
 adding either to it gives the same bits. So every model is bit-identical
 to a separate :func:`train` call on its group;
-``test_train_each_matches_separate_fits`` guards this with ``==`` on every
+``test_fit_of_several_groups_matches_separate_fits`` guards this with ``==`` on every
 matrix. The step's buffers are made once per wave for the wave's fits, and
 it moves rows as records. Where one fit's out or context slots hit a row
 twice, the step chains them (:func:`_chains`): a later slot of the row

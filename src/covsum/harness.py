@@ -27,7 +27,7 @@ Documents share models by group (:func:`_model_groups`): all of them, or one
 each with ``per_document_training``. One ``embedding.fit`` pass trains every
 model: both kinds of a corpus model at once, per-document models in
 lockstep, each bit-identical to one ``train`` call on its group
-(``tests/test_embedding.py::test_train_each_matches_separate_fits``).
+(``tests/test_embedding.py::test_fit_of_several_groups_matches_separate_fits``).
 Output files are written as ``.part``
 files and renamed when complete; a failed stage deletes its ``.part`` files,
 so it leaves no half-written file and the previous outputs as they were.
@@ -41,7 +41,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Document, build_vocabulary, load_bundled_corpus, load_corpus
+from .corpus import Document, build_vocabulary, load_corpus
 from .embedding import (
     KINDS,
     EmbeddingModel,
@@ -446,7 +446,8 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
     """Score every stored summary and write the corpus-mean ROUGE table.
 
     Every cell is checked to exist before anything is written, and every
-    record must be a summary of its cell (see :func:`_summary_record`).
+    record must be a summary of its cell (see :func:`_summary_record`) and
+    the only one of its evaluated document there.
     Cells often pick the same sentences for a document, so each distinct
     (document, ordered picks) pair is scored once and its scores reused.
     The documents, and so their reference objects, live while their corpus
@@ -479,7 +480,7 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
     with _written(per_doc_path) as part, open(part, "w", encoding="utf-8") as fh:
         for method, representation, path in cells:
             totals = [0.0, 0.0, 0.0]
-            count = 0
+            first_line: dict[str, int] = {}  # evaluated id -> its line in the cell
             with open(path, encoding="utf-8") as cell:
                 for line_no, line in enumerate(cell, start=1):
                     found = _summary_record(
@@ -488,6 +489,11 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
                     if found is None:
                         continue
                     doc, selected = found
+                    seen = first_line.setdefault(doc.id, line_no)
+                    if seen != line_no:
+                        raise ConfigError(
+                            f"{path}:{line_no}: document {doc.id!r} repeats line {seen}"
+                        )
                     scores = scored_once.get((doc.id, selected))
                     if scores is None:
                         picked = [doc.sentences[s].tokens for s in selected]
@@ -498,10 +504,9 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
                     scored.update(zip(_SCORE_COLUMNS, scores))
                     fh.write(json.dumps(scored) + "\n")
                     totals = [t + f for t, f in zip(totals, scores)]
-                    count += 1
-            if count == 0:
+            if not first_line:
                 raise ConfigError(f"{path} holds no summaries for the evaluated documents")
-            rows.append((method, representation, *(t / count for t in totals)))
+            rows.append((method, representation, *(t / len(first_line) for t in totals)))
 
     tsv_path = out_dir / "results.tsv"
     with _written(tsv_path) as part, open(part, "w", encoding="utf-8") as fh:
@@ -510,19 +515,6 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
             fh.write("\t".join((method, representation, *(f"{m:.4f}" for m in means))) + "\n")
     print(f"wrote {tsv_path}")
     return tsv_path
-
-
-def cmd_selftest() -> int:
-    """Run the built-in diagnostics against the bundled corpus; 0 iff all pass."""
-    from .selfcheck import run_all  # loads the oracles, which only selftest needs
-
-    results = run_all(load_bundled_corpus())
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
-    failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
 
 
 def config_to_pairs(config: ExperimentConfig) -> dict[str, str]:

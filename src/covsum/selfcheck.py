@@ -12,6 +12,7 @@ check; the test suite runs the same functions.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 import io
 import math
 import tempfile
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .corpus import Document, Sentence, build_vocabulary, load_bundled_corpus, save_corpus
+from .corpus import CorpusError, Document, Sentence, build_vocabulary, load_corpus, save_corpus
 from .embedding import EmbeddingModel, TrainingParagraph
 from .harness import build_experiment_config, cmd_evaluate, cmd_summarize, cmd_train
 from .rouge import evaluate, lcs_length, rouge_l, rouge_n
@@ -43,6 +44,15 @@ ORACLE_SEED = 101
 ORACLE_DOCS = 50
 ALPHAS = (0.0, 0.5, 1.0, 5.0)
 RATIOS = (0.10, 0.5)
+
+
+def load_bundled_corpus() -> list[Document]:
+    """Load the selftest corpus shipped inside the package."""
+    ref = importlib.resources.files("covsum").joinpath("data/selftest_corpus.jsonl")
+    if not ref.is_file():
+        raise CorpusError("bundled selftest corpus covsum/data/selftest_corpus.jsonl is missing")
+    with importlib.resources.as_file(ref) as path:
+        return load_corpus(path)
 
 
 @dataclass(frozen=True)
@@ -392,3 +402,14 @@ def run_all(docs: list[Document] | None = None) -> list[CheckResult]:
         check_coverage_beats_relevance(docs),
         check_determinism(docs),
     ]
+
+
+def cmd_selftest() -> int:
+    """Run the built-in diagnostics against the bundled corpus; 0 iff all pass."""
+    results = run_all(load_bundled_corpus())
+    for result in results:
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status} {result.name}: {result.detail}")
+    failed = sum(1 for r in results if not r.passed)
+    print(f"{len(results) - failed}/{len(results)} checks passed")
+    return 0 if failed == 0 else 1

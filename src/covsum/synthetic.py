@@ -1,83 +1,12 @@
-"""Synthetic corpora for self-checks and the test suite.
-
-Two generators live here:
-
-* :func:`random_documents` — small unstructured documents over a tiny shared
-  vocabulary, used to cross-check the selection engine against the
-  brute-force oracle.
-
-* :func:`build_selftest_corpus` — a planted two-topic corpus on which
-  coverage-aware selection provably beats pure relevance ranking. Each
-  document contains:
-
-    - three identical "majority" sentences (five distinct majority terms);
-    - one "hub" sentence of five distinct hub terms;
-    - five "satellite" sentences, each repeating one hub term twice plus one
-      private term three times;
-    - a few filler sentences of private terms.
-
-  Every sentence is five words, and every term is private to its document,
-  so document frequency is 1 for all terms and cosines reduce to pure token
-  combinatorics. Majority and hub sentences are built weight-symmetric
-  (five distinct terms, each appearing three times in the document), so
-  their relevance is *exactly* equal; relevance ranking alone cannot
-  separate them and resolves the tie positionally to the majority
-  duplicates, which sit first. Sub-theme coverage is not tied: the
-  duplicates split their sub-theme columns three ways, while the hub owns a
-  share of every satellite column, so coverage-aware scoring strictly
-  prefers majority + hub over majority + majority. References pair one
-  majority sentence with the hub, which turns that preference into a
-  ROUGE-1 gap. The 10% word budget yields exactly two picks per document.
-"""
+"""Random documents for the self-checks and the test suite: small
+unstructured documents over a tiny shared vocabulary, on which the selection
+engine is cross-checked against the brute-force oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Document, ReferenceSummary, Sentence
-
-SELFTEST_SEED = 8123
-SELFTEST_DOCS = 20
-
-_MAJORITY_COPIES = 3  # identical majority sentences per document
-_SATELLITES = 5  # satellite sentences, one per hub term
-_HUB_COPIES = 2  # copies of the hub term inside a satellite
-_PRIVATE_COPIES = 3  # copies of the satellite's private term
-
-
-def _make_doc(doc_id: str, prefix: str, rng: np.random.Generator) -> Document:
-    majority = tuple(f"{prefix}a{i}" for i in range(5))
-    hub_terms = [f"{prefix}g{i}" for i in range(_SATELLITES)]
-    hub = tuple(hub_terms)
-    satellites = [
-        tuple([hub_terms[i]] * _HUB_COPIES + [f"{prefix}h{i}"] * _PRIVATE_COPIES)
-        for i in range(_SATELLITES)
-    ]
-    n_fill = int(rng.integers(2, 5))
-    fillers = [
-        tuple(f"{prefix}f{j}{i}" for i in range(5)) for j in range(n_fill)
-    ]
-
-    # Majority duplicates stay in front (the relevance tie must resolve to
-    # them); everything after them is shuffled.
-    tail = [hub, *satellites, *fillers]
-    order = rng.permutation(len(tail))
-    toks = [majority] * _MAJORITY_COPIES + [tail[j] for j in order]
-
-    sentences = tuple(Sentence(i, t) for i, t in enumerate(toks))
-    references = (
-        ReferenceSummary((majority, hub)),
-        ReferenceSummary((hub, majority)),
-    )
-    return Document(id=doc_id, sentences=sentences, references=references)
-
-
-def build_selftest_corpus(
-    seed: int = SELFTEST_SEED, num_docs: int = SELFTEST_DOCS
-) -> list[Document]:
-    """The bundled planted-topic corpus (see module docstring)."""
-    rng = np.random.default_rng(seed)
-    return [_make_doc(f"doc{i:02d}", f"d{i:02d}", rng) for i in range(num_docs)]
+from .corpus import Document, Sentence
 
 
 def random_documents(

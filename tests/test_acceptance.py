@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from covsum import selfcheck
-from covsum.corpus import load_bundled_corpus, save_corpus
+from covsum.corpus import save_corpus
 from covsum.harness import build_experiment_config, cmd_evaluate, cmd_summarize, cmd_train
-from covsum.selfcheck import CheckResult
+from covsum.selfcheck import CheckResult, load_bundled_corpus
 
 from conftest import ACCEPTANCE_LINES
 

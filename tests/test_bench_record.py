@@ -1,5 +1,6 @@
 """The figures ``scripts/bench_record.py`` records about the pipeline's
-import path: its lines, its modules and how many have a bytecode cache."""
+import path: its lines, in all and per module, its modules and how many
+have a bytecode cache."""
 
 import compileall
 import importlib.util
@@ -22,6 +23,9 @@ def test_import_path_reports_bytecode_caches(tmp_path):
     before = import_path(tmp_path)
     assert before["import_path_modules"] > 1
     assert before["import_path_lines"] > 0
+    files = before["import_path_files"]
+    assert len(files) == before["import_path_modules"] and "covsum.harness" in files
+    assert sum(files.values()) == before["import_path_lines"]
     assert before["import_path_cached"] == 0
     assert not list(tmp_path.rglob("__pycache__"))  # counting writes no cache
     compileall.compile_dir(tmp_path / "src", quiet=1)

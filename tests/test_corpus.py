@@ -17,11 +17,11 @@ from covsum.corpus import (
     Document,
     Sentence,
     build_vocabulary,
-    load_bundled_corpus,
     load_corpus,
     save_corpus,
     tokenize,
 )
+from covsum.selfcheck import load_bundled_corpus
 
 from conftest import make_doc
 
@@ -120,6 +120,10 @@ def test_load_errors_name_the_line(tmp_path):
         b'{"id": "x", "raw_sentences": [1]}': "must hold strings",
         b'{"id": "x", "sentences": [["a"]], "references": null}': "'references' must be a list",
         b'{"id": "x", "sentences": [["a"]], "references": [["b"]]}': "reference 0 sentence 0",
+        b'{"id": "x", "sentences": [["a"]], "references": [[["b"], []]]}':
+            "reference 0 sentence 1 has no tokens",
+        b'{"id": "x", "sentences": [["a"]], "references": ["b"]}': "reference 0 must be a",
+        b'{"id": "x", "raw_sentences": []}': "'raw_sentences' must be a non-empty list",
         b'{"id": "x", "sentences": [["\xff"]]}': "not valid UTF-8",
         b'{"id": "x\\ud800", "sentences": [["a"]]}': "not valid UTF-8",
         b"1" * 5000: "unreadable JSON",

@@ -56,7 +56,7 @@ def test_training_paragraph_requires_tokens():
 def test_train_config_validation():
     for bad in (dict(dim=0), dict(epochs=0), dict(negatives=0), dict(learning_rate=0.0),
                 dict(learning_rate=math.inf), dict(learning_rate=math.nan),
-                dict(unigram_power=math.nan), dict(seed=-1)):
+                dict(unigram_power=math.nan), dict(seed=-1), dict(context_size=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(context_size=0)  # zero context is legal (DBOW-style DM)
@@ -290,12 +290,12 @@ def _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, vocab):
 
 @settings(max_examples=150, deadline=None)
 @given(_training_runs())
-def test_train_both_matches_two_fits(run):
+def test_fit_of_both_kinds_matches_two_fits(run):
     paragraphs, cfg, _, vocab = run
     _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, vocab)
 
 
-def test_train_both_matches_two_fits_across_chunks():
+def test_fit_of_both_kinds_matches_two_fits_across_chunks():
     rng = np.random.default_rng(6)
     paragraphs = [
         TrainingParagraph(tuple(int(t) for t in rng.integers(0, 50, rng.integers(1, 30))))
@@ -306,7 +306,7 @@ def test_train_both_matches_two_fits_across_chunks():
     _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, None)
 
 
-def test_train_both_yields_dm_before_a_dbow_divergence():
+def test_fit_of_both_kinds_yields_dm_before_a_dbow_divergence():
     # DM stays finite here and DBOW diverges: the DM model comes out first,
     # then train's own error for DBOW.
     cfg = TrainConfig(dim=4, epochs=2, negatives=2, context_size=4, learning_rate=1e23, seed=3)
@@ -474,7 +474,7 @@ def _assert_lockstep_matches_separate_fits(groups, cfg, kinds, size):
 
 @settings(max_examples=150, deadline=None)
 @given(_lockstep_runs())
-def test_train_each_matches_separate_fits(run):
+def test_fit_of_several_groups_matches_separate_fits(run):
     *run, wave_values = run
     with mock.patch.object(embedding, "_WAVE_VALUES", wave_values):
         _assert_lockstep_matches_separate_fits(*run)
@@ -495,7 +495,7 @@ def test_waves_cover_the_groups_in_order():
     assert embedding._waves([], 4) == []
 
 
-def test_train_each_matches_separate_fits_across_chunks():
+def test_fit_of_several_groups_matches_separate_fits_across_chunks():
     rng = np.random.default_rng(8)
     groups = [
         [
@@ -514,7 +514,7 @@ def test_train_each_matches_separate_fits_across_chunks():
     _assert_lockstep_matches_separate_fits(groups, cfg, KINDS, 70)
 
 
-def test_train_each_matches_separate_fits_finishing_mid_chunk():
+def test_fit_of_several_groups_matches_separate_fits_finishing_mid_chunk():
     # Small chunks and groups of very different lengths: fits finish inside
     # chunks, in different chunks, and the shared negative draw of each
     # chunk then serves fewer fits.
@@ -553,7 +553,7 @@ def test_lockstep_holds_no_step_buffer_while_it_yields():
         assert len(list(models)) == 1
 
 
-def test_train_each_validates_every_group():
+def test_fit_validates_every_group_and_its_kinds():
     cfg = TrainConfig(dim=4, epochs=1)
     with pytest.raises(ValueError, match="term id 4"):
         list(fit([_paras()[:1], _paras()], cfg, ("dbow",), vocab_size=3))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import covsum
 from covsum import embedding, harness, rouge, selection
-from covsum.corpus import build_vocabulary, load_bundled_corpus, load_corpus, save_corpus
+from covsum.corpus import build_vocabulary, load_corpus, save_corpus
 from covsum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +30,7 @@ from covsum.harness import (
     parse_config_file,
 )
 from covsum.selection import METHODS, REPRESENTATIONS
+from covsum.selfcheck import load_bundled_corpus
 
 from conftest import make_doc
 
@@ -618,11 +619,11 @@ def test_evaluate_scores_each_distinct_summary_once(tmp_path, monkeypatch):
 
 
 def _drop(key):
-    return lambda record: {k: v for k, v in record.items() if k != key}
+    return lambda record: json.dumps({k: v for k, v in record.items() if k != key})
 
 
 def _set(key, value):
-    return lambda record: dict(record, **{key: value})
+    return lambda record: json.dumps(dict(record, **{key: value}))
 
 
 @pytest.mark.parametrize(
@@ -638,21 +639,50 @@ def _set(key, value):
         (_drop("method"), "missing method"),
         (_set("representation", "DBOW"), "representation is 'DBOW', not the cell's 'BOW'"),
         (_set("method", "MMR"), "method is 'MMR', not the cell's 'JXDTD'"),
+        (lambda record: "not json", "not a JSON record"),
+        (lambda record: json.dumps([record]), "not a JSON object"),
     ],
     ids=["negative", "repeated", "out-of-range", "float", "bool", "not-a-list",
-         "no-selected", "no-method", "other-representation", "other-method"],
+         "no-selected", "no-method", "other-representation", "other-method",
+         "not-json", "not-an-object"],
 )
 def test_evaluate_refuses_malformed_records(tmp_path, edit, problem):
     config = run_config(tmp_path, grid_docs(), representations="BOW")
     cmd_summarize(config)
     cell = tmp_path / "out" / "summaries" / "BOW__JXDTD.jsonl"
     lines = cell.read_text().splitlines()
-    lines[1] = json.dumps(edit(json.loads(lines[1])))  # document gb, 3 sentences
+    lines[1] = edit(json.loads(lines[1]))  # document gb, 3 sentences
     cell.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=f"BOW__JXDTD.jsonl:2: document 'gb': {problem}"):
+    if not problem.startswith("not a JSON"):  # a line that is no object names no document
+        problem = f"document 'gb': {problem}"
+    with pytest.raises(ConfigError, match=f"BOW__JXDTD.jsonl:2: {problem}"):
         cmd_evaluate(config)
     assert not (tmp_path / "out" / "results.tsv").exists()
 
+
+def test_evaluate_refuses_a_document_twice_in_a_cell(tmp_path):
+    config = run_config(tmp_path, grid_docs(), representations="BOW")
+    cmd_summarize(config)
+    cell = tmp_path / "out" / "summaries" / "BOW__JXDTD.jsonl"
+    lines = cell.read_text().splitlines()
+    cell.write_text("\n".join([*lines, lines[0]]) + "\n")
+    with pytest.raises(ConfigError, match="BOW__JXDTD.jsonl:4: document 'ga' repeats line 1"):
+        cmd_evaluate(config)
+    assert not (tmp_path / "out" / "evaluation" / "per_document.jsonl").exists()
+
+
+def test_evaluate_skips_documents_summarized_before_a_stricter_split(tmp_path):
+    # cells summarized at split 0 hold records of the documents split 2 holds
+    # out; evaluating them at split 2 writes what a split-2 run writes
+    outputs = []
+    for summarized_at in ("0", "2"):
+        root = tmp_path / summarized_at
+        root.mkdir()
+        cmd_summarize(run_config(root, grid_docs(), representations="BOW", split=summarized_at))
+        cmd_evaluate(run_config(root, grid_docs(), representations="BOW", split="2"))
+        outputs.append({name: (root / "out" / name).read_bytes()
+                        for name in ("results.tsv", "evaluation/per_document.jsonl")})
+    assert outputs[0] == outputs[1]
 
 
 def test_summarize_missing_per_document_model_writes_nothing(tmp_path):
@@ -774,13 +804,14 @@ def test_public_names_are_listed_once_and_resolve():
 
 def test_pipeline_imports_leave_the_diagnostics_unloaded():
     # selfcheck, oracles and synthetic serve only `covsum selftest`; the
-    # package still exports run_all and CheckResult, loaded on first use.
+    # package still exports their public names, loaded on first use.
     code = (
         "import sys, covsum.harness\n"
         "loaded = {'covsum.selfcheck', 'covsum.oracles', 'covsum.synthetic'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
-        "from covsum import CheckResult, run_all\n"
-        "assert run_all.__module__ == CheckResult.__module__ == 'covsum.selfcheck'\n"
+        "from covsum import CheckResult, cmd_selftest, load_bundled_corpus, run_all\n"
+        "names = (CheckResult, cmd_selftest, load_bundled_corpus, run_all)\n"
+        "assert {n.__module__ for n in names} == {'covsum.selfcheck'}\n"
     )
     src = str(Path(covsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,22 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 
-from covsum.corpus import load_bundled_corpus
-from covsum.synthetic import (
-    SELFTEST_DOCS,
-    SELFTEST_SEED,
-    build_selftest_corpus,
-    random_documents,
-)
+import covsum
+from covsum.corpus import save_corpus
+from covsum.selfcheck import load_bundled_corpus
+from covsum.synthetic import random_documents
 
-
-def test_bundled_file_matches_generator():
-    # the shipped JSONL must stay in lockstep with the generator that made it
-    assert load_bundled_corpus() == build_selftest_corpus(SELFTEST_SEED, SELFTEST_DOCS)
+BUNDLED = Path(covsum.__file__).parent / "data" / "selftest_corpus.jsonl"
 
 
 def test_selftest_corpus_shape():
-    docs = build_selftest_corpus()
-    assert len(docs) == SELFTEST_DOCS
+    docs = load_bundled_corpus()
+    assert len(docs) == 20
     for doc in docs:
         assert len(doc.references) == 2
         majority = doc.sentences[0].tokens
@@ -31,7 +27,7 @@ def test_selftest_corpus_shape():
 
 
 def test_selftest_vocabularies_are_disjoint():
-    docs = build_selftest_corpus()
+    docs = load_bundled_corpus()
     seen: set[str] = set()
     for doc in docs:
         terms = set(doc.all_tokens())
@@ -59,10 +55,14 @@ def test_random_documents_cover_shared_vocab():
 
 
 def test_selftest_docs_have_unique_ids():
-    docs = build_selftest_corpus()
+    docs = load_bundled_corpus()
     assert len({d.id for d in docs}) == len(docs)
-    # regenerating with the same rng state is reproducible
-    assert build_selftest_corpus() == build_selftest_corpus()
+
+
+def test_saving_the_bundled_corpus_rewrites_its_bytes(tmp_path):
+    # the shipped file is in the canonical form save_corpus writes
+    save_corpus(load_bundled_corpus(), tmp_path / "copy.jsonl")
+    assert (tmp_path / "copy.jsonl").read_bytes() == BUNDLED.read_bytes()
 
 
 def test_random_documents_word_counts_match():
