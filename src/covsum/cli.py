@@ -3,6 +3,7 @@
     covsum train     --corpus docs.jsonl --out runs/a --seed 7
     covsum summarize --corpus docs.jsonl --out runs/a --method JXDTD --repr BOW
     covsum evaluate  --corpus docs.jsonl --out runs/a
+    covsum run       --corpus docs.jsonl --out runs/a   # the three, in one process
     covsum selftest
 
 ``--config`` points at a flat ``key = value`` file; every other flag
@@ -54,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "train paragraph-embedding models for the configured grid"),
         ("summarize", "summarize the corpus under the method x representation grid"),
         ("evaluate", "score stored summaries and write the mean-ROUGE table"),
+        ("run", "train, summarize and evaluate in one process"),
     ):
         _add_common(sub.add_parser(name, help=text))
     sub.add_parser("selftest", help="run the built-in diagnostics on the bundled corpus")
@@ -73,14 +75,12 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag) is not None
         }
         config = load_experiment_config(args.config, overrides)
-        if args.command == "train":
-            cmd_train(config)
-        elif args.command == "summarize":
-            cmd_summarize(config)
-        else:
-            cmd_evaluate(config)
+        for stage, command in (("train", cmd_train), ("summarize", cmd_summarize),
+                               ("evaluate", cmd_evaluate)):
+            if args.command in (stage, "run"):
+                command(config)
         return 0
-    except (ConfigError, CorpusError, FileNotFoundError, ValueError, ArithmeticError) as exc:
+    except (ConfigError, CorpusError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,24 +17,24 @@ at once. Every kind draws every value from the same ``cfg.seed``
 streams, so the kinds share the chunk bookkeeping and are stacked on a
 leading axis, and each model is bit-identical to its one-kind fit. The
 loop is exact per-target SGD in which only the bookkeeping is batched:
-targets are taken in chunks, each with one negative-sampler draw, one array
-of learning rates and vectorised flags for targets whose negatives or
-context repeat a row (those scatter with ``np.add.at``, the rest assign
-their rows). Every model is bit-identical to the one-target-at-a-time loop
-``train_reference`` in ``tests/reference.py``; ``test_train_matches_*`` and
-``test_fit_of_both_kinds_matches_*`` in ``tests/test_embedding.py`` check this
-with ``==`` on every matrix. A step writes every intermediate into buffers
-made once per call and moves each row as one record (:func:`_records`); a
-paragraph's rows of every kind are one block of the paragraph-major matrix.
-Per kind run two ``ndarray.dot`` gemvs (scores, predictor gradient) and the
-label subtract, a float op cheaper than a one-element ufunc; every other op
-is one call over the kind axis, bar the DM context's, on the DM row alone.
-:func:`_sigmoid` takes both of its branches from one ``exp`` over a buffer
-of ``min(x, 0)`` and ``-|x|``. That is exact: the two are the same float
-below zero, and ``exp(min(x, 0))`` is ``exp(0) == 1`` at or above it. The
-loops pass it its constants as arrays of the scores' shape, which numpy
-takes faster than scalars (:func:`_sigmoid_ops`). The loops mute overflow
-warnings; :func:`_finished` reports it.
+targets are taken in chunks, each with one negative-sampler draw, its rates
+filled into arrays of the shapes they multiply, and the links that chain a
+target's slots that hit one row twice, by lockstep's rule below
+(:func:`_links`). Every model is bit-identical to the one-target-at-a-time
+loop ``train_reference`` in ``tests/reference.py``; ``test_train_matches_*``
+and ``test_fit_of_both_kinds_matches_*`` in ``tests/test_embedding.py``
+check this with ``==`` on every matrix. A step writes every intermediate
+into buffers made once per call and moves each row as one record
+(:func:`_records`); a paragraph's rows of every kind are one block of the
+paragraph-major matrix. Per kind run two ``ndarray.dot`` gemvs (scores,
+predictor gradient) and the label subtract, a float op cheaper than a
+one-element ufunc; every other op is one call over the kind axis, bar the
+DM context's, on the DM row alone. :func:`_sigmoid`, inlined in that loop,
+takes both branches from one ``exp`` over a buffer of ``min(x, 0)`` and
+``-|x|``: exact, since the two are the same float below zero and
+``exp(min(x, 0))`` is ``exp(0) == 1`` at or above it. Its constants are
+arrays of the scores' shape, which numpy takes faster than scalars
+(:func:`_sigmoid_ops`). The loops mute overflow; :func:`_finished` reports it.
 
 Several groups (per-document training) are fitted one kind at a time in
 lockstep: one batched step advances every unfinished fit by one target.
@@ -99,9 +99,9 @@ KINDS = ("dm", "dbow")
 _MAGIC = b"CVEM"
 _VERSION = 1
 
-# Targets per chunk of the SGD loop. Negatives, learning rates and
-# repeated-row flags are computed a chunk at a time.
-_CHUNK = 1024
+# Targets per chunk of the SGD loop. Negatives, rates and repeated-row links
+# are computed a chunk at a time, the rates into 112 KiB per kind at d = 50.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -285,20 +285,17 @@ def _finished(
 
 
 def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size: int,
-            cfg: TrainConfig, c: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Per chunk of targets in ``cfg.seed``'s order: paragraphs, flat and first
-    context indices, context lengths, rates, out-rows (term, then negatives)
-    and whether those or the ``c`` context slots repeat a row."""
+            cfg: TrainConfig, c: int) -> Iterator[tuple]:
+    """Per chunk of targets in ``cfg.seed``'s order: paragraphs, context
+    lengths, rates, and :func:`_links` of the out-rows (term, then negatives)
+    and of the ``c`` context slots, each with sink ``vocab_size``."""
     _, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_order, rng_neg = np.random.default_rng(seed_order), np.random.default_rng(seed_neg)
     sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power)
     num_targets = len(tok)
     total_steps = cfg.epochs * num_targets
     k = cfg.negatives
-    # Padding for context slots before the paragraph start: negative, so
-    # never a term id, and distinct, so never a repeat.
-    ctx_pad = -1 - np.arange(c)
-    ctx_back = np.arange(c, 0, -1)
+    slots = np.arange(c)  # a pad slot's key, -1 - slot, is no term id and no repeat
 
     step = 0
     for _ in range(cfg.epochs):
@@ -314,11 +311,24 @@ def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size:
             out_idx[:, 1:] = sampler.ids(rng_neg.random(k * m)).reshape(m, k)
 
             ctx_lo = np.maximum(t - c, par_start[t])
-            window = t[:, None] - ctx_back
-            ctx_repeats = _has_repeat(
-                np.where(window >= ctx_lo[:, None], tok[np.maximum(window, 0)], ctx_pad)
-            )
-            yield pid[t], t, ctx_lo, t - ctx_lo, lr, out_idx, _has_repeat(out_idx), ctx_repeats
+            window = np.minimum(ctx_lo[:, None] + slots, t[:, None])
+            ctx = np.where(window < t[:, None], tok[window], -1 - slots)
+            ctx = _links(ctx, vocab_size) if c else ([()] * m,) * 3  # faster to zip than (m, 0)
+            yield pid[t], t - ctx_lo, lr, *_links(out_idx, vocab_size), *ctx
+
+
+def _links(keys: np.ndarray, sink: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Rows the slots of each row of ``keys`` read and write, pads (keys < 0) and superseded
+    slots on ``sink``, and per row its links by :func:`_chains`'s rule, ``(src, dst)`` in order."""
+    order = np.argsort(keys, axis=1, kind="stable")  # a row's slots in slot order
+    f, q = np.nonzero(np.diff(np.sort(keys, axis=1)) == 0)  # the keys in ``order``
+    src, dst = order[f, q], order[f, q + 1]
+    read = np.where(keys < 0, sink, keys)
+    write, links = read.copy(), [()] * len(keys)
+    write[f, src] = sink
+    for i, a, b in zip(f.tolist(), src.tolist(), dst.tolist()):
+        links[i] += ((a, b),)
+    return read, write, links
 
 
 def train(
@@ -394,11 +404,11 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    # Paragraph p's rows are the block ``para[p]``, kind i's matrix the view
-    # ``para[:, i]``; its out-rows ``word_out[i]`` are records i*V .. (i+1)*V - 1.
+    # Paragraph p's rows are the block ``para[p]``, kind i's matrix ``para[:, i]``;
+    # its out-rows are records from i*(V+1), then a sink row V, as ``word_in``'s last draw is.
     para = np.stack([rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))] * s, axis=1)
-    word_in = rng.uniform(-0.5 / d, 0.5 / d, (v, d)) if kinds[0] == "dm" else None
-    word_out = np.zeros((s, v, d))
+    word_in = rng.uniform(-0.5 / d, 0.5 / d, (v + 1, d)) if kinds[0] == "dm" else None
+    word_out = np.zeros((s, v + 1, d))
 
     tok, pid, par_start = _flatten(paragraphs)
     c = cfg.context_size if kinds[0] == "dm" else 0
@@ -407,66 +417,71 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     h, g, sig = np.empty((s, d)), np.empty((s, k1)), _sigmoid_ops((s, k1))
     g_lr, upd, grad_h = np.empty((s, k1)), np.empty((s, k1, d)), np.empty((s, d))
     out_rows, ctx_buf, ctx_sum = np.empty((s, k1, d)), np.empty((c, d)), np.empty(d)
+    rate_h, rate_g = np.empty((_CHUNK, s, d)), np.empty((_CHUNK, s, k1))
+    rate_rows = tuple(zip(rate_g, rate_h))  # views made once, not per target
     g_col, h_row, h_dm, shared_dm = g_lr[:, :, None], h[:, None, :], h[0], grad_h[0]
     views = tuple(zip(out_rows, h, g, grad_h))  # one kind's 1-D operands each
     out_rec, ctx_recs = _records(out_rows.reshape(s * k1, d)), _records(ctx_buf)
     out_recs, in_recs = _records(word_out).reshape(-1), _records(word_in) if c else None
-    # By context length n: its rows of ctx_buf and their records, and 1 + n
-    # as an array, which numpy divides by faster than by a scalar.
-    ctx_views = [(ctx_buf[:n], ctx_recs[:n], np.full(d, 1.0 + n)) for n in range(c + 1)]
-    add, subtract, multiply, divide, add_at = np.add, np.subtract, np.multiply, np.divide, np.add.at
+    # By context length n: its rows of ctx_buf, and 1 + n, an array as a faster divisor.
+    ctx_views = [(ctx_buf[:n], np.full(d, 1.0 + n)) for n in range(c + 1)]
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    minimum, copysign, exp, (buf, num, den, zero, minus, one) = np.minimum, np.copysign, np.exp, sig
 
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence raises in _finished
-        for pids, t, ctx_lo, num_ctx, lr, out_idx, out_repeats, ctx_repeats in _chunks(
+        for pids, num_ctx, lr, out_r, out_w, out_links, ctx_r, ctx_w, ctx_links in _chunks(
             tok, pid, par_start, v, cfg, c
         ):
             # Only kind 0's predictor shares its gradient with a context; lr / 1 is lr.
-            share_lr = np.stack([lr / (1 + num_ctx)] + [lr] * (s - 1), axis=1)[:, :, None]
-            for p, ti, ci, nc, nlr, slr, idx, out_rep, ctx_rep in zip(
-                pids.tolist(), t.tolist(), ctx_lo.tolist(), num_ctx.tolist(), (-lr).tolist(),
-                share_lr, np.concatenate([out_idx + i * v for i in range(s)], axis=1),
-                out_repeats.tolist(), ctx_repeats.tolist(),
+            rate_h[: len(lr)] = np.stack([lr / (1 + num_ctx)] + [lr] * (s - 1), axis=1)[:, :, None]
+            rate_g[: len(lr)] = -lr[:, None, None]
+            for p, nc, (nlr, slr), idx, idx_w, o_links, cr, cw, c_links in zip(
+                pids.tolist(), num_ctx.tolist(), rate_rows,
+                *(np.hstack([x + i * (v + 1) for i in range(s)]) for x in (out_r, out_w)),
+                out_links, ctx_r, ctx_w, ctx_links,
             ):
                 rows = para[p]
                 h[...] = rows  # read before the rows are updated below
                 if nc:
-                    ctx = tok[ci:ti]
-                    ctx_rows, ctx_rec, den = ctx_views[nc]
-                    in_recs.take(ctx, out=ctx_rec, mode="clip")
+                    ctx_rows, ctx_den = ctx_views[nc]
+                    in_recs.take(cr, out=ctx_recs, mode="clip")
                     add(h_dm, add.reduce(ctx_rows, axis=0, out=ctx_sum), out=h_dm)
-                    divide(h_dm, den, out=h_dm)
+                    divide(h_dm, ctx_den, out=h_dm)
 
                 out_recs.take(idx, out=out_rec, mode="clip")
                 for o_k, h_k, g_k, _ in views:
                     o_k.dot(h_k, out=g_k)
-                _sigmoid(g, sig)
+                minimum(g, zero, out=num)  # _sigmoid, inline
+                copysign(g, minus, out=den)
+                exp(buf, out=buf)
+                add(den, one, out=den)
+                divide(num, den, out=g)
                 for o_k, _, g_k, gh_k in views:
                     g_k[0] -= 1.0  # minus the labels (1, 0, ..., 0)
                     g_k.dot(o_k, out=gh_k)
                 multiply(grad_h, slr, out=grad_h)
                 multiply(g, nlr, out=g_lr)
                 multiply(g_col, h_row, out=upd)
-                if out_rep:
-                    add_at(word_out.reshape(-1, d), idx, upd.reshape(-1, d))
-                else:
-                    add(out_rows, upd, out=out_rows)
-                    out_recs[idx] = out_rec
+                add(out_rows, upd, out=out_rows)
+                for a, b in o_links:
+                    add(out_rows[:, a], upd[:, b], out=out_rows[:, b])
+                out_recs[idx_w] = out_rec
 
                 subtract(rows, grad_h, out=rows)
                 if nc:
-                    if ctx_rep:
-                        add_at(word_in, ctx, -shared_dm)
-                    else:
-                        subtract(ctx_rows, shared_dm, out=ctx_rows)
-                        in_recs[ctx] = ctx_rec
+                    subtract(ctx_rows, shared_dm, out=ctx_rows)
+                    for a, b in c_links:
+                        subtract(ctx_buf[a], shared_dm, out=ctx_buf[b])
+                    in_recs[cw] = ctx_recs
 
-    for i, kind in enumerate(kinds):
-        yield _finished(kind, cfg, para[:, i], word_in if kind == "dm" else None, word_out[i])
+    for i, kind in enumerate(kinds):  # without the sinks
+        dm_in = word_in[:-1] if kind == "dm" else None
+        yield _finished(kind, cfg, para[:, i], dm_in, word_out[i, :-1])
 
 
 # Targets per chunk of the lockstep schedule, over all fits: every fit
 # takes about _LOCKSTEP_TARGETS / (fits still training) steps per chunk.
-_LOCKSTEP_TARGETS = 2 * _CHUNK
+_LOCKSTEP_TARGETS = 2048
 
 # Values (rows x dim) of the shared word_out matrix one lockstep wave may
 # hold, 2 MiB of float64: groups are trained in consecutive waves of about

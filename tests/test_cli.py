@@ -56,6 +56,19 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert main(["summarize", "--corpus", str(corpus), "--ratio", "7"]) == 2
     assert "ratio" in capsys.readouterr().err
 
+    # Other I/O failures: an output directory that is a file, a corpus that
+    # is a directory. An error line and exit 2, not a traceback.
+    (tmp_path / "a-file").write_text("")
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "a-file")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    # `run` stops at its first stage's failure, as that stage's command does.
+    assert main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "a-file")]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["train", "--corpus", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
 
 def test_cli_reports_an_out_of_range_pick(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
@@ -96,20 +109,21 @@ def _tree(out: Path) -> dict:
 
 def test_stages_in_one_process_write_what_separate_commands_write(tmp_path):
     # One process per command parses the corpus each time; stages run in one
-    # process after a set-up load share the parse and the vocabulary.
+    # process after a set-up load share the parse and the vocabulary, and so
+    # do the three stages of `covsum run`.
     corpus = tmp_path / "c.jsonl"
     save_corpus(grid_docs(), corpus)
     src = Path(covsum.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     trees = []
-    for run in ("commands", "stages"):
+    for run in ("commands", "stages", "run"):
         cfg = tmp_path / f"{run}.cfg"
         cfg.write_text(
             f"corpus = {corpus}\nout = {tmp_path / run}\nper_document_training = true\n"
             "representations = BOW+DBOW\nembed.dim = 4\nembed.epochs = 2\nseed = 9\n"
         )
-        if run == "commands":
-            for stage in ("train", "summarize", "evaluate"):
+        if run != "stages":
+            for stage in ("train", "summarize", "evaluate") if run == "commands" else ("run",):
                 subprocess.run([sys.executable, "-m", "covsum", stage, "--config", str(cfg)],
                                env=env, check=True, capture_output=True, timeout=120)
         else:
@@ -120,7 +134,7 @@ def test_stages_in_one_process_write_what_separate_commands_write(tmp_path):
             cmd_evaluate(config)
         trees.append(_tree(tmp_path / run))
     assert len(trees[0]) == 3 + 4 + 2  # per-document models, cells, results
-    assert trees[0] == trees[1]
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_cli_rejects_unknown_flags():

@@ -306,6 +306,41 @@ def test_fit_of_both_kinds_matches_two_fits_across_chunks():
     _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, None)
 
 
+def test_chunk_size_is_bookkeeping_only():
+    # Chunks batch the draws, rates and repeated-row links, never the
+    # updates: every model is the same at any chunk size, from chunks of
+    # one target to 1024, which leaves a short second chunk per epoch.
+    rng = np.random.default_rng(12)
+    paragraphs = [
+        TrainingParagraph(tuple(int(t) for t in rng.integers(0, 30, rng.integers(1, 25))))
+        for _ in range(100)
+    ]
+    assert 1024 < sum(len(p.tokens) for p in paragraphs) < 2 * 1024
+    cfg = TrainConfig(dim=4, context_size=3, epochs=2, negatives=5, seed=8)
+    runs = []
+    for chunk in (1, 5, 256, 1024):
+        with mock.patch.object(embedding, "_CHUNK", chunk):
+            runs.append(list(fit([paragraphs], cfg, KINDS)) + [train(paragraphs, cfg, k) for k in KINDS])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0], strict=True):
+            _assert_same_model(got, want)
+
+
+def test_train_matches_reference_where_slots_chain_through_one_row():
+    # Over one term every slot hits row 0. Over two, the 6 out slots of each
+    # target put three or more on one row, and the run of ones gives full
+    # contexts of four slots on row 1. So steps chain a row through three or
+    # more slots, in the out-rows and in the DM context alike.
+    cfg = TrainConfig(dim=3, context_size=4, epochs=3, negatives=5, learning_rate=0.5, seed=3)
+    two_terms = [TrainingParagraph((1,) * 9), TrainingParagraph((0, 1, 1, 0, 1, 1, 1, 0))]
+    for paragraphs, vocab in (([TrainingParagraph((0,) * 9)], 1), (two_terms, 2)):
+        joint = list(fit([paragraphs], cfg, KINDS, vocab_size=vocab))
+        for model, kind in zip(joint, KINDS, strict=True):
+            want = train_reference(paragraphs, cfg, kind, vocab_size=vocab)
+            _assert_same_model(train(paragraphs, cfg, kind, vocab_size=vocab), want)
+            _assert_same_model(model, want)
+
+
 def test_fit_of_both_kinds_yields_dm_before_a_dbow_divergence():
     # DM stays finite here and DBOW diverges: the DM model comes out first,
     # then train's own error for DBOW.
