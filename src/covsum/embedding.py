@@ -12,55 +12,40 @@ approximated with negative sampling: one positive pair per target word plus
 Training is single-threaded, seeded, and bitwise reproducible: identical
 seed, config, and input produce an identical model. :func:`fit` trains one
 model of each given kind on each paragraph group; :func:`train` is its
-case of one group and one kind. One loop trains a single group, every kind
-at once. Every kind draws every value from the same ``cfg.seed``
-streams, so the kinds share the chunk bookkeeping and are stacked on a
-leading axis, and each model is bit-identical to its one-kind fit. The
-loop is exact per-target SGD in which only the bookkeeping is batched:
-targets are taken in chunks, each with one negative-sampler draw, its rates
-filled into arrays of the shapes they multiply, and the links that chain a
-target's slots that hit one row twice, by lockstep's rule below
-(:func:`_links`). Every model is bit-identical to the one-target-at-a-time
-loop ``train_reference`` in ``tests/reference.py``; ``test_train_matches_*``
-and ``test_fit_of_both_kinds_matches_*`` in ``tests/test_embedding.py``
-check this with ``==`` on every matrix. A step writes every intermediate
-into buffers made once per call and moves each row as one record
-(:func:`_records`); a paragraph's rows of every kind are one block of the
-paragraph-major matrix. Per kind run two ``ndarray.dot`` gemvs (scores,
-predictor gradient) and the label subtract, a float op cheaper than a
-one-element ufunc; every other op is one call over the kind axis, bar the
-DM context's, on the DM row alone. :func:`_sigmoid`, inlined in that loop,
-takes both branches from one ``exp`` over a buffer of ``min(x, 0)`` and
-``-|x|``: exact, since the two are the same float below zero and
-``exp(min(x, 0))`` is ``exp(0) == 1`` at or above it. Its constants are
-arrays of the scores' shape, which numpy takes faster than scalars
-(:func:`_sigmoid_ops`). The loops mute overflow; :func:`_finished` reports it.
+case of one group and one kind. Every model is bit-identical to its
+one-kind, one-group fit and to the one-target-at-a-time loop
+``train_reference`` in ``tests/reference.py``; the ``test_train_matches_*``
+and ``test_fit_of_*`` tests in ``tests/test_embedding.py`` check this with
+``==`` on every matrix. Only the bookkeeping is batched:
 
-Several groups (per-document training) are fitted one kind at a time in
-lockstep: one batched step advances every unfinished fit by one target.
-Each fit keeps its own ``train`` call's seeded init, epoch permutations,
-negative draws and learning-rate schedule. Fits share no row, so batching
-changes no sum: gathers and scatters touch disjoint rows, scores and
-predictor gradients are stacked ``np.matmul`` calls with ``out=`` (the
-BLAS gemv that ``np.dot`` calls), and the rest is elementwise. The
-update's products come from ``np.einsum``, which adds each to 0.0 and so
-turns a -0.0 product into +0.0; a ``word_out`` row is never -0.0, so
-adding either to it gives the same bits. So every model is bit-identical
-to a separate :func:`train` call on its group;
-``test_fit_of_several_groups_matches_separate_fits`` guards this with ``==`` on every
-matrix. The step's buffers are made once per wave for the wave's fits, and
-it moves rows as records. Where one fit's out or context slots hit a row
-twice, the step chains them (:func:`_chains`): a later slot of the row
-takes the previous slot's new row plus its own update, which is what
-``np.add.at``'s in-order adds give. Only the row's last slot is written
-back; the others go to a sink row past the fits' rows, which no yielded
-model holds. Each wave plans every fit's targets and negatives once
-(:func:`_plan`): one draw of the shared negative stream, sorted once and
-mapped through each fit's weights. A fit holds only the rows of the terms
-its group uses; the others never change, and :func:`_expand` fills them in
-when the model is yielded. Groups run in consecutive waves of at most
-about 2 MiB of ``word_out`` rows each, so memory does not grow with the
-number of groups.
+- *One group with DM* (:func:`_fits`): a per-target loop trains every kind
+  at once, stacked on a leading axis, as all kinds draw every value from
+  the same ``cfg.seed`` streams. Per kind run two ``ndarray.dot`` gemvs
+  and the label subtract; every other op is one call over the kind axis.
+- *One group of DBOW alone* (:func:`_runs_fit`): one :func:`_sgd` step
+  trains each run of consecutive targets that share no row (:func:`_runs`).
+  DM stays per target: its context rows cut runs to about two targets.
+- *Several groups*, one kind at a time in lockstep (:func:`_train_wave`):
+  one :func:`_sgd` step advances every unfinished fit by one target, with
+  its own ``train`` call's draws, planned once per wave (:func:`_plan`). A
+  fit holds only its group's terms' rows; :func:`_expand` fills in the
+  rest. Waves hold at most about 2 MiB of ``word_out`` rows each.
+
+The first two draw negatives per chunk of targets (:func:`_chunks`). The
+targets of an :func:`_sgd` step share no row, so batching changes no sum:
+gathers and scatters touch disjoint rows, scores and predictor gradients
+are stacked ``np.matmul`` calls with ``out=`` (the BLAS gemv that
+``np.dot`` calls), and the rest is elementwise; the update's products come
+from ``np.multiply`` or, from 8 targets (lockstep only), ``np.einsum``,
+which turns a -0.0 product into +0.0, the same bits once added to a
+``word_out`` row, which is never -0.0. Where a target's slots hit a row
+twice, a later slot takes the previous slot's new row plus its own update
+(:func:`_links`, :func:`_chains`), as ``np.add.at``'s in-order adds give;
+only the row's last slot is written back, the others to a sink row no model
+holds. Steps write into buffers made once per call and move rows as records
+(:func:`_records`). :func:`_sigmoid`, inlined, takes both branches from one
+``exp`` over ``min(x, 0)`` and ``-|x|``, which is exact. The loops mute
+overflow; :func:`_finished` reports it.
 
 Model files are flat binary (little-endian):
 
@@ -82,6 +67,7 @@ its word rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -102,6 +88,9 @@ _VERSION = 1
 # Targets per chunk of the SGD loop. Negatives, rates and repeated-row links
 # are computed a chunk at a time, the rates into 112 KiB per kind at d = 50.
 _CHUNK = 256
+
+# Targets per run of a corpus DBOW fit (see fit), fewer than _sgd's einsum width.
+_RUN = 7
 
 
 @dataclass(frozen=True)
@@ -169,8 +158,8 @@ def _sigmoid(x: np.ndarray, ops: tuple | None = None) -> np.ndarray:
     ``exp(min(x, 0)) / (1 + exp(-|x|))``: 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below, so exp never overflows. Both exps are one
     call over a scratch array of shape ``(2, *x.shape)``. ``ops`` is
-    :func:`_sigmoid_ops` of ``x.shape``; the SGD steps make it once and
-    pass it to every step."""
+    :func:`_sigmoid_ops` of ``x.shape``; the SGD steps make theirs once and
+    inline this function."""
     buf, num, den, zero, minus, one = ops or _sigmoid_ops(x.shape)
     np.minimum(x, zero, out=num)
     np.copysign(x, minus, out=den)
@@ -285,16 +274,17 @@ def _finished(
 
 
 def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size: int,
-            cfg: TrainConfig, c: int) -> Iterator[tuple]:
+            cfg: TrainConfig, c: int, cap: int = 1) -> Iterator[tuple]:
     """Per chunk of targets in ``cfg.seed``'s order: paragraphs, context
-    lengths, rates, and :func:`_links` of the out-rows (term, then negatives)
-    and of the ``c`` context slots, each with sink ``vocab_size``."""
+    lengths, rates, :func:`_links` per run of the out-rows (term, then
+    negatives) and of the ``c`` context slots, each with sink ``vocab_size``,
+    and the bounds of the chunk's :func:`_runs` of at most ``cap`` targets."""
     _, seed_order, seed_neg = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_order, rng_neg = np.random.default_rng(seed_order), np.random.default_rng(seed_neg)
     sampler = NegativeSampler(np.bincount(tok, minlength=vocab_size), cfg.unigram_power)
     num_targets = len(tok)
     total_steps = cfg.epochs * num_targets
-    k = cfg.negatives
+    k, sink = cfg.negatives, vocab_size
     slots = np.arange(c)  # a pad slot's key, -1 - slot, is no term id and no repeat
 
     step = 0
@@ -306,28 +296,56 @@ def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size:
             lr = _learning_rates(np.arange(step, step + m), total_steps, cfg)
             step += m
 
-            out_idx = np.empty((m, k + 1), dtype=np.int64)
-            out_idx[:, 0] = tok[t]
-            out_idx[:, 1:] = sampler.ids(rng_neg.random(k * m)).reshape(m, k)
+            pids = pid[t]
+            draws = rng_neg.random(k * m)
+            by, negs = np.argsort(draws), np.empty(k * m, dtype=np.int64)
+            negs[by] = sampler.ids(draws[by])  # a search in sorted order is faster
+            out_idx = np.column_stack([tok[t], negs.reshape(m, k)])
+            bounds = _runs(np.column_stack([out_idx, vocab_size + pids]), cap)  # rows as keys
 
-            ctx_lo = np.maximum(t - c, par_start[t])
-            window = np.minimum(ctx_lo[:, None] + slots, t[:, None])
-            ctx = np.where(window < t[:, None], tok[window], -1 - slots)
-            ctx = _links(ctx, vocab_size) if c else ([()] * m,) * 3  # faster to zip than (m, 0)
-            yield pid[t], t - ctx_lo, lr, *_links(out_idx, vocab_size), *ctx
+            ctx_lo, ctx = t, ([()] * m,) * 3  # no context: faster to zip than (m, 0)
+            if c:
+                ctx_lo = np.maximum(t - c, par_start[t])
+                window = np.minimum(ctx_lo[:, None] + slots, t[:, None])
+                ctx = _links(np.where(window < t[:, None], tok[window], -1 - slots), sink, bounds)
+            yield pids, t - ctx_lo, lr, *_links(out_idx, sink, bounds), *ctx, bounds
 
 
-def _links(keys: np.ndarray, sink: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _runs(keys: np.ndarray, cap: int) -> np.ndarray:
+    """Bounds of the runs that cut the rows of nonnegative ``keys`` greedily,
+    in order: a run ends before the first row that holds a key of an earlier
+    row of the run, or after ``cap`` rows. A key repeated in a row cuts nothing."""
+    m, s = keys.shape
+    if cap == 1:
+        return np.arange(m + 1)
+    # a key's slots in row order, sorted faster in the narrowest type
+    order = np.argsort(keys.ravel().astype(np.min_scalar_type(keys.max())), kind="stable")
+    same = np.flatnonzero(np.diff(keys.ravel()[order]) == 0)
+    a, b = order[same] // s, order[same + 1] // s  # rows of a key's consecutive slots
+    prev = np.full(m * s, -1)  # per slot, the last earlier row that holds its key
+    prev[order[same + 1]] = np.where(a < b, a, -1)
+    start, bounds = 0, [0]
+    for i, p in enumerate(prev.reshape(m, s).max(axis=1).tolist()):
+        if p >= start or i - start == cap:
+            start = i
+            bounds.append(i)
+    return np.array(bounds + [m])
+
+
+def _links(keys: np.ndarray, sink: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Rows the slots of each row of ``keys`` read and write, pads (keys < 0) and superseded
-    slots on ``sink``, and per row its links by :func:`_chains`'s rule, ``(src, dst)`` in order."""
+    slots on ``sink``, and per run of rows from ``bounds`` its links by :func:`_chains`'s
+    rule, ``(src, dst)`` in order, with slots counted over the run's rows."""
     order = np.argsort(keys, axis=1, kind="stable")  # a row's slots in slot order
     f, q = np.nonzero(np.diff(np.sort(keys, axis=1)) == 0)  # the keys in ``order``
     src, dst = order[f, q], order[f, q + 1]
     read = np.where(keys < 0, sink, keys)
-    write, links = read.copy(), [()] * len(keys)
+    write, links = read.copy(), [()] * (len(bounds) - 1)
     write[f, src] = sink
-    for i, a, b in zip(f.tolist(), src.tolist(), dst.tolist()):
-        links[i] += ((a, b),)
+    run = np.searchsorted(bounds, f, side="right") - 1
+    off = (f - bounds[run]) * keys.shape[1]
+    for r, a, b in zip(run.tolist(), (off + src).tolist(), (off + dst).tolist()):
+        links[r] += ((a, b),)
     return read, write, links
 
 
@@ -379,17 +397,18 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
     bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group is
     validated once, when the first model is asked for; without
     ``vocab_size``, a group's vocabulary is its largest term id + 1. One
-    group is trained by one :func:`_fits` pass over all kinds, which takes
-    a single fit faster than lockstep does. Several groups are trained one
-    kind at a time, all fits in lockstep (see the module docstring), in
-    consecutive waves (:func:`_waves`).
+    group of DBOW alone is trained in runs of targets that share no row
+    (:func:`_runs_fit`); one group with DM by one :func:`_fits` pass over all
+    kinds, which takes it faster than batched steps do. Several groups are
+    trained one kind at a time, all fits in lockstep (see the module
+    docstring), in consecutive waves (:func:`_waves`).
     """
     kinds = tuple(kind.lower() for kind in kinds)
     if not kinds or kinds != tuple(kind for kind in KINDS if kind in kinds):
         raise ValueError(f"kinds must be distinct kinds of {KINDS}, in that order")
     sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
     if len(groups) == 1:
-        yield from _fits(groups[0], cfg, kinds, sizes[0])
+        yield from (_runs_fit if kinds == ("dbow",) else _fits)(groups[0], cfg, kinds, sizes[0])
         return
     waves = _waves(groups, cfg.dim)
     for kind in kinds:
@@ -400,8 +419,7 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
 def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
           vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train one model of each of ``kinds`` over validated paragraphs in one
-    pass, and yield them in order. Only kind 0, DM if present, reads a
-    context."""
+    pass, and yield them in order. Only kind 0, DM, reads a context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     # Paragraph p's rows are the block ``para[p]``, kind i's matrix ``para[:, i]``;
@@ -429,7 +447,7 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     minimum, copysign, exp, (buf, num, den, zero, minus, one) = np.minimum, np.copysign, np.exp, sig
 
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence raises in _finished
-        for pids, num_ctx, lr, out_r, out_w, out_links, ctx_r, ctx_w, ctx_links in _chunks(
+        for pids, num_ctx, lr, out_r, out_w, out_links, ctx_r, ctx_w, ctx_links, _ in _chunks(
             tok, pid, par_start, v, cfg, c
         ):
             # Only kind 0's predictor shares its gradient with a context; lr / 1 is lr.
@@ -477,6 +495,27 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     for i, kind in enumerate(kinds):  # without the sinks
         dm_in = word_in[:-1] if kind == "dm" else None
         yield _finished(kind, cfg, para[:, i], dm_in, word_out[i, :-1])
+
+
+def _runs_fit(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
+              vocab_size: int) -> Iterator[EmbeddingModel]:
+    """Train and yield the model of ``kinds``, DBOW alone, a step per :func:`_runs` run."""
+    d, v, k1 = cfg.dim, vocab_size, cfg.negatives + 1
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    para = rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))
+    word_out = np.zeros((v + 1, d))  # row V is the sink of superseded slots
+    rate_g, rate_h = np.empty((_CHUNK, k1)), np.empty((_CHUNK, d))  # same-shape operands
+    chunks = _chunks(*_flatten(paragraphs), v, cfg, 0, _RUN)
+    def steps() -> Iterator[tuple]:
+        for pids, _, lr, out_r, out_w, links, *_, bounds in chunks:
+            rate_g[: len(lr)], rate_h[: len(lr)] = -lr[:, None], lr[:, None]
+            out_r, out_w = out_r.ravel(), out_w.ravel()
+            for i, j, run_links in zip(bounds[:-1].tolist(), bounds[1:].tolist(), links):
+                yield (j - i, pids[i:j], out_r[i * k1 : j * k1], out_w[i * k1 : j * k1], run_links,
+                       rate_g[i:j], rate_h[i:j], None)
+
+    _sgd(steps(), _RUN, k1, 0, para, None, word_out)
+    yield _finished(kinds[0], cfg, para, None, word_out[:-1])
 
 
 # Targets per chunk of the lockstep schedule, over all fits: every fit
@@ -614,7 +653,6 @@ def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence raises in _finished
 def _train_wave(
     groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int], cfg: TrainConfig, kind: str
 ) -> tuple[list[_Fit], np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -657,109 +695,131 @@ def _train_wave(
     sink = pad = row_off
     word_out = np.zeros((row_off + 1, d))
     word_in = np.concatenate(in_parts + [np.zeros((1, d))]) if kind == "dm" else None
-    para_recs, out_recs = _records(para), _records(word_out)
-    in_recs = _records(word_in) if c else None
-
-    # Every intermediate of a step is written into one of these, made for
-    # the wave's fit count; a step with ``a`` live fits uses their ``[:a]``
-    # prefixes, and the sigmoid's operands are made for ``a``. Scores and
-    # predictor gradients keep the trailing and middle unit axes of the
-    # stacked matmul products they hold.
-    w = len(fits)
-    row_buf, out_buf, upd_buf = np.empty((w, d)), np.empty((w, k1, d)), np.empty((w, k1, d))
-    h_buf = np.empty((w, d)) if c else row_buf
-    g_buf, grad_buf, ctx_buf = np.empty((w, k1, 1)), np.empty((w, 1, d)), np.empty((w, c, d))
-    row_recs, out_rec_buf = _records(row_buf), _records(out_buf.reshape(w * k1, d))
-    ctx_rec_buf = _records(ctx_buf.reshape(w * c, d)) if c else None
 
     slots = np.arange(c)
-    add, subtract, multiply, divide, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
     row_offs = np.array([f.row_off for f in order])[:, None]
     plan_targets, plan_negs = _plan(order, cfg, seed_order, seed_neg)
-    step, last = 0, 0
-    while step < totals[0]:
-        active = int(np.count_nonzero(totals > step))
-        m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
-        t = plan_targets[step : step + m, :active].astype(np.int64)
-        negs = plan_negs[step : step + m, :active] + row_offs[:active]
-        steps = np.arange(step, step + m)[:, None]
-        lr = _learning_rates(steps, totals[:active], cfg)
-        alive = totals[:active] > steps
-        live = np.count_nonzero(alive, axis=1)
 
-        out_idx = np.concatenate([tok_rows[t][..., None], negs], axis=2)
-        out_sup, out_links = _chains(
-            out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
-        )
-        out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
-        out_idx = out_idx.reshape(m, -1)
-        p_rows = par_rows[t]
-        share_lr = lr  # lr / 1 when no context shares the predictor
-        if c:
-            ctx_lo = np.maximum(t - c, par_starts[t])
-            num_ctx = t - ctx_lo
-            no_ctx = (num_ctx == 0)[..., None]
-            share_lr = lr / (1 + num_ctx)
-            window = ctx_lo[..., None] + slots
-            in_ctx = window < t[..., None]
-            ctx_idx = np.where(in_ctx, tok_rows[np.minimum(window, t[..., None])], pad)
-            ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
-            ctx_sup, ctx_links = _chains(
-                ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
+    def steps() -> Iterator[tuple]:  # one target of each live fit, for _sgd
+        step = 0
+        while step < totals[0]:
+            active = int(np.count_nonzero(totals > step))
+            m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
+            t = plan_targets[step : step + m, :active].astype(np.int64)
+            negs = plan_negs[step : step + m, :active] + row_offs[:active]
+            at = np.arange(step, step + m)[:, None]
+            lr = _learning_rates(at, totals[:active], cfg)
+            alive = totals[:active] > at
+            live = np.count_nonzero(alive, axis=1)
+
+            out_idx = np.concatenate([tok_rows[t][..., None], negs], axis=2)
+            out_sup, out_links = _chains(
+                out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
             )
-            ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
-            ctx_idx = ctx_idx.reshape(m, -1)
-            den = (1 + num_ctx)[..., None]
-        neg_lr, share_lr = -lr[..., None], share_lr[..., None]
-        step += m
-
-        for j, a in enumerate(live.tolist()):
-            if a != last:  # the prefixes of the buffers for a live fits
-                last = a
-                rows, h, row_rec = row_buf[:a], h_buf[:a], row_recs[:a]
-                out_rows, out_rec = out_buf[:a], out_rec_buf[: a * k1]
-                out_flat, upd = out_rows.reshape(a * k1, d), upd_buf[:a]
-                upd_flat = upd.reshape(a * k1, d)
-                g3, grad3 = g_buf[:a], grad_buf[:a]
-                g, grad_h, sig = g3[:, :, 0], grad3[:, 0], _sigmoid_ops((a, k1))
-                g_row, h_col, g_pos = g[:, None, :], h[:, :, None], g[:, 0]
-                if c:
-                    ctx_rows, ctx_rec = ctx_buf[:a], ctx_rec_buf[: a * c]
-                    ctx_flat, shared = ctx_rows.reshape(a * c, d), grad_h[:, None, :]
-
-            p = p_rows[j, :a]
-            para_recs.take(p, out=row_rec, mode="clip")
+            out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
+            out_idx = out_idx.reshape(m, -1)
+            p_rows = par_rows[t]
+            share_lr = lr  # lr / 1 when no context shares the predictor
             if c:
-                in_recs.take(ctx_idx[j, : a * c], out=ctx_rec, mode="clip")
-                add(rows, _context_sums(ctx_rows, num_ctx[j, :a]), out=h)
-                divide(h, den[j, :a], out=h)
-                np.copyto(h, rows, where=no_ctx[j, :a])
+                ctx_lo = np.maximum(t - c, par_starts[t])
+                num_ctx = t - ctx_lo
+                no_ctx = (num_ctx == 0)[..., None]
+                share_lr = lr / (1 + num_ctx)
+                window = ctx_lo[..., None] + slots
+                in_ctx = window < t[..., None]
+                ctx_idx = np.where(in_ctx, tok_rows[np.minimum(window, t[..., None])], pad)
+                ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
+                ctx_sup, ctx_links = _chains(
+                    ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
+                )
+                ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
+                ctx_idx = ctx_idx.reshape(m, -1)
+                den = (1 + num_ctx)[..., None]
+            neg_lr, share_lr = -lr[..., None], share_lr[..., None]
+            step += m
+            for j, a in enumerate(live.tolist()):
+                yield (a, p_rows[j, :a], out_idx[j, : a * k1], out_w[j, : a * k1], out_links[j],
+                       neg_lr[j, :a], share_lr[j, :a], c and (ctx_idx[j, : a * c],
+                       ctx_w[j, : a * c], ctx_links[j], num_ctx[j, :a], den[j, :a], no_ctx[j, :a]))
 
-            out_recs.take(out_idx[j, : a * k1], out=out_rec, mode="clip")
-            matmul(out_rows, h_col, out=g3)
-            _sigmoid(g, sig)
-            subtract(g_pos, 1.0, out=g_pos)  # minus the labels (1, 0, ..., 0)
-            matmul(g_row, out_rows, out=grad3)
-            multiply(g, neg_lr[j, :a], out=g)
-            np.einsum("fi,fd->fid", g, h, out=upd)
-            add(out_rows, upd, out=out_rows)
-            for src, dst, _ in out_links[j]:
-                out_flat[dst] = out_flat[src] + upd_flat[dst]
-            out_recs[out_w[j, : a * k1]] = out_rec
-
-            multiply(grad_h, share_lr[j, :a], out=grad_h)
-            subtract(rows, grad_h, out=rows)
-            para_recs[p] = row_rec
-            if c:
-                subtract(ctx_rows, shared, out=ctx_rows)
-                for src, dst, fit in ctx_links[j]:
-                    ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
-                in_recs[ctx_w[j, : a * c]] = ctx_rec
-                word_in[pad] = 0.0
+    _sgd(steps(), len(fits), k1, c, para, word_in, word_out, pad)
     return fits, init, para, word_in, word_out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a divergence raises in _finished
+def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
+         word_in: np.ndarray | None, word_out: np.ndarray, pad: int = 0) -> None:
+    """Take SGD steps in place over ``a <= width`` targets that share no row each:
+    ``(a, p, out_r, out_w, out_links, neg_lr, share_lr, ctx)``, their paragraph rows,
+    ``k1`` out-rows each to read and write, links by :func:`_chains`'s rule, rates ``-lr``
+    and ``lr / (1 + context)``, and for ``c`` slots the context's rows to read and write,
+    links, lengths, ``1 +`` lengths and emptiness, padded with row ``pad``."""
+    d, w = para.shape[1], width
+    para_recs, out_recs = _records(para), _records(word_out)
+    in_recs = _records(word_in) if c else None
+    # Every intermediate of a step is written into one of these. A step of ``a``
+    # targets works in views of their ``[:a]`` prefixes, made once per width.
+    row_buf, out_buf, upd_buf = np.empty((w, d)), np.empty((w, k1, d)), np.empty((w, k1, d))
+    h_buf = np.empty((w, d)) if c else row_buf
+    g_buf, grad_buf, ctx_buf = np.empty((w, k1, 1)), np.empty((w, 1, d)), np.empty((w, c, d))
+    row_recs, out_recs_buf = _records(row_buf), _records(out_buf.reshape(w * k1, d))
+    ctx_recs = _records(ctx_buf.reshape(w * c, d))
+    sig_ops = _sigmoid_ops((w, k1))
+
+    @functools.cache
+    def views(a: int) -> tuple:
+        g3, grad3, h, out_rows, upd = g_buf[:a], grad_buf[:a], h_buf[:a], out_buf[:a], upd_buf[:a]
+        g, ctx_rows = g3[:, :, 0], ctx_buf[:a]
+        # einsum is faster from 8 targets; its buffer raised a corpus fit's peak RSS
+        outer = (np.einsum, ("fi,fd->fid", g, h)) if a >= 8 else (np.multiply, (g3, h[:, None]))
+        return (row_buf[:a], row_recs[:a], h, h[:, :, None], out_rows, out_recs_buf[: a * k1],
+                out_rows.reshape(a * k1, d), upd, upd.reshape(a * k1, d), g3, g, g[:, None, :],
+                g[:, 0], grad3, grad3[:, 0], *outer, *(x[..., :a, :] for x in sig_ops),
+                ctx_rows, ctx_recs[: a * c], ctx_rows.reshape(a * c, d))
+
+    add, subtract, multiply, divide, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
+    minimum, copysign, exp = np.minimum, np.copysign, np.exp
+    for a, p, out_idx, out_w, out_links, neg_lr, share_lr, ctx in steps:
+        (rows, row_rec, h, h_col, out_rows, out_rec, out_flat, upd, upd_flat, g3, g, g_row, g_pos,
+         grad3, grad_h, outer, outer_args, buf, num, den, zero, minus, one, ctx_rows, ctx_rec,
+         ctx_flat) = views(a)
+
+        para_recs.take(p, out=row_rec, mode="clip")
+        if c:
+            ctx_idx, ctx_w, ctx_links, num_ctx, den_ctx, no_ctx = ctx
+            in_recs.take(ctx_idx, out=ctx_rec, mode="clip")
+            add(rows, _context_sums(ctx_rows, num_ctx), out=h)
+            divide(h, den_ctx, out=h)
+            np.copyto(h, rows, where=no_ctx)
+
+        out_recs.take(out_idx, out=out_rec, mode="clip")
+        matmul(out_rows, h_col, out=g3)
+        minimum(g, zero, out=num)  # _sigmoid, inline
+        copysign(g, minus, out=den)
+        exp(buf, out=buf)
+        add(den, one, out=den)
+        divide(num, den, out=g)
+        subtract(g_pos, 1.0, out=g_pos)  # minus the labels (1, 0, ..., 0)
+        matmul(g_row, out_rows, out=grad3)
+        multiply(g, neg_lr, out=g)
+        outer(*outer_args, out=upd)
+        add(out_rows, upd, out=out_rows)
+        for src, dst, *_ in out_links:
+            out_flat[dst] = out_flat[src] + upd_flat[dst]
+        out_recs[out_w] = out_rec
+
+        multiply(grad_h, share_lr, out=grad_h)
+        subtract(rows, grad_h, out=rows)
+        para_recs[p] = row_rec
+        if c:
+            subtract(ctx_rows, grad3, out=ctx_rows)
+            for src, dst, fit in ctx_links:
+                ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
+            in_recs[ctx_w] = ctx_rec
+            word_in[pad] = 0.0
 
 
 def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.ndarray,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -275,6 +276,19 @@ def test_train_matches_reference_across_chunks():
     cfg = TrainConfig(dim=8, context_size=4, epochs=2, negatives=5, seed=21)
     for kind in KINDS:
         _assert_same_model(train(paragraphs, cfg, kind), train_reference(paragraphs, cfg, kind))
+    # Many short paragraphs over a few hundred terms with one negative: DBOW
+    # steps reach runs of _RUN targets that share no row, and take them whole.
+    paragraphs = [
+        TrainingParagraph(tuple(int(t) for t in rng.integers(0, 400, rng.integers(1, 4))))
+        for _ in range(600)
+    ]
+    cfg = TrainConfig(dim=5, epochs=2, negatives=1, seed=4)
+    tok, pid, par_start = embedding._flatten(paragraphs)
+    runs = [np.diff(chunk[-1]) for chunk in embedding._chunks(tok, pid, par_start, 400, cfg, 0,
+                                                               embedding._RUN)]
+    assert max(r.max() for r in runs) == embedding._RUN
+    _assert_same_model(train(paragraphs, cfg, "dbow", vocab_size=400),
+                       train_reference(paragraphs, cfg, "dbow", vocab_size=400))
 
 
 def _assert_two_kind_pass_matches_two_fits(paragraphs, cfg, vocab):
@@ -309,7 +323,9 @@ def test_fit_of_both_kinds_matches_two_fits_across_chunks():
 def test_chunk_size_is_bookkeeping_only():
     # Chunks batch the draws, rates and repeated-row links, never the
     # updates: every model is the same at any chunk size, from chunks of
-    # one target to 1024, which leaves a short second chunk per epoch.
+    # one target to 1024, which leaves a short second chunk per epoch. Runs
+    # of targets that share no row take one step each, so every model is
+    # also the same at any run cap, from runs of one target up.
     rng = np.random.default_rng(12)
     paragraphs = [
         TrainingParagraph(tuple(int(t) for t in rng.integers(0, 30, rng.integers(1, 25))))
@@ -318,12 +334,51 @@ def test_chunk_size_is_bookkeeping_only():
     assert 1024 < sum(len(p.tokens) for p in paragraphs) < 2 * 1024
     cfg = TrainConfig(dim=4, context_size=3, epochs=2, negatives=5, seed=8)
     runs = []
-    for chunk in (1, 5, 256, 1024):
-        with mock.patch.object(embedding, "_CHUNK", chunk):
+    for chunk, cap in itertools.product((1, 5, 256, 1024), (1, 2, embedding._RUN)):
+        with mock.patch.object(embedding, "_CHUNK", chunk), mock.patch.object(embedding, "_RUN", cap):
             runs.append(list(fit([paragraphs], cfg, KINDS)) + [train(paragraphs, cfg, k) for k in KINDS])
     for run in runs[1:]:
         for got, want in zip(run, runs[0], strict=True):
             _assert_same_model(got, want)
+
+
+def _greedy_runs(rows, cap):
+    # The rule, row by row over each row's set of keys.
+    bounds, seen = [0], set()
+    for i, row in enumerate(rows):
+        if seen & set(row) or i - bounds[-1] == cap:
+            bounds.append(i)
+            seen = set()
+        seen |= set(row)
+    return bounds + [len(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_runs_cut_where_a_row_repeats_a_key_of_its_run(alphabet, slots, cap, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, alphabet - 1), min_size=slots,
+                                       max_size=slots), min_size=1, max_size=30))
+    keys = np.array(rows, dtype=np.int64)
+    bounds = embedding._runs(keys, cap).tolist()
+    assert bounds == _greedy_runs(rows, cap)
+    # the runs cover the rows in order, each at most cap long
+    assert bounds[0] == 0 and bounds[-1] == len(rows)
+    assert all(0 < b - a <= cap for a, b in zip(bounds, bounds[1:]))
+    read, write, links = embedding._links(keys, alphabet, np.array(bounds))
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        # no two rows of a run share a key, however often one row repeats it;
+        # each row writes each of its keys once, and its other slots the sink
+        assert sum(len(set(row)) for row in rows[a:b]) == len(set().union(*rows[a:b]))
+        written = write[a:b][write[a:b] != alphabet]
+        assert len(written) == len(np.unique(written)) == len(set().union(*rows[a:b]))
+        flat = read[a:b].ravel()
+        for src, dst in links[r]:  # slots of one row, counted over the run
+            assert src < dst and src // slots == dst // slots and flat[src] == flat[dst]
+        # each cut is forced: the next row shares a key with the run, or it is full
+        if b < len(rows):
+            assert set(rows[b]) & set().union(*rows[a:b]) or b - a == cap
+    # a row that repeats its own keys cuts nothing
+    assert embedding._runs(np.array([[0, 0, 0], [1, 1, 2], [3, 4, 3]]), 16).tolist() == [0, 3]
 
 
 def test_train_matches_reference_where_slots_chain_through_one_row():
