@@ -27,9 +27,11 @@ and ``test_fit_of_*`` tests in ``tests/test_embedding.py`` check this with
   DM stays per target: its context rows cut runs to about two targets.
 - *Several groups*, one kind at a time in lockstep (:func:`_train_wave`):
   one :func:`_sgd` step advances every unfinished fit by one target, with
-  its own ``train`` call's draws, planned once per wave (:func:`_plan`). A
-  fit holds only its group's terms' rows; :func:`_expand` fills in the
-  rest. Waves hold at most about 2 MiB of ``word_out`` rows each.
+  its own ``train`` call's draws: targets planned once per wave
+  (:func:`_plan`), negatives a segment of steps at a time
+  (:func:`_negatives`). A fit holds only its group's terms' rows;
+  :func:`_expand` fills in the rest. Waves hold at most about 4 MiB of
+  ``word_out`` rows each.
 
 The first two draw negatives per chunk of targets (:func:`_chunks`). The
 targets of an :func:`_sgd` step share no row, so batching changes no sum:
@@ -523,10 +525,14 @@ def _runs_fit(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: 
 _LOCKSTEP_TARGETS = 2048
 
 # Values (rows x dim) of the shared word_out matrix one lockstep wave may
-# hold, 2 MiB of float64: groups are trained in consecutive waves of about
+# hold, 4 MiB of float64: groups are trained in consecutive waves of about
 # equal size within this bound, so memory does not grow with the number of
 # groups. Fewer, wider waves take fewer lockstep steps in all.
-_WAVE_VALUES = 2**18
+_WAVE_VALUES = 2**19
+
+# Lockstep steps per segment, whose negatives a wave draws and maps at once
+# (:func:`_negatives`), so they do not grow with the wave's steps.
+_SEGMENT = 256
 
 
 class _Fit:
@@ -548,30 +554,35 @@ class _Fit:
         self.sampler = NegativeSampler(counts, cfg.unigram_power)
 
 
-def _plan(order: Sequence[_Fit], cfg: TrainConfig, seed_order, seed_neg
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Each lockstep step's flat target and local negative ids for the fits
-    of ``order``, longest first: ``(steps, fits)`` and ``(steps, fits, k)``
-    arrays of the smallest dtypes that hold them, zero past a fit's end.
-    Every fit draws from one ``seed_neg`` stream, so one draw for the longest
-    holds each fit's draws as a prefix. It is sorted once, so each fit's
-    weights map it with a search over sorted keys, then put back in order."""
-    k, steps = cfg.negatives, order[0].total_steps
-    # Made before the draw's temporaries, which then leave no freed hole
-    # below the plan: the other order raised per-doc peak RSS by 0.5 MiB.
-    targets = np.zeros((steps, len(order)), np.min_scalar_type(sum(f.num_targets for f in order)))
-    negatives = np.zeros((steps, len(order), k), np.min_scalar_type(max(len(f.terms) for f in order)))
-    uniforms = np.random.default_rng(seed_neg).random(steps * k)
+def _plan(order: Sequence[_Fit], seed_order, total: int) -> np.ndarray:
+    """Each lockstep step's flat target for the fits of ``order``, longest
+    first, of ``total`` targets in all: a ``(steps, fits)`` array of the
+    smallest dtype that holds them, zero past a fit's end."""
+    targets = np.zeros((order[0].total_steps, len(order)), np.min_scalar_type(total))
+    for col, fit in enumerate(order):
+        rng, n = np.random.default_rng(seed_order), fit.num_targets
+        for lo in range(0, fit.total_steps, n):  # one permutation per epoch
+            targets[lo : lo + n, col] = fit.base + rng.permutation(n)
+    return targets
+
+
+def _negatives(fits: Sequence[_Fit], rng_neg, steps: int, k: int) -> np.ndarray:
+    """The local negative ids of the next ``steps`` lockstep steps of
+    ``fits``, a ``(steps, fits, k)`` array of the smallest dtype that holds
+    them. Every fit draws from one ``seed_neg`` stream, which ``rng_neg``
+    reads, and every fit still training has taken as many draws, so the next
+    ``steps * k`` draws are each fit's next; a fit that finishes first leaves
+    the rest unread. The draw is sorted once, so each fit's weights map it
+    with a search over sorted keys, then put back in order."""
+    negatives = np.empty((steps, len(fits), k), np.min_scalar_type(max(len(f.terms) for f in fits)))
+    uniforms = rng_neg.random(steps * k)
     by = np.argsort(uniforms)
     uniforms = uniforms[by]
     ids = np.empty(steps * k, negatives.dtype)
-    for col, fit in enumerate(order):
-        rng, n = np.random.default_rng(seed_order), fit.total_steps
-        perms = [rng.permutation(fit.num_targets) for _ in range(cfg.epochs)]
-        targets[:n, col] = fit.base + np.concatenate(perms)
+    for col, fit in enumerate(fits):
         ids[by] = fit.sampler.ids(uniforms)
-        negatives[:n, col] = ids[: n * k].reshape(n, k)
-    return targets, negatives
+        negatives[:, col] = ids.reshape(steps, k)
+    return negatives
 
 
 def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
@@ -669,24 +680,28 @@ def _train_wave(
     init = np.random.default_rng(seed_init).uniform(-0.5 / d, 0.5 / d, (init_len, d))
 
     fits: list[_Fit] = []
-    # Per target over all fits: the shared rows of its term and of its
-    # paragraph, and the flat index of its paragraph's first target.
-    tok_rows, par_rows, par_starts, para_parts, in_parts = [], [], [], [], []
+    # Per target over all fits, the shared rows of its term and of its
+    # paragraph; per paragraph, the flat index of its first target.
+    tok_rows, par_rows, par_firsts, para_parts, in_parts = [], [], [], [], []
     base = row_off = para_off = 0
     for group, size in zip(groups, sizes):
-        tok, pid, par_start = _flatten(group)
+        tok, pid, _ = _flatten(group)
         fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
         par_rows.append(para_off + pid)
-        par_starts.append(base + par_start)
+        par_firsts.append(base + np.flatnonzero(np.diff(pid, prepend=-1)))
         para_parts.append(init[: len(group)])
         if kind == "dm":
             in_parts.append(init[len(group) + fit.terms])
         base += len(tok)
         row_off += len(fit.terms)
         para_off += len(group)
-    tok_rows, par_rows, par_starts = map(np.concatenate, (tok_rows, par_rows, par_starts))
+    # Each in the narrowest dtype that holds its bound; a chunk's gathers widen them.
+    tok_rows, par_rows, par_firsts = (
+        np.concatenate(parts, dtype=np.min_scalar_type(bound), casting="unsafe")
+        for parts, bound in ((tok_rows, row_off), (par_rows, para_off), (par_firsts, base))
+    )
     para = np.concatenate(para_parts)
     # Superseded slots of a repeated row are written to one sink row after
     # the fits' rows, which no model reads. Context slots past a target's
@@ -701,49 +716,59 @@ def _train_wave(
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
     row_offs = np.array([f.row_off for f in order])[:, None]
-    plan_targets, plan_negs = _plan(order, cfg, seed_order, seed_neg)
+    plan_targets = _plan(order, seed_order, base)
+    rng_neg = np.random.default_rng(seed_neg)
 
     def steps() -> Iterator[tuple]:  # one target of each live fit, for _sgd
-        step = 0
+        step = seg_end = 0
         while step < totals[0]:
             active = int(np.count_nonzero(totals > step))
-            m = int(min(max(1, _LOCKSTEP_TARGETS // active), totals[0] - step))
-            t = plan_targets[step : step + m, :active].astype(np.int64)
-            negs = plan_negs[step : step + m, :active] + row_offs[:active]
-            at = np.arange(step, step + m)[:, None]
-            lr = _learning_rates(at, totals[:active], cfg)
-            alive = totals[:active] > at
-            live = np.count_nonzero(alive, axis=1)
-
-            out_idx = np.concatenate([tok_rows[t][..., None], negs], axis=2)
-            out_sup, out_links = _chains(
-                out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
-            )
-            out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
-            out_idx = out_idx.reshape(m, -1)
-            p_rows = par_rows[t]
-            share_lr = lr  # lr / 1 when no context shares the predictor
-            if c:
-                ctx_lo = np.maximum(t - c, par_starts[t])
-                num_ctx = t - ctx_lo
-                no_ctx = (num_ctx == 0)[..., None]
-                share_lr = lr / (1 + num_ctx)
-                window = ctx_lo[..., None] + slots
-                in_ctx = window < t[..., None]
-                ctx_idx = np.where(in_ctx, tok_rows[np.minimum(window, t[..., None])], pad)
-                ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
-                ctx_sup, ctx_links = _chains(
-                    ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
-                )
-                ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
-                ctx_idx = ctx_idx.reshape(m, -1)
-                den = (1 + num_ctx)[..., None]
-            neg_lr, share_lr = -lr[..., None], share_lr[..., None]
+            if step == seg_end:  # a chunk ends at its segment's end
+                seg_start, seg_end = step, int(min(step + _SEGMENT, totals[0]))
+                seg_negs = _negatives(order[:active], rng_neg, seg_end - step, k)
+            m = int(min(max(1, _LOCKSTEP_TARGETS // active), seg_end - step))
+            yield from chunk(step, m, active, seg_negs[step - seg_start :][:m, :active])
             step += m
-            for j, a in enumerate(live.tolist()):
-                yield (a, p_rows[j, :a], out_idx[j, : a * k1], out_w[j, : a * k1], out_links[j],
-                       neg_lr[j, :a], share_lr[j, :a], c and (ctx_idx[j, : a * c],
-                       ctx_w[j, : a * c], ctx_links[j], num_ctx[j, :a], den[j, :a], no_ctx[j, :a]))
+
+    def chunk(step: int, m: int, active: int, negs: np.ndarray) -> Iterator[tuple]:
+        # Steps [step, step + m) of the active fits, in arrays freed before the next chunk's.
+        t = plan_targets[step : step + m, :active].astype(np.int64)
+        out_idx = np.empty((m, active, k1), np.int64)
+        out_idx[..., 0] = tok_rows[t]
+        np.add(negs, row_offs[:active], out=out_idx[..., 1:])
+        at = np.arange(step, step + m)[:, None]
+        lr = _learning_rates(at, totals[:active], cfg)
+        alive = totals[:active] > at
+        live = np.count_nonzero(alive, axis=1)
+
+        out_sup, out_links = _chains(
+            out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
+        )
+        out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
+        out_idx = out_idx.reshape(m, -1)
+        p_rows = par_rows[t].astype(np.int64)
+        share_lr = lr  # lr / 1 when no context shares the predictor
+        if c:
+            ctx_lo = np.maximum(t - c, par_firsts[p_rows])
+            num_ctx = t - ctx_lo
+            no_ctx = (num_ctx == 0)[..., None]
+            share_lr = lr / (1 + num_ctx)
+            window = ctx_lo[..., None] + slots
+            in_ctx = window < t[..., None]
+            ctx_terms = tok_rows[np.minimum(window, t[..., None])].astype(np.int64)
+            ctx_idx = np.where(in_ctx, ctx_terms, pad)
+            ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
+            ctx_sup, ctx_links = _chains(
+                ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
+            )
+            ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
+            ctx_idx = ctx_idx.reshape(m, -1)
+            den = (1 + num_ctx)[..., None]
+        neg_lr, share_lr = -lr[..., None], share_lr[..., None]
+        for j, a in enumerate(live.tolist()):
+            yield (a, p_rows[j, :a], out_idx[j, : a * k1], out_w[j, : a * k1], out_links[j],
+                   neg_lr[j, :a], share_lr[j, :a], c and (ctx_idx[j, : a * c],
+                   ctx_w[j, : a * c], ctx_links[j], num_ctx[j, :a], den[j, :a], no_ctx[j, :a]))
 
     _sgd(steps(), len(fits), k1, c, para, word_in, word_out, pad)
     return fits, init, para, word_in, word_out
@@ -820,6 +845,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
                 ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
             in_recs[ctx_w] = ctx_rec
             word_in[pad] = 0.0
+            del ctx_idx, ctx_w, ctx_links, num_ctx, den_ctx, no_ctx
+        del p, out_idx, out_w, out_links, neg_lr, share_lr, ctx  # views that keep a chunk alive
 
 
 def _expand(fit: _Fit, kind: str, cfg: TrainConfig, init: np.ndarray, para: np.ndarray,

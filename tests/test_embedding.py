@@ -583,6 +583,11 @@ def test_waves_cover_the_groups_in_order():
         mean = sum(rows) / len(waves)
         assert all(sum(rows[w]) < mean + rows[w.stop - 1] for w in waves)
     assert embedding._waves([], 4) == []
+    # The real bound still splits 4x the benchmark's per-doc documents (60 of
+    # about 141 distinct terms each, dim 50), which fit in one wave.
+    docs = [[TrainingParagraph(tuple(range(i, i + 141)))] for i in range(60)]
+    assert len(embedding._waves(docs, 50)) == 1
+    assert len(embedding._waves(docs * 4, 50)) >= 2
 
 
 def test_fit_of_several_groups_matches_separate_fits_across_chunks():
@@ -607,7 +612,8 @@ def test_fit_of_several_groups_matches_separate_fits_across_chunks():
 def test_fit_of_several_groups_matches_separate_fits_finishing_mid_chunk():
     # Small chunks and groups of very different lengths: fits finish inside
     # chunks, in different chunks, and the shared negative draw of each
-    # chunk then serves fewer fits.
+    # chunk then serves fewer fits. Segments of negatives that no chunk
+    # length divides end inside chunks, and fits finish inside segments.
     lengths = (1, 4, 9, 17, 23, 40)  # targets per group, in paragraphs of up to 5
     groups = []
     for i, n in enumerate(lengths):
@@ -623,14 +629,17 @@ def test_fit_of_several_groups_matches_separate_fits_finishing_mid_chunk():
         finished.append([t for t in totals if step < t < step + m])
         step += m
     assert sum(1 for inside in finished if inside) >= 3
-    with mock.patch.object(embedding, "_LOCKSTEP_TARGETS", targets):
-        _assert_lockstep_matches_separate_fits(groups, cfg, KINDS, 11)
+    for segment in (embedding._SEGMENT, 1, 5, 7, 13):
+        with mock.patch.object(embedding, "_LOCKSTEP_TARGETS", targets), \
+             mock.patch.object(embedding, "_SEGMENT", segment):
+            _assert_lockstep_matches_separate_fits(groups, cfg, KINDS, 11)
 
 
 def test_lockstep_holds_no_step_buffer_while_it_yields():
-    # A wave's step buffers and its plan of targets and negatives are
-    # dropped before its first model is yielded; while the caller holds that
-    # model, the wave keeps only what the later models are expanded from.
+    # A wave's step buffers, its plan of targets and its segment's draw and
+    # negatives are dropped before its first model is yielded; while the
+    # caller holds that model, the wave keeps only what the later models are
+    # expanded from.
     cfg = TrainConfig(dim=4, epochs=2, context_size=2, seed=3)
     for kind in KINDS:
         models = fit([_paras(), _paras()[:1]], cfg, (kind,), vocab_size=5)
@@ -638,9 +647,42 @@ def test_lockstep_holds_no_step_buffer_while_it_yields():
         frame = models.gi_yieldfrom.gi_frame
         assert frame.f_code is embedding._lockstep.__code__
         buffers = {"row_buf", "h_buf", "out_buf", "upd_buf", "g_buf", "sig", "grad_buf",
-                   "ctx_buf", "out_rows", "upd", "ctx_rows", "plan_targets", "plan_negs"}
+                   "ctx_buf", "out_rows", "upd", "ctx_rows", "plan_targets", "plan_negs",
+                   "seg_negs", "negatives", "uniforms", "rng_neg"}
         assert not buffers & set(frame.f_locals)
         assert len(list(models)) == 1
+
+
+def test_lockstep_memory_does_not_grow_with_negatives_times_steps():
+    # A wave holds its (steps, fits) targets plan, but draws and maps its
+    # negatives one segment of steps at a time. So at 4x the epochs the
+    # tracemalloc peak of a one-wave fit grows by the plan's growth alone,
+    # plus 32 KiB of slack; a (steps, fits, negatives) plan with its float64
+    # draw and argsort grows by some 0.7 MiB here. Small chunks keep the
+    # chunk-sized arrays, whose peak varies with the draws, below the slack.
+    rng = np.random.default_rng(4)
+    groups = [
+        [TrainingParagraph(tuple(rng.integers(0, 60, 10).tolist())) for _ in range(6 + i % 10)]
+        for i in range(20)
+    ]
+    longest = max(sum(len(p.tokens) for p in g) for g in groups)
+    epochs = 2
+    assert epochs * longest >= embedding._SEGMENT  # full segments at both lengths
+    peaks = []
+    with mock.patch.object(embedding, "_WAVE_VALUES", 2**40), \
+         mock.patch.object(embedding, "_LOCKSTEP_TARGETS", 200):
+        for e in (epochs, 4 * epochs):
+            cfg = TrainConfig(dim=4, epochs=e, negatives=20, context_size=2, seed=6)
+            tracemalloc.start()
+            try:
+                for model in fit(groups, cfg, ("dbow",), vocab_size=60):
+                    del model
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    total = sum(len(p.tokens) for g in groups for p in g)
+    plan_growth = 3 * epochs * longest * len(groups) * np.min_scalar_type(total).itemsize
+    assert peaks[1] - peaks[0] <= plan_growth + 32 * 1024, (peaks, plan_growth)
 
 
 def test_fit_validates_every_group_and_its_kinds():

@@ -490,14 +490,17 @@ def test_per_document_outputs_do_not_depend_on_the_waves(tmp_path, monkeypatch):
 
     monkeypatch.setattr(embedding, "_lockstep", counted)
     trees = []
-    for wave_values in (embedding._WAVE_VALUES, 1):
+    # the defaults, one wave per document, and one step per segment of negatives
+    default = (embedding._WAVE_VALUES, embedding._SEGMENT)
+    for wave_values, segment in (default, (1, default[1]), (default[0], 1)):
         monkeypatch.setattr(embedding, "_WAVE_VALUES", wave_values)
+        monkeypatch.setattr(embedding, "_SEGMENT", segment)
         shutil.rmtree(tmp_path / "out", ignore_errors=True)
         cmd_train(config)
         cmd_summarize(config)
         trees.append(snapshot(tmp_path / "out"))
-    assert sorted(waves.values()) == [2, 6]  # one wave per kind, or one per document
-    assert trees[0] == trees[1]
+    assert sorted(waves.values()) == [4, 6]  # one wave per kind, or one per document
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_summarize_refuses_a_model_of_another_corpus(tmp_path):
