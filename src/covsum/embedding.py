@@ -41,13 +41,12 @@ are stacked ``np.matmul`` calls with ``out=`` (the BLAS gemv that
 from ``np.multiply`` or, from 8 targets (lockstep only), ``np.einsum``,
 which turns a -0.0 product into +0.0, the same bits once added to a
 ``word_out`` row, which is never -0.0. Where a target's slots hit a row
-twice, a later slot takes the previous slot's new row plus its own update
-(:func:`_links`, :func:`_chains`), as ``np.add.at``'s in-order adds give;
-only the row's last slot is written back, the others to a sink row no model
-holds. Steps write into buffers made once per call and move rows as records
-(:func:`_records`). :func:`_sigmoid`, inlined, takes both branches from one
-``exp`` over ``min(x, 0)`` and ``-|x|``, which is exact. The loops mute
-overflow; :func:`_finished` reports it.
+twice, they follow :func:`_links`' repeated-row rule, which gives
+``np.add.at``'s bits and writes only the row's last slot back, the others
+to a sink row no model holds. Steps write into buffers made once per call
+and move rows as records (:func:`_records`). :func:`_sigmoid`, inlined,
+takes both branches from one ``exp`` over ``min(x, 0)`` and ``-|x|``,
+which is exact. The loops mute overflow; :func:`_finished` reports it.
 
 Model files are flat binary (little-endian):
 
@@ -184,12 +183,6 @@ def _records(mat: np.ndarray) -> np.ndarray:
     indexing does, but takes numpy's one-dimensional fast path, which for a
     step's few rows costs a fraction of the set-up of row indexing."""
     return mat.view(np.dtype((np.void, mat.itemsize * mat.shape[-1])))[..., 0]
-
-
-def _has_repeat(rows: np.ndarray) -> np.ndarray:
-    """Whether each row of an integer matrix holds some value twice."""
-    rows = np.sort(rows, axis=1)
-    return (rows[:, 1:] == rows[:, :-1]).any(axis=1)
 
 
 class NegativeSampler:
@@ -335,9 +328,14 @@ def _runs(keys: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _links(keys: np.ndarray, sink: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Rows the slots of each row of ``keys`` read and write, pads (keys < 0) and superseded
-    slots on ``sink``, and per run of rows from ``bounds`` its links by :func:`_chains`'s
-    rule, ``(src, dst)`` in order, with slots counted over the run's rows."""
+    """The repeated-row rule. ``np.add.at`` adds a repeated row's updates in
+    slot order, each to the sum so far. So a row's first slot takes the
+    gathered row plus its update, as every slot does, each later slot takes
+    the previous slot's new row plus its own update, and the row's last slot
+    holds what ``np.add.at`` leaves. Returns the rows the slots of each row
+    of ``keys`` (a target's) read and write, pads (keys < 0) and superseded
+    slots on ``sink``, and per run of rows from ``bounds`` its links in
+    order, ``(src, dst)`` with slots counted over the run's rows."""
     order = np.argsort(keys, axis=1, kind="stable")  # a row's slots in slot order
     f, q = np.nonzero(np.diff(np.sort(keys, axis=1)) == 0)  # the keys in ``order``
     src, dst = order[f, q], order[f, q + 1]
@@ -347,7 +345,9 @@ def _links(keys: np.ndarray, sink: int, bounds: np.ndarray) -> tuple[np.ndarray,
     run = np.searchsorted(bounds, f, side="right") - 1
     off = (f - bounds[run]) * keys.shape[1]
     for r, a, b in zip(run.tolist(), (off + src).tolist(), (off + dst).tolist()):
-        links[r] += ((a, b),)
+        if not links[r]:
+            links[r] = []
+        links[r].append((a, b))
     return read, write, links
 
 
@@ -600,47 +600,6 @@ def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _chains(keys: np.ndarray, flagged: np.ndarray) -> tuple[np.ndarray, list]:
-    """The repeated-row rule of one lockstep chunk. ``keys`` is the row of
-    every (step, fit, slot) of the chunk and ``flagged`` the (step, fit)
-    pairs whose slots repeat a row; only those are examined.
-
-    ``np.add.at`` adds a repeated row's updates in slot order, each to the
-    sum so far. So a row's first slot takes the gathered row plus its
-    update, as every slot does, and each later slot takes the previous
-    slot's new row plus its own update; the row's last slot then holds what
-    ``np.add.at`` leaves in it. Returns whether each slot is superseded by a
-    later slot of its row (so is not written back), and for each step of
-    the chunk the links to apply in order, one ``(src, dst, fit)`` triple
-    of index arrays per rank: slot ``dst`` of fit ``fit`` takes slot
-    ``src``'s new row plus its own update, slots counted over the step's
-    fits (``fit * S + slot``)."""
-    m, _, s = keys.shape
-    superseded = np.zeros(keys.shape, dtype=bool)
-    links: list[list] = [[] for _ in range(m)]
-    jj, ii = np.nonzero(flagged)
-    if not len(jj):
-        return superseded, links
-    rows = keys[jj, ii]
-    order = np.argsort(rows, axis=1, kind="stable")  # a row's slots in slot order
-    rows = np.take_along_axis(rows, order, axis=1)
-    repeats = rows[:, 1:] == rows[:, :-1]
-    pos = np.arange(s)
-    firsts = np.concatenate([np.ones((len(rows), 1), dtype=bool), ~repeats], axis=1)
-    rank = pos - np.maximum.accumulate(np.where(firsts, pos, 0), axis=1)
-    f, q = np.nonzero(repeats)  # sorted slot q + 1 repeats sorted slot q
-    step, fit, src, dst = jj[f], ii[f], order[f, q], order[f, q + 1]
-    superseded[step, fit, src] = True
-    group = step * s + rank[f, q + 1]
-    by = np.argsort(group, kind="stable")
-    group, fit = group[by], fit[by]
-    src, dst = fit * s + src[by], fit * s + dst[by]
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(group)]
-    for a, b in zip(cuts, cuts[1:]):
-        links[int(group[a]) // s].append((src[a:b], dst[a:b], fit[a:b]))
-    return superseded, links
-
-
 def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slice]:
     """Consecutive runs of groups for lockstep waves: the fewest runs
     whose mean size is within ``_WAVE_VALUES`` term-row values, cut where
@@ -739,13 +698,11 @@ def _train_wave(
         at = np.arange(step, step + m)[:, None]
         lr = _learning_rates(at, totals[:active], cfg)
         alive = totals[:active] > at
-        live = np.count_nonzero(alive, axis=1)
+        # A step's live fits, a prefix of its fits, are one run of _links.
+        bounds = np.append(0, np.cumsum(np.count_nonzero(alive, axis=1)))
 
-        out_sup, out_links = _chains(
-            out_idx, alive & _has_repeat(out_idx.reshape(-1, k1)).reshape(m, active)
-        )
-        out_w = np.where(out_sup, sink, out_idx).reshape(m, -1)
-        out_idx = out_idx.reshape(m, -1)
+        out_idx, out_w, out_links = _links(out_idx[alive], sink, bounds)
+        out_idx, out_w = out_idx.ravel(), out_w.ravel()
         p_rows = par_rows[t].astype(np.int64)
         share_lr = lr  # lr / 1 when no context shares the predictor
         if c:
@@ -756,19 +713,16 @@ def _train_wave(
             window = ctx_lo[..., None] + slots
             in_ctx = window < t[..., None]
             ctx_terms = tok_rows[np.minimum(window, t[..., None])].astype(np.int64)
-            ctx_idx = np.where(in_ctx, ctx_terms, pad)
-            ctx_keys = np.where(in_ctx, ctx_idx, -1 - slots)  # pads never repeat
-            ctx_sup, ctx_links = _chains(
-                ctx_keys, alive & _has_repeat(ctx_keys.reshape(-1, c)).reshape(m, active)
-            )
-            ctx_w = np.where(ctx_sup, pad, ctx_idx).reshape(m, -1)
-            ctx_idx = ctx_idx.reshape(m, -1)
+            ctx_idx, ctx_w, ctx_links = _links(np.where(in_ctx, ctx_terms, -1 - slots)[alive],
+                                               pad, bounds)
+            ctx_idx, ctx_w = ctx_idx.ravel(), ctx_w.ravel()
             den = (1 + num_ctx)[..., None]
         neg_lr, share_lr = -lr[..., None], share_lr[..., None]
-        for j, a in enumerate(live.tolist()):
-            yield (a, p_rows[j, :a], out_idx[j, : a * k1], out_w[j, : a * k1], out_links[j],
-                   neg_lr[j, :a], share_lr[j, :a], c and (ctx_idx[j, : a * c],
-                   ctx_w[j, : a * c], ctx_links[j], num_ctx[j, :a], den[j, :a], no_ctx[j, :a]))
+        for j, (i, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            a = e - i
+            yield (a, p_rows[j, :a], out_idx[i * k1 : e * k1], out_w[i * k1 : e * k1],
+                   out_links[j], neg_lr[j, :a], share_lr[j, :a], c and (ctx_idx[i * c : e * c],
+                   ctx_w[i * c : e * c], ctx_links[j], num_ctx[j, :a], den[j, :a], no_ctx[j, :a]))
 
     _sgd(steps(), len(fits), k1, c, para, word_in, word_out, pad)
     return fits, init, para, word_in, word_out
@@ -779,7 +733,7 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
          word_in: np.ndarray | None, word_out: np.ndarray, pad: int = 0) -> None:
     """Take SGD steps in place over ``a <= width`` targets that share no row each:
     ``(a, p, out_r, out_w, out_links, neg_lr, share_lr, ctx)``, their paragraph rows,
-    ``k1`` out-rows each to read and write, links by :func:`_chains`'s rule, rates ``-lr``
+    ``k1`` out-rows each to read and write, :func:`_links`' links, rates ``-lr``
     and ``lr / (1 + context)``, and for ``c`` slots the context's rows to read and write,
     links, lengths, ``1 +`` lengths and emptiness, padded with row ``pad``."""
     d, w = para.shape[1], width
@@ -832,7 +786,7 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         multiply(g, neg_lr, out=g)
         outer(*outer_args, out=upd)
         add(out_rows, upd, out=out_rows)
-        for src, dst, *_ in out_links:
+        for src, dst in out_links:
             out_flat[dst] = out_flat[src] + upd_flat[dst]
         out_recs[out_w] = out_rec
 
@@ -841,8 +795,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         para_recs[p] = row_rec
         if c:
             subtract(ctx_rows, grad3, out=ctx_rows)
-            for src, dst, fit in ctx_links:
-                ctx_flat[dst] = ctx_flat[src] - grad_h[fit]
+            for src, dst in ctx_links:
+                ctx_flat[dst] = ctx_flat[src] - grad_h[dst // c]
             in_recs[ctx_w] = ctx_rec
             word_in[pad] = 0.0
             del ctx_idx, ctx_w, ctx_links, num_ctx, den_ctx, no_ctx

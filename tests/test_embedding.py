@@ -364,19 +364,41 @@ def test_runs_cut_where_a_row_repeats_a_key_of_its_run(alphabet, slots, cap, dat
     # the runs cover the rows in order, each at most cap long
     assert bounds[0] == 0 and bounds[-1] == len(rows)
     assert all(0 < b - a <= cap for a, b in zip(bounds, bounds[1:]))
-    read, write, links = embedding._links(keys, alphabet, np.array(bounds))
+    # Some slots are pads, each with its own negative key, as a short DM
+    # context's are; the runs stay cut by the whole rows.
+    pads = data.draw(hnp.arrays(bool, keys.shape))
+    keys = np.where(pads, -1 - np.arange(slots), keys)
+    sink = alphabet
+    read, write, links = embedding._links(keys, sink, np.array(bounds))
+    # Pads and superseded slots (a later slot of the row holds the key) reach
+    # only the sink; every other slot reads and writes its key.
+    last = [[k >= 0 and k not in row[i + 1 :] for i, k in enumerate(row)] for row in keys.tolist()]
+    assert (read == np.where(pads, sink, keys)).all()
+    assert (write == np.where(last, keys, sink)).all()
+    # A step per run: gather, add each slot's update, apply the links in
+    # order, write back. That leaves every row as np.add.at over read does.
+    values = st.floats(-1e6, 1e6, allow_subnormal=False)
+    table = data.draw(hnp.arrays(np.float64, (alphabet + 1, 2), elements=values))
+    updates = data.draw(hnp.arrays(np.float64, (*keys.shape, 2), elements=values))
+    want = table.copy()
+    np.add.at(want, read, updates)
     for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
         # no two rows of a run share a key, however often one row repeats it;
         # each row writes each of its keys once, and its other slots the sink
         assert sum(len(set(row)) for row in rows[a:b]) == len(set().union(*rows[a:b]))
-        written = write[a:b][write[a:b] != alphabet]
-        assert len(written) == len(np.unique(written)) == len(set().union(*rows[a:b]))
+        written = write[a:b][write[a:b] != sink]
+        assert len(written) == len(np.unique(written)) == len(set(keys[a:b][keys[a:b] >= 0]))
         flat = read[a:b].ravel()
         for src, dst in links[r]:  # slots of one row, counted over the run
             assert src < dst and src // slots == dst // slots and flat[src] == flat[dst]
+        step = (table[read[a:b]] + updates[a:b]).reshape(-1, 2)
+        for src, dst in links[r]:
+            step[dst] = step[src] + updates[a:b].reshape(-1, 2)[dst]
+        table[write[a:b].ravel()] = step
         # each cut is forced: the next row shares a key with the run, or it is full
         if b < len(rows):
             assert set(rows[b]) & set().union(*rows[a:b]) or b - a == cap
+    assert (table[:sink] == want[:sink]).all()
     # a row that repeats its own keys cuts nothing
     assert embedding._runs(np.array([[0, 0, 0], [1, 1, 2], [3, 4, 3]]), 16).tolist() == [0, 3]
 
