@@ -43,7 +43,10 @@ which turns a -0.0 product into +0.0, the same bits once added to a
 ``word_out`` row, which is never -0.0. Where a target's slots hit a row
 twice, they follow :func:`_links`' repeated-row rule, which gives
 ``np.add.at``'s bits and writes only the row's last slot back, the others
-to a sink row no model holds. Steps write into buffers made once per call
+to a sink row no model holds. The corpus loops apply a chunk's links one
+pair at a time (:func:`_pairs`); a lockstep step applies its links one
+chain depth at a time, each depth as one fancy assignment
+(:func:`_depths`). Steps write into buffers made once per call
 and move rows as records (:func:`_records`). :func:`_sigmoid`, inlined,
 takes both branches from one ``exp`` over ``min(x, 0)`` and ``-|x|``,
 which is exact. The loops mute overflow; :func:`_finished` reports it.
@@ -69,6 +72,7 @@ its word rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -206,29 +210,34 @@ class NegativeSampler:
 
 def _validate_paragraphs(
     paragraphs: Sequence[TrainingParagraph], vocab_size: int | None
-) -> int:
+) -> tuple[np.ndarray, int]:
+    """The one walk over a group's tokens: every target's term id in
+    paragraph order, in the narrowest type that holds them, and the group's
+    vocabulary size. Refuses an empty group, an empty paragraph, a negative
+    term id and one outside ``vocab_size``."""
     if not paragraphs:
         raise ValueError("no training paragraphs")
-    for i, par in enumerate(paragraphs):
-        if not par.tokens:
-            raise ValueError(f"paragraph {i} has no tokens")
-        if min(par.tokens) < 0:
-            raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
-    max_id = max(max(par.tokens) for par in paragraphs)
-    if vocab_size is None:
-        return max_id + 1
-    if max_id >= vocab_size:
+    lengths = [len(p.tokens) for p in paragraphs]
+    tok = np.fromiter(itertools.chain.from_iterable(p.tokens for p in paragraphs), np.int64,
+                      sum(lengths))
+    if not all(lengths) or tok.min() < 0:
+        for i, par in enumerate(paragraphs):  # name the first bad paragraph
+            if not par.tokens:
+                raise ValueError(f"paragraph {i} has no tokens")
+            if min(par.tokens) < 0:
+                raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
+    max_id = int(tok.max())
+    if vocab_size is not None and max_id >= vocab_size:
         raise ValueError(f"term id {max_id} >= vocab size {vocab_size}")
-    return vocab_size
+    return tok.astype(np.min_scalar_type(max_id)), max_id + 1 if vocab_size is None else vocab_size
 
 
 def _flatten(
-    paragraphs: Sequence[TrainingParagraph],
+    paragraphs: Sequence[TrainingParagraph], tok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Term id, paragraph index and flat index of the paragraph's first
-    token, for every target in paragraph order."""
+    """``tok`` (:func:`_validate_paragraphs`), and the paragraph index and
+    flat index of the paragraph's first token, for every target."""
     lengths = np.array([len(p.tokens) for p in paragraphs])
-    tok = np.concatenate([np.asarray(p.tokens, dtype=np.int64) for p in paragraphs])
     pid = np.repeat(np.arange(len(paragraphs)), lengths)
     par_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
     return tok, pid, par_start
@@ -297,13 +306,17 @@ def _chunks(tok: np.ndarray, pid: np.ndarray, par_start: np.ndarray, vocab_size:
             negs[by] = sampler.ids(draws[by])  # a search in sorted order is faster
             out_idx = np.column_stack([tok[t], negs.reshape(m, k)])
             bounds = _runs(np.column_stack([out_idx, vocab_size + pids]), cap)  # rows as keys
+            runs = len(bounds) - 1
 
             ctx_lo, ctx = t, ([()] * m,) * 3  # no context: faster to zip than (m, 0)
             if c:
                 ctx_lo = np.maximum(t - c, par_start[t])
                 window = np.minimum(ctx_lo[:, None] + slots, t[:, None])
-                ctx = _links(np.where(window < t[:, None], tok[window], -1 - slots), sink, bounds)
-            yield pids, t - ctx_lo, lr, *_links(out_idx, sink, bounds), *ctx, bounds
+                *ctx, links = _links(np.where(window < t[:, None], tok[window], -1 - slots), sink,
+                                     bounds)
+                ctx = (*ctx, _pairs(links, runs))
+            out_r, out_w, links = _links(out_idx, sink, bounds)
+            yield pids, t - ctx_lo, lr, out_r, out_w, _pairs(links, runs), *ctx, bounds
 
 
 def _runs(keys: np.ndarray, cap: int) -> np.ndarray:
@@ -327,28 +340,85 @@ def _runs(keys: np.ndarray, cap: int) -> np.ndarray:
     return np.array(bounds + [m])
 
 
-def _links(keys: np.ndarray, sink: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def _links(keys: np.ndarray, sink: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The repeated-row rule. ``np.add.at`` adds a repeated row's updates in
     slot order, each to the sum so far. So a row's first slot takes the
     gathered row plus its update, as every slot does, each later slot takes
     the previous slot's new row plus its own update, and the row's last slot
     holds what ``np.add.at`` leaves. Returns the rows the slots of each row
-    of ``keys`` (a target's) read and write, pads (keys < 0) and superseded
-    slots on ``sink``, and per run of rows from ``bounds`` its links in
-    order, ``(src, dst)`` with slots counted over the run's rows."""
-    order = np.argsort(keys, axis=1, kind="stable")  # a row's slots in slot order
-    f, q = np.nonzero(np.diff(np.sort(keys, axis=1)) == 0)  # the keys in ``order``
-    src, dst = order[f, q], order[f, q + 1]
-    read = np.where(keys < 0, sink, keys)
-    write, links = read.copy(), [()] * (len(bounds) - 1)
+    of ``keys`` (a target's; pads are keys in ``[-s, 0)`` for ``s`` slots,
+    the others below ``sink``) read and write, as ``intp``, pads and
+    superseded slots on ``sink``, and the links ``(run, depth, src, dst)``
+    in row order: per link, its run of rows from ``bounds``, its depth along
+    its key's chain (1 into the key's second slot of the row, 2 into its
+    third, ...) and its slots, counted over the run's rows. A run's links
+    apply in this order, or a depth at a time (:func:`_depths`)."""
+    s = keys.shape[1]
+    # Each row's keys in order, a key's slots in slot order: one sort of
+    # key * s + slot, in int64 (int32 raised corpus fits' peak RSS).
+    packed = keys.astype(np.int64)
+    packed *= s
+    packed += np.arange(s)
+    packed.sort(axis=1)
+    sorted_keys = packed // s
+    f, q = np.nonzero(sorted_keys[:, 1:] == sorted_keys[:, :-1])
+    src = packed[f, q]
+    q += 1
+    dst = packed[f, q]
+    del packed, sorted_keys
+    src %= s
+    dst %= s
+    read = keys.astype(np.intp)
+    read[read < 0] = sink
+    write = read.copy()
     write[f, src] = sink
-    run = np.searchsorted(bounds, f, side="right") - 1
-    off = (f - bounds[run]) * keys.shape[1]
-    for r, a, b in zip(run.tolist(), (off + src).tolist(), (off + dst).tolist()):
-        if not links[r]:
-            links[r] = []
-        links[r].append((a, b))
-    return read, write, links
+    # A link into the source of the link before it is one deeper: along a
+    # chain, f * s + q minus the link's number is constant, and it grows from
+    # chain to chain, so a chain starts at that value's first place. Few
+    # temporaries, each of the links' length: small arrays numpy keeps for
+    # reuse would pin the heap above a chunk's freed arrays.
+    at = np.arange(len(f))
+    chain = f * s
+    chain += q
+    chain -= at
+    depth = np.searchsorted(chain, chain)
+    np.subtract(at, depth, out=depth)
+    depth += 1
+    run = np.searchsorted(bounds, f, side="right")
+    run -= 1
+    f -= bounds[run]
+    f *= s
+    return read, write, (run, depth, f + src, f + dst)
+
+
+def _pairs(links: tuple, runs: int) -> list:
+    """Per run, :func:`_links`' links as ``(src, dst)`` ints, in row order."""
+    per_run = [()] * runs
+    run, _, src, dst = links
+    for r, a, b in zip(run.tolist(), src.tolist(), dst.tolist()):
+        if not per_run[r]:
+            per_run[r] = []
+        per_run[r].append((a, b))
+    return per_run
+
+
+def _depths(links: tuple, runs: int) -> list:
+    """Per run, :func:`_links`' links as one ``(src, dst)`` pair of slot
+    arrays per depth, in depth order, each to apply as one fancy assignment:
+    a depth's destinations are distinct, none is one of its sources, and
+    each of its sources is a first slot or a lower depth's destination."""
+    run, depth, src, dst = links
+    by = np.lexsort((depth, run))
+    src, dst = src[by], dst[by]
+    groups = list(zip(run[by].tolist(), depth[by].tolist()))
+    per_run = [()] * runs
+    starts = [i for i, g in enumerate(groups) if not i or g != groups[i - 1]]
+    for a, b in zip(starts, starts[1:] + [len(groups)]):
+        r = groups[a][0]
+        if not per_run[r]:
+            per_run[r] = []
+        per_run[r].append((src[a:b], dst[a:b]))
+    return per_run
 
 
 def train(
@@ -396,8 +466,9 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
     yield them kind-major, each kind's in group order.
 
     ``kinds`` are distinct and in ``KINDS`` order. Every model is
-    bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group is
-    validated once, when the first model is asked for; without
+    bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group's
+    tokens are walked once, when the first model is asked for: validated
+    and kept as an array of term ids for the fits; without
     ``vocab_size``, a group's vocabulary is its largest term id + 1. One
     group of DBOW alone is trained in runs of targets that share no row
     (:func:`_runs_fit`); one group with DM by one :func:`_fits` pass over all
@@ -408,18 +479,20 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
     kinds = tuple(kind.lower() for kind in kinds)
     if not kinds or kinds != tuple(kind for kind in KINDS if kind in kinds):
         raise ValueError(f"kinds must be distinct kinds of {KINDS}, in that order")
-    sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
+    checked = [_validate_paragraphs(group, vocab_size) for group in groups]
+    toks, sizes = [tok for tok, _ in checked], [size for _, size in checked]
     if len(groups) == 1:
-        yield from (_runs_fit if kinds == ("dbow",) else _fits)(groups[0], cfg, kinds, sizes[0])
+        fits = _runs_fit if kinds == ("dbow",) else _fits
+        yield from fits(groups[0], toks[0], cfg, kinds, sizes[0])
         return
-    waves = _waves(groups, cfg.dim)
+    waves = _waves(toks, cfg.dim)
     for kind in kinds:
         for wave in waves:
-            yield from _lockstep(groups[wave], sizes[wave], cfg, kind)
+            yield from _lockstep(groups[wave], toks[wave], sizes[wave], cfg, kind)
 
 
-def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
-          vocab_size: int) -> Iterator[EmbeddingModel]:
+def _fits(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainConfig,
+          kinds: tuple[str, ...], vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train one model of each of ``kinds`` over validated paragraphs in one
     pass, and yield them in order. Only kind 0, DM, reads a context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
@@ -430,7 +503,7 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
     word_in = rng.uniform(-0.5 / d, 0.5 / d, (v + 1, d)) if kinds[0] == "dm" else None
     word_out = np.zeros((s, v + 1, d))
 
-    tok, pid, par_start = _flatten(paragraphs)
+    tok, pid, par_start = _flatten(paragraphs, tok)
     c = cfg.context_size if kinds[0] == "dm" else 0
     # Every intermediate of a step is written into one of these. Gathers use
     # take(mode="clip"), which fills out= without a temporary; no index clips.
@@ -499,15 +572,15 @@ def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tupl
         yield _finished(kind, cfg, para[:, i], dm_in, word_out[i, :-1])
 
 
-def _runs_fit(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
-              vocab_size: int) -> Iterator[EmbeddingModel]:
+def _runs_fit(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainConfig,
+              kinds: tuple[str, ...], vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train and yield the model of ``kinds``, DBOW alone, a step per :func:`_runs` run."""
     d, v, k1 = cfg.dim, vocab_size, cfg.negatives + 1
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     para = rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))
     word_out = np.zeros((v + 1, d))  # row V is the sink of superseded slots
     rate_g, rate_h = np.empty((_CHUNK, k1)), np.empty((_CHUNK, d))  # same-shape operands
-    chunks = _chunks(*_flatten(paragraphs), v, cfg, 0, _RUN)
+    chunks = _chunks(*_flatten(paragraphs, tok), v, cfg, 0, _RUN)
     def steps() -> Iterator[tuple]:
         for pids, _, lr, out_r, out_w, links, *_, bounds in chunks:
             rate_g[: len(lr)], rate_h[: len(lr)] = -lr[:, None], lr[:, None]
@@ -600,31 +673,33 @@ def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slice]:
-    """Consecutive runs of groups for lockstep waves: the fewest runs
-    whose mean size is within ``_WAVE_VALUES`` term-row values, cut where
-    the running count of distinct terms passes each multiple of that mean,
-    so a run exceeds the mean by less than its last group."""
-    if not groups:
+def _waves(toks: Sequence[np.ndarray], dim: int) -> list[slice]:
+    """Consecutive runs of groups, given by their term ids, for lockstep
+    waves: the fewest runs whose mean size is within ``_WAVE_VALUES``
+    term-row values, cut where the running count of distinct terms passes
+    each multiple of that mean, so a run exceeds the mean by less than its
+    last group."""
+    if not toks:
         return []
-    rows = np.cumsum([len({t for p in group for t in p.tokens}) for group in groups])
+    rows = np.cumsum([np.count_nonzero(np.bincount(tok)) for tok in toks])
     n = -(-int(rows[-1]) * dim // _WAVE_VALUES)
     cuts = np.searchsorted(rows, rows[-1] * np.arange(1, n) / n) + 1
-    bounds = [0, *cuts.tolist(), len(groups)]
+    bounds = [0, *cuts.tolist(), len(toks)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int],
-              cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
+def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], toks: Sequence[np.ndarray],
+              sizes: Sequence[int], cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
     """Yield one lockstep wave's models in group order, trained by
     :func:`_train_wave`, whose frame, plan and step buffers end before the first yield."""
-    fits, init, para, word_in, word_out = _train_wave(groups, sizes, cfg, kind)
+    fits, init, para, word_in, word_out = _train_wave(groups, toks, sizes, cfg, kind)
     for fit in fits:
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)
 
 
 def _train_wave(
-    groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int], cfg: TrainConfig, kind: str
+    groups: Sequence[Sequence[TrainingParagraph]], toks: Sequence[np.ndarray], sizes: Sequence[int],
+    cfg: TrainConfig, kind: str,
 ) -> tuple[list[_Fit], np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Train one wave's fits in lockstep. Returns the fits and the arrays
     :func:`_expand` reads: the init draw, ``para``, ``word_in``, ``word_out``."""
@@ -643,8 +718,8 @@ def _train_wave(
     # paragraph; per paragraph, the flat index of its first target.
     tok_rows, par_rows, par_firsts, para_parts, in_parts = [], [], [], [], []
     base = row_off = para_off = 0
-    for group, size in zip(groups, sizes):
-        tok, pid, _ = _flatten(group)
+    for group, tok, size in zip(groups, toks, sizes):
+        _, pid, _ = _flatten(group, tok)
         fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
@@ -652,7 +727,7 @@ def _train_wave(
         par_firsts.append(base + np.flatnonzero(np.diff(pid, prepend=-1)))
         para_parts.append(init[: len(group)])
         if kind == "dm":
-            in_parts.append(init[len(group) + fit.terms])
+            in_parts.append(init[len(group) :][fit.terms])
         base += len(tok)
         row_off += len(fit.terms)
         para_off += len(group)
@@ -674,7 +749,7 @@ def _train_wave(
     # Longest fit first, so the fits still training are a prefix.
     order = sorted(fits, key=lambda f: -f.total_steps)
     totals = np.array([f.total_steps for f in order])
-    row_offs = np.array([f.row_off for f in order])[:, None]
+    row_offs = np.array([f.row_off for f in order], tok_rows.dtype)[:, None]
     plan_targets = _plan(order, seed_order, base)
     rng_neg = np.random.default_rng(seed_neg)
 
@@ -683,6 +758,7 @@ def _train_wave(
         while step < totals[0]:
             active = int(np.count_nonzero(totals > step))
             if step == seg_end:  # a chunk ends at its segment's end
+                seg_negs = None  # not held while the next segment is drawn
                 seg_start, seg_end = step, int(min(step + _SEGMENT, totals[0]))
                 seg_negs = _negatives(order[:active], rng_neg, seg_end - step, k)
             m = int(min(max(1, _LOCKSTEP_TARGETS // active), seg_end - step))
@@ -692,7 +768,7 @@ def _train_wave(
     def chunk(step: int, m: int, active: int, negs: np.ndarray) -> Iterator[tuple]:
         # Steps [step, step + m) of the active fits, in arrays freed before the next chunk's.
         t = plan_targets[step : step + m, :active].astype(np.int64)
-        out_idx = np.empty((m, active, k1), np.int64)
+        out_idx = np.empty((m, active, k1), tok_rows.dtype)  # _links widens what it returns
         out_idx[..., 0] = tok_rows[t]
         np.add(negs, row_offs[:active], out=out_idx[..., 1:])
         at = np.arange(step, step + m)[:, None]
@@ -702,7 +778,7 @@ def _train_wave(
         bounds = np.append(0, np.cumsum(np.count_nonzero(alive, axis=1)))
 
         out_idx, out_w, out_links = _links(out_idx[alive], sink, bounds)
-        out_idx, out_w = out_idx.ravel(), out_w.ravel()
+        out_idx, out_w, out_links = out_idx.ravel(), out_w.ravel(), _depths(out_links, m)
         p_rows = par_rows[t].astype(np.int64)
         share_lr = lr  # lr / 1 when no context shares the predictor
         if c:
@@ -715,7 +791,7 @@ def _train_wave(
             ctx_terms = tok_rows[np.minimum(window, t[..., None])].astype(np.int64)
             ctx_idx, ctx_w, ctx_links = _links(np.where(in_ctx, ctx_terms, -1 - slots)[alive],
                                                pad, bounds)
-            ctx_idx, ctx_w = ctx_idx.ravel(), ctx_w.ravel()
+            ctx_idx, ctx_w, ctx_links = ctx_idx.ravel(), ctx_w.ravel(), _depths(ctx_links, m)
             den = (1 + num_ctx)[..., None]
         neg_lr, share_lr = -lr[..., None], share_lr[..., None]
         for j, (i, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
@@ -733,7 +809,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
          word_in: np.ndarray | None, word_out: np.ndarray, pad: int = 0) -> None:
     """Take SGD steps in place over ``a <= width`` targets that share no row each:
     ``(a, p, out_r, out_w, out_links, neg_lr, share_lr, ctx)``, their paragraph rows,
-    ``k1`` out-rows each to read and write, :func:`_links`' links, rates ``-lr``
+    ``k1`` out-rows each to read and write, :func:`_links`' links as ``(src, dst)``
+    slots or slot arrays (:func:`_pairs`, :func:`_depths`), rates ``-lr``
     and ``lr / (1 + context)``, and for ``c`` slots the context's rows to read and write,
     links, lengths, ``1 +`` lengths and emptiness, padded with row ``pad``."""
     d, w = para.shape[1], width
@@ -786,8 +863,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         multiply(g, neg_lr, out=g)
         outer(*outer_args, out=upd)
         add(out_rows, upd, out=out_rows)
-        for src, dst in out_links:
-            out_flat[dst] = out_flat[src] + upd_flat[dst]
+        for src, dst in out_links:  # take: fewer set-up costs for slot arrays
+            out_flat[dst] = out_flat.take(src, axis=0) + upd_flat.take(dst, axis=0)
         out_recs[out_w] = out_rec
 
         multiply(grad_h, share_lr, out=grad_h)
@@ -796,7 +873,7 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         if c:
             subtract(ctx_rows, grad3, out=ctx_rows)
             for src, dst in ctx_links:
-                ctx_flat[dst] = ctx_flat[src] - grad_h[dst // c]
+                ctx_flat[dst] = ctx_flat.take(src, axis=0) - grad_h.take(dst // c, axis=0)
             in_recs[ctx_w] = ctx_rec
             word_in[pad] = 0.0
             del ctx_idx, ctx_w, ctx_links, num_ctx, den_ctx, no_ctx

@@ -283,7 +283,7 @@ def test_train_matches_reference_across_chunks():
         for _ in range(600)
     ]
     cfg = TrainConfig(dim=5, epochs=2, negatives=1, seed=4)
-    tok, pid, par_start = embedding._flatten(paragraphs)
+    tok, pid, par_start = embedding._flatten(paragraphs, embedding._validate_paragraphs(paragraphs, 400)[0])
     runs = [np.diff(chunk[-1]) for chunk in embedding._chunks(tok, pid, par_start, 400, cfg, 0,
                                                                embedding._RUN)]
     assert max(r.max() for r in runs) == embedding._RUN
@@ -353,6 +353,69 @@ def _greedy_runs(rows, cap):
     return bounds + [len(rows)]
 
 
+def _assert_links_give_add_at(keys, sink, bounds, data):
+    # _links over rows of keys whose pads (keys < 0) are -1 - slot, and runs
+    # of rows from bounds in which no two rows share a key.
+    slots = keys.shape[1]
+    read, write, links = embedding._links(keys, sink, np.array(bounds))
+    # Pads and superseded slots (a later slot of the row holds the key) reach
+    # only the sink; every other slot reads and writes its key.
+    last = [[k >= 0 and k not in row[i + 1 :] for i, k in enumerate(row)] for row in keys.tolist()]
+    assert (read == np.where(keys < 0, sink, keys)).all()
+    assert (write == np.where(last, keys, sink)).all()
+    assert read.dtype == write.dtype == np.intp
+    # Links come in row order; the depth of a link is the number of earlier
+    # slots of its row that hold its key.
+    run, depth = links[0].tolist(), links[1].tolist()
+    assert run == sorted(run)
+    runs = len(bounds) - 1
+    pairs, depths = embedding._pairs(links, runs), embedding._depths(links, runs)
+    # A step per run: gather, add each slot's update, apply the links, write
+    # back. That leaves every row as np.add.at over read does, whether the
+    # links go one by one in order (the corpus loops) or a depth at a time,
+    # each depth as one fancy assignment (lockstep).
+    values = st.floats(-1e6, 1e6, allow_subnormal=False)
+    table = data.draw(hnp.arrays(np.float64, (sink + 1, 2), elements=values))
+    updates = data.draw(hnp.arrays(np.float64, (*keys.shape, 2), elements=values))
+    want = table.copy()
+    np.add.at(want, read, updates)
+    one_by_one, by_depth = table.copy(), table.copy()
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        flat, upd = read[a:b].ravel(), updates[a:b].reshape(-1, 2)
+        rows = keys[a:b].tolist()
+        for src, dst in pairs[r]:  # slots of one row, counted over the run
+            assert src < dst and src // slots == dst // slots and flat[src] == flat[dst]
+            row, q = rows[dst // slots], dst % slots
+            assert depth[run.index(r) + pairs[r].index((src, dst))] == row[:q].count(row[q])
+        # the same links, a depth at a time
+        assert sorted((s, t) for src, dst in depths[r] for s, t in zip(src.tolist(), dst.tolist())) \
+            == sorted(pairs[r])
+        # one fancy assignment per depth the run's links reach
+        assert len(depths[r]) == len({d for rr, d in zip(run, depth) if rr == r})
+        seen = set()
+        for src, dst in depths[r]:
+            # one depth's destinations are distinct and none is a source, and
+            # every source is a first slot or the destination of a lower depth
+            assert len(set(dst.tolist())) == len(dst)
+            assert not set(src.tolist()) & set(dst.tolist())
+            assert all(flat[s] not in flat[s // slots * slots : s] or s in seen
+                       for s in src.tolist())
+            seen |= set(dst.tolist())
+        step = (one_by_one[read[a:b]] + updates[a:b]).reshape(-1, 2)
+        for src, dst in pairs[r]:
+            step[dst] = step[src] + upd[dst]
+        one_by_one[write[a:b].ravel()] = step
+        step = (by_depth[read[a:b]] + updates[a:b]).reshape(-1, 2)
+        for src, dst in depths[r]:
+            step[dst] = step[src] + upd[dst]
+        by_depth[write[a:b].ravel()] = step
+        # each row writes each of its keys once, and its other slots the sink
+        written = write[a:b][write[a:b] != sink]
+        assert len(written) == len(np.unique(written)) == len(set(keys[a:b][keys[a:b] >= 0]))
+    assert (one_by_one[:sink] == want[:sink]).all()
+    assert (by_depth[:sink] == want[:sink]).all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 5), st.data())
 def test_runs_cut_where_a_row_repeats_a_key_of_its_run(alphabet, slots, cap, data):
@@ -364,43 +427,38 @@ def test_runs_cut_where_a_row_repeats_a_key_of_its_run(alphabet, slots, cap, dat
     # the runs cover the rows in order, each at most cap long
     assert bounds[0] == 0 and bounds[-1] == len(rows)
     assert all(0 < b - a <= cap for a, b in zip(bounds, bounds[1:]))
-    # Some slots are pads, each with its own negative key, as a short DM
-    # context's are; the runs stay cut by the whole rows.
-    pads = data.draw(hnp.arrays(bool, keys.shape))
-    keys = np.where(pads, -1 - np.arange(slots), keys)
-    sink = alphabet
-    read, write, links = embedding._links(keys, sink, np.array(bounds))
-    # Pads and superseded slots (a later slot of the row holds the key) reach
-    # only the sink; every other slot reads and writes its key.
-    last = [[k >= 0 and k not in row[i + 1 :] for i, k in enumerate(row)] for row in keys.tolist()]
-    assert (read == np.where(pads, sink, keys)).all()
-    assert (write == np.where(last, keys, sink)).all()
-    # A step per run: gather, add each slot's update, apply the links in
-    # order, write back. That leaves every row as np.add.at over read does.
-    values = st.floats(-1e6, 1e6, allow_subnormal=False)
-    table = data.draw(hnp.arrays(np.float64, (alphabet + 1, 2), elements=values))
-    updates = data.draw(hnp.arrays(np.float64, (*keys.shape, 2), elements=values))
-    want = table.copy()
-    np.add.at(want, read, updates)
-    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        # no two rows of a run share a key, however often one row repeats it;
-        # each row writes each of its keys once, and its other slots the sink
+    for a, b in zip(bounds, bounds[1:]):
+        # no two rows of a run share a key, however often one row repeats it
         assert sum(len(set(row)) for row in rows[a:b]) == len(set().union(*rows[a:b]))
-        written = write[a:b][write[a:b] != sink]
-        assert len(written) == len(np.unique(written)) == len(set(keys[a:b][keys[a:b] >= 0]))
-        flat = read[a:b].ravel()
-        for src, dst in links[r]:  # slots of one row, counted over the run
-            assert src < dst and src // slots == dst // slots and flat[src] == flat[dst]
-        step = (table[read[a:b]] + updates[a:b]).reshape(-1, 2)
-        for src, dst in links[r]:
-            step[dst] = step[src] + updates[a:b].reshape(-1, 2)[dst]
-        table[write[a:b].ravel()] = step
         # each cut is forced: the next row shares a key with the run, or it is full
         if b < len(rows):
             assert set(rows[b]) & set().union(*rows[a:b]) or b - a == cap
-    assert (table[:sink] == want[:sink]).all()
+    # Some slots are pads, each with its own negative key, as a short DM
+    # context's are; the runs stay cut by the whole rows.
+    pads = data.draw(hnp.arrays(bool, keys.shape))
+    _assert_links_give_add_at(np.where(pads, -1 - np.arange(slots), keys), alphabet, bounds, data)
     # a row that repeats its own keys cuts nothing
     assert embedding._runs(np.array([[0, 0, 0], [1, 1, 2], [3, 4, 3]]), 16).tolist() == [0, 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 7), st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       st.data())
+def test_links_of_lockstep_steps_give_add_at(alphabet, slots, widths, data):
+    # A lockstep step is a run of one row per live fit, as wide as the fits,
+    # and each fit's keys are its own range of shared rows, so rows never
+    # share a key; a row may still repeat its keys down a chain of any depth.
+    # Unsigned keys narrower than the sink's type, as lockstep passes them.
+    bounds = np.cumsum([0, *widths]).tolist()
+    fits = max(widths)
+    local = data.draw(hnp.arrays(np.uint8, (bounds[-1], slots), elements=st.integers(0, alphabet - 1)))
+    fit_of_row = np.concatenate([np.arange(w) for w in widths])
+    keys = (local + alphabet * fit_of_row[:, None]).astype(np.uint16)
+    _assert_links_give_add_at(keys, alphabet * fits, bounds, data)
+    # DM contexts hold pads too, from -slots up
+    pads = data.draw(hnp.arrays(bool, keys.shape))
+    keys = np.where(pads, -1 - np.arange(slots), keys.astype(np.int64))
+    _assert_links_give_add_at(keys, alphabet * fits, bounds, data)
 
 
 def test_train_matches_reference_where_slots_chain_through_one_row():
@@ -598,7 +656,7 @@ def test_waves_cover_the_groups_in_order():
     for wave_values, sizes in ((10**6, [7]), (24 * 4 // 2, [4, 3]), (24 * 4 // 3, [3, 2, 2]),
                                (1, [1] * 7)):
         with mock.patch.object(embedding, "_WAVE_VALUES", wave_values):
-            waves = embedding._waves(groups, 4)
+            waves = embedding._waves([embedding._validate_paragraphs(g, None)[0] for g in groups], 4)
         assert [w.stop - w.start for w in waves] == sizes
         assert waves[0].start == 0 and waves[-1].stop == len(groups)
         assert all(a.stop == b.start for a, b in zip(waves, waves[1:]))
@@ -608,8 +666,9 @@ def test_waves_cover_the_groups_in_order():
     # The real bound still splits 4x the benchmark's per-doc documents (60 of
     # about 141 distinct terms each, dim 50), which fit in one wave.
     docs = [[TrainingParagraph(tuple(range(i, i + 141)))] for i in range(60)]
-    assert len(embedding._waves(docs, 50)) == 1
-    assert len(embedding._waves(docs * 4, 50)) >= 2
+    toks = [embedding._validate_paragraphs(doc, None)[0] for doc in docs]
+    assert len(embedding._waves(toks, 50)) == 1
+    assert len(embedding._waves(toks * 4, 50)) >= 2
 
 
 def test_fit_of_several_groups_matches_separate_fits_across_chunks():
@@ -705,6 +764,51 @@ def test_lockstep_memory_does_not_grow_with_negatives_times_steps():
     total = sum(len(p.tokens) for g in groups for p in g)
     plan_growth = 3 * epochs * longest * len(groups) * np.min_scalar_type(total).itemsize
     assert peaks[1] - peaks[0] <= plan_growth + 32 * 1024, (peaks, plan_growth)
+
+
+def test_a_lockstep_chunk_keeps_its_temporaries_small():
+    # Chunks of the per-doc benchmark's shape: 60 fits of 280 targets, 34
+    # steps of 60 targets with 6 out-rows each (2,040 rows). The tracemalloc
+    # peak of each step taken, over the wave's arrays and _sgd's buffers and
+    # the one segment of negatives aside, is a chunk's arrays plus, where the
+    # step starts a chunk, what making it takes: about 470 KiB. Chunks whose
+    # argsort, sort, diff and copies of int64 out-rows were alive together
+    # took 680 KiB, and the heap was trimmed and regrown on every chunk.
+    rng = np.random.default_rng(5)
+    groups = [[TrainingParagraph(tuple(rng.integers(0, 140, 14).tolist())) for _ in range(20)]
+              for _ in range(60)]
+    cfg = TrainConfig(dim=2, epochs=2, negatives=5, seed=11)
+    sgd, draw = embedding._sgd, embedding._negatives
+    peaks, negatives = [], []
+
+    def drawn(*args):
+        negatives.append(draw(*args))
+        return negatives[-1]
+
+    def watched(steps, *args):
+        def pulls():
+            base = tracemalloc.get_traced_memory()[0]
+            while True:
+                tracemalloc.reset_peak()
+                step = next(steps, None)
+                if step is None:
+                    return
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - negatives[0].nbytes)
+                yield step
+                del step
+        sgd(pulls(), *args)
+
+    with mock.patch.object(embedding, "_sgd", watched), \
+         mock.patch.object(embedding, "_negatives", drawn), \
+         mock.patch.object(embedding, "_SEGMENT", 10**6):
+        tracemalloc.start()
+        try:
+            for model in fit(groups, cfg, ("dbow",), vocab_size=140 * 60):
+                del model
+        finally:
+            tracemalloc.stop()
+    assert len(negatives) == 1 and len(peaks) == 560
+    assert max(peaks) < 560 * 1024, max(peaks)
 
 
 def test_fit_validates_every_group_and_its_kinds():
