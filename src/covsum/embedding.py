@@ -72,7 +72,6 @@ its word rows.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import struct
@@ -210,34 +209,29 @@ class NegativeSampler:
 
 def _validate_paragraphs(
     paragraphs: Sequence[TrainingParagraph], vocab_size: int | None
-) -> tuple[np.ndarray, int]:
-    """The one walk over a group's tokens: every target's term id in
-    paragraph order, in the narrowest type that holds them, and the group's
-    vocabulary size. Refuses an empty group, an empty paragraph, a negative
-    term id and one outside ``vocab_size``."""
+) -> int:
     if not paragraphs:
         raise ValueError("no training paragraphs")
-    lengths = [len(p.tokens) for p in paragraphs]
-    tok = np.fromiter(itertools.chain.from_iterable(p.tokens for p in paragraphs), np.int64,
-                      sum(lengths))
-    if not all(lengths) or tok.min() < 0:
-        for i, par in enumerate(paragraphs):  # name the first bad paragraph
-            if not par.tokens:
-                raise ValueError(f"paragraph {i} has no tokens")
-            if min(par.tokens) < 0:
-                raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
-    max_id = int(tok.max())
-    if vocab_size is not None and max_id >= vocab_size:
+    for i, par in enumerate(paragraphs):
+        if not par.tokens:
+            raise ValueError(f"paragraph {i} has no tokens")
+        if min(par.tokens) < 0:
+            raise ValueError(f"paragraph {i} has negative term id {min(par.tokens)}")
+    max_id = max(max(par.tokens) for par in paragraphs)
+    if vocab_size is None:
+        return max_id + 1
+    if max_id >= vocab_size:
         raise ValueError(f"term id {max_id} >= vocab size {vocab_size}")
-    return tok.astype(np.min_scalar_type(max_id)), max_id + 1 if vocab_size is None else vocab_size
+    return vocab_size
 
 
 def _flatten(
-    paragraphs: Sequence[TrainingParagraph], tok: np.ndarray
+    paragraphs: Sequence[TrainingParagraph],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tok`` (:func:`_validate_paragraphs`), and the paragraph index and
-    flat index of the paragraph's first token, for every target."""
+    """Term id, paragraph index and flat index of the paragraph's first
+    token, for every target in paragraph order."""
     lengths = np.array([len(p.tokens) for p in paragraphs])
+    tok = np.concatenate([np.asarray(p.tokens, dtype=np.int64) for p in paragraphs])
     pid = np.repeat(np.arange(len(paragraphs)), lengths)
     par_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
     return tok, pid, par_start
@@ -466,9 +460,8 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
     yield them kind-major, each kind's in group order.
 
     ``kinds`` are distinct and in ``KINDS`` order. Every model is
-    bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group's
-    tokens are walked once, when the first model is asked for: validated
-    and kept as an array of term ids for the fits; without
+    bit-identical to ``train(group, cfg, kind, vocab_size)``. Each group is
+    validated once, when the first model is asked for; without
     ``vocab_size``, a group's vocabulary is its largest term id + 1. One
     group of DBOW alone is trained in runs of targets that share no row
     (:func:`_runs_fit`); one group with DM by one :func:`_fits` pass over all
@@ -479,20 +472,18 @@ def fit(groups: Sequence[Sequence[TrainingParagraph]], cfg: TrainConfig, kinds: 
     kinds = tuple(kind.lower() for kind in kinds)
     if not kinds or kinds != tuple(kind for kind in KINDS if kind in kinds):
         raise ValueError(f"kinds must be distinct kinds of {KINDS}, in that order")
-    checked = [_validate_paragraphs(group, vocab_size) for group in groups]
-    toks, sizes = [tok for tok, _ in checked], [size for _, size in checked]
+    sizes = [_validate_paragraphs(group, vocab_size) for group in groups]
     if len(groups) == 1:
-        fits = _runs_fit if kinds == ("dbow",) else _fits
-        yield from fits(groups[0], toks[0], cfg, kinds, sizes[0])
+        yield from (_runs_fit if kinds == ("dbow",) else _fits)(groups[0], cfg, kinds, sizes[0])
         return
-    waves = _waves(toks, cfg.dim)
+    waves = _waves(groups, cfg.dim)
     for kind in kinds:
         for wave in waves:
-            yield from _lockstep(groups[wave], toks[wave], sizes[wave], cfg, kind)
+            yield from _lockstep(groups[wave], sizes[wave], cfg, kind)
 
 
-def _fits(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainConfig,
-          kinds: tuple[str, ...], vocab_size: int) -> Iterator[EmbeddingModel]:
+def _fits(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
+          vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train one model of each of ``kinds`` over validated paragraphs in one
     pass, and yield them in order. Only kind 0, DM, reads a context."""
     s, v, k1, d = len(kinds), vocab_size, cfg.negatives + 1, cfg.dim
@@ -503,7 +494,7 @@ def _fits(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainCo
     word_in = rng.uniform(-0.5 / d, 0.5 / d, (v + 1, d)) if kinds[0] == "dm" else None
     word_out = np.zeros((s, v + 1, d))
 
-    tok, pid, par_start = _flatten(paragraphs, tok)
+    tok, pid, par_start = _flatten(paragraphs)
     c = cfg.context_size if kinds[0] == "dm" else 0
     # Every intermediate of a step is written into one of these. Gathers use
     # take(mode="clip"), which fills out= without a temporary; no index clips.
@@ -572,15 +563,15 @@ def _fits(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainCo
         yield _finished(kind, cfg, para[:, i], dm_in, word_out[i, :-1])
 
 
-def _runs_fit(paragraphs: Sequence[TrainingParagraph], tok: np.ndarray, cfg: TrainConfig,
-              kinds: tuple[str, ...], vocab_size: int) -> Iterator[EmbeddingModel]:
+def _runs_fit(paragraphs: Sequence[TrainingParagraph], cfg: TrainConfig, kinds: tuple[str, ...],
+              vocab_size: int) -> Iterator[EmbeddingModel]:
     """Train and yield the model of ``kinds``, DBOW alone, a step per :func:`_runs` run."""
     d, v, k1 = cfg.dim, vocab_size, cfg.negatives + 1
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     para = rng.uniform(-0.5 / d, 0.5 / d, (len(paragraphs), d))
     word_out = np.zeros((v + 1, d))  # row V is the sink of superseded slots
     rate_g, rate_h = np.empty((_CHUNK, k1)), np.empty((_CHUNK, d))  # same-shape operands
-    chunks = _chunks(*_flatten(paragraphs, tok), v, cfg, 0, _RUN)
+    chunks = _chunks(*_flatten(paragraphs), v, cfg, 0, _RUN)
     def steps() -> Iterator[tuple]:
         for pids, _, lr, out_r, out_w, links, *_, bounds in chunks:
             rate_g[: len(lr)], rate_h[: len(lr)] = -lr[:, None], lr[:, None]
@@ -673,33 +664,31 @@ def _context_sums(ctx_rows: np.ndarray, num_ctx: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _waves(toks: Sequence[np.ndarray], dim: int) -> list[slice]:
-    """Consecutive runs of groups, given by their term ids, for lockstep
-    waves: the fewest runs whose mean size is within ``_WAVE_VALUES``
-    term-row values, cut where the running count of distinct terms passes
-    each multiple of that mean, so a run exceeds the mean by less than its
-    last group."""
-    if not toks:
+def _waves(groups: Sequence[Sequence[TrainingParagraph]], dim: int) -> list[slice]:
+    """Consecutive runs of groups for lockstep waves: the fewest runs
+    whose mean size is within ``_WAVE_VALUES`` term-row values, cut where
+    the running count of distinct terms passes each multiple of that mean,
+    so a run exceeds the mean by less than its last group."""
+    if not groups:
         return []
-    rows = np.cumsum([np.count_nonzero(np.bincount(tok)) for tok in toks])
+    rows = np.cumsum([len({t for p in group for t in p.tokens}) for group in groups])
     n = -(-int(rows[-1]) * dim // _WAVE_VALUES)
     cuts = np.searchsorted(rows, rows[-1] * np.arange(1, n) / n) + 1
-    bounds = [0, *cuts.tolist(), len(toks)]
+    bounds = [0, *cuts.tolist(), len(groups)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], toks: Sequence[np.ndarray],
-              sizes: Sequence[int], cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
+def _lockstep(groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int],
+              cfg: TrainConfig, kind: str) -> Iterator[EmbeddingModel]:
     """Yield one lockstep wave's models in group order, trained by
     :func:`_train_wave`, whose frame, plan and step buffers end before the first yield."""
-    fits, init, para, word_in, word_out = _train_wave(groups, toks, sizes, cfg, kind)
+    fits, init, para, word_in, word_out = _train_wave(groups, sizes, cfg, kind)
     for fit in fits:
         yield _expand(fit, kind, cfg, init, para, word_in, word_out)
 
 
 def _train_wave(
-    groups: Sequence[Sequence[TrainingParagraph]], toks: Sequence[np.ndarray], sizes: Sequence[int],
-    cfg: TrainConfig, kind: str,
+    groups: Sequence[Sequence[TrainingParagraph]], sizes: Sequence[int], cfg: TrainConfig, kind: str
 ) -> tuple[list[_Fit], np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Train one wave's fits in lockstep. Returns the fits and the arrays
     :func:`_expand` reads: the init draw, ``para``, ``word_in``, ``word_out``."""
@@ -718,8 +707,8 @@ def _train_wave(
     # paragraph; per paragraph, the flat index of its first target.
     tok_rows, par_rows, par_firsts, para_parts, in_parts = [], [], [], [], []
     base = row_off = para_off = 0
-    for group, tok, size in zip(groups, toks, sizes):
-        _, pid, _ = _flatten(group, tok)
+    for group, size in zip(groups, sizes):
+        tok, pid, _ = _flatten(group)
         fit = _Fit(tok, size, base, row_off, para_off, len(group), cfg)
         fits.append(fit)
         tok_rows.append(row_off + np.searchsorted(fit.terms, tok))
@@ -727,7 +716,7 @@ def _train_wave(
         par_firsts.append(base + np.flatnonzero(np.diff(pid, prepend=-1)))
         para_parts.append(init[: len(group)])
         if kind == "dm":
-            in_parts.append(init[len(group) :][fit.terms])
+            in_parts.append(init[len(group) + fit.terms])
         base += len(tok)
         row_off += len(fit.terms)
         para_off += len(group)

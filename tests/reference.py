@@ -71,7 +71,7 @@ def train_reference(
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    _, vocab_size = _validate_paragraphs(paragraphs, vocab_size)
+    vocab_size = _validate_paragraphs(paragraphs, vocab_size)
 
     d = cfg.dim
     seq = np.random.SeedSequence(cfg.seed)

@@ -283,7 +283,7 @@ def test_train_matches_reference_across_chunks():
         for _ in range(600)
     ]
     cfg = TrainConfig(dim=5, epochs=2, negatives=1, seed=4)
-    tok, pid, par_start = embedding._flatten(paragraphs, embedding._validate_paragraphs(paragraphs, 400)[0])
+    tok, pid, par_start = embedding._flatten(paragraphs)
     runs = [np.diff(chunk[-1]) for chunk in embedding._chunks(tok, pid, par_start, 400, cfg, 0,
                                                                embedding._RUN)]
     assert max(r.max() for r in runs) == embedding._RUN
@@ -656,7 +656,7 @@ def test_waves_cover_the_groups_in_order():
     for wave_values, sizes in ((10**6, [7]), (24 * 4 // 2, [4, 3]), (24 * 4 // 3, [3, 2, 2]),
                                (1, [1] * 7)):
         with mock.patch.object(embedding, "_WAVE_VALUES", wave_values):
-            waves = embedding._waves([embedding._validate_paragraphs(g, None)[0] for g in groups], 4)
+            waves = embedding._waves(groups, 4)
         assert [w.stop - w.start for w in waves] == sizes
         assert waves[0].start == 0 and waves[-1].stop == len(groups)
         assert all(a.stop == b.start for a, b in zip(waves, waves[1:]))
@@ -666,9 +666,8 @@ def test_waves_cover_the_groups_in_order():
     # The real bound still splits 4x the benchmark's per-doc documents (60 of
     # about 141 distinct terms each, dim 50), which fit in one wave.
     docs = [[TrainingParagraph(tuple(range(i, i + 141)))] for i in range(60)]
-    toks = [embedding._validate_paragraphs(doc, None)[0] for doc in docs]
-    assert len(embedding._waves(toks, 50)) == 1
-    assert len(embedding._waves(toks * 4, 50)) >= 2
+    assert len(embedding._waves(docs, 50)) == 1
+    assert len(embedding._waves(docs * 4, 50)) >= 2
 
 
 def test_fit_of_several_groups_matches_separate_fits_across_chunks():
@@ -771,9 +770,12 @@ def test_a_lockstep_chunk_keeps_its_temporaries_small():
     # steps of 60 targets with 6 out-rows each (2,040 rows). The tracemalloc
     # peak of each step taken, over the wave's arrays and _sgd's buffers and
     # the one segment of negatives aside, is a chunk's arrays plus, where the
-    # step starts a chunk, what making it takes: about 470 KiB. Chunks whose
-    # argsort, sort, diff and copies of int64 out-rows were alive together
-    # took 680 KiB, and the heap was trimmed and regrown on every chunk.
+    # step starts a chunk, what making it takes. The bound counts copies of
+    # the chunk's out-rows as intp, the type of the rows a step reads and
+    # writes: those two, the packed keys and their sorted keys, and small
+    # arrays, about 4.8 copies in all. Chunks whose argsort, sort, diff and
+    # copies of int64 out-rows were alive together took 6.9, and the heap
+    # was trimmed and regrown on every chunk.
     rng = np.random.default_rng(5)
     groups = [[TrainingParagraph(tuple(rng.integers(0, 140, 14).tolist())) for _ in range(20)]
               for _ in range(60)]
@@ -808,7 +810,9 @@ def test_a_lockstep_chunk_keeps_its_temporaries_small():
         finally:
             tracemalloc.stop()
     assert len(negatives) == 1 and len(peaks) == 560
-    assert max(peaks) < 560 * 1024, max(peaks)
+    rows = embedding._LOCKSTEP_TARGETS // 60 * 60
+    out_rows = rows * (cfg.negatives + 1) * np.dtype(np.intp).itemsize
+    assert max(peaks) < 6 * out_rows, (max(peaks), out_rows)
 
 
 def test_fit_validates_every_group_and_its_kinds():
