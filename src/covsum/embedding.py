@@ -852,8 +852,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         multiply(g, neg_lr, out=g)
         outer(*outer_args, out=upd)
         add(out_rows, upd, out=out_rows)
-        for src, dst in out_links:  # take: fewer set-up costs for slot arrays
-            out_flat[dst] = out_flat.take(src, axis=0) + upd_flat.take(dst, axis=0)
+        for src, dst in out_links:
+            out_flat[dst] = out_flat[src] + upd_flat[dst]
         out_recs[out_w] = out_rec
 
         multiply(grad_h, share_lr, out=grad_h)
@@ -862,7 +862,7 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         if c:
             subtract(ctx_rows, grad3, out=ctx_rows)
             for src, dst in ctx_links:
-                ctx_flat[dst] = ctx_flat.take(src, axis=0) - grad_h.take(dst // c, axis=0)
+                ctx_flat[dst] = ctx_flat[src] - grad_h[dst // c]
             in_recs[ctx_w] = ctx_rec
             word_in[pad] = 0.0
             del ctx_idx, ctx_w, ctx_links, num_ctx, den_ctx, no_ctx
