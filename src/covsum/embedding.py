@@ -852,8 +852,8 @@ def _sgd(steps: Iterator[tuple], width: int, k1: int, c: int, para: np.ndarray,
         multiply(g, neg_lr, out=g)
         outer(*outer_args, out=upd)
         add(out_rows, upd, out=out_rows)
-        for src, dst in out_links:
-            out_flat[dst] = out_flat[src] + upd_flat[dst]
+        for src, dst in out_links:  # take gathers a lockstep depth faster than indexing
+            out_flat[dst] = out_flat.take(src, 0, mode="clip") + upd_flat.take(dst, 0, mode="clip")
         out_recs[out_w] = out_rec
 
         multiply(grad_h, share_lr, out=grad_h)
