@@ -15,7 +15,6 @@ from .corpus import (
     CorpusError,
     Document,
     ReferenceSummary,
-    Sentence,
     Vocabulary,
     build_vocabulary,
     load_corpus,

@@ -8,6 +8,11 @@ Corpus files are UTF-8 JSON Lines, one document per line:
 ``references`` is optional and only needed for evaluation. A document may
 carry ``"raw_sentences": ["text", ...]`` instead of ``"sentences"``, in which
 case each string is run through :func:`tokenize`.
+
+A sentence is a tuple of tokens, in a :class:`Document` as in a
+:class:`ReferenceSummary`. :func:`save_corpus` writes only documents that
+load back unchanged: unique non-empty ids, and non-empty, lowercase,
+whitespace-free tokens.
 """
 
 from __future__ import annotations
@@ -67,18 +72,6 @@ def _check_token(tok: str, where: str) -> str:
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """One sentence of a document: a 0-based position and its tokens."""
-
-    index: int
-    tokens: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise CorpusError(f"sentence {self.index}: empty token list")
-
-
-@dataclass(frozen=True)
 class ReferenceSummary:
     """A gold summary, stored as a sequence of token lists."""
 
@@ -91,27 +84,26 @@ class ReferenceSummary:
 
 @dataclass(frozen=True)
 class Document:
-    """A document to be summarized, plus any reference summaries."""
+    """A document to be summarized, its sentences as token tuples, plus any
+    reference summaries."""
 
     id: str
-    sentences: tuple[Sentence, ...]
+    sentences: tuple[tuple[str, ...], ...]
     references: tuple[ReferenceSummary, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.sentences:
             raise CorpusError(f"document {self.id!r}: no sentences")
-        for pos, sent in enumerate(self.sentences):
-            if sent.index != pos:
-                raise CorpusError(
-                    f"document {self.id!r}: sentence index {sent.index} at position {pos}"
-                )
+        for i, sent in enumerate(self.sentences):
+            if not sent:
+                raise CorpusError(f"document {self.id!r}: sentence {i} has no tokens")
 
     @property
     def word_count(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
+        return sum(map(len, self.sentences))
 
     def all_tokens(self) -> list[str]:
-        return [t for s in self.sentences for t in s.tokens]
+        return [t for s in self.sentences for t in s]
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,7 @@ def _parse_document(record: dict, line_no: int) -> Document:
     except UnicodeEncodeError:
         raise CorpusError(f"{where}: text is not valid UTF-8") from None
 
-    sentences = tuple(Sentence(i, toks) for i, toks in enumerate(sent_tokens))
-    return Document(id=doc_id, sentences=sentences, references=tuple(references))
+    return Document(id=doc_id, sentences=tuple(sent_tokens), references=tuple(references))
 
 
 def _token_lists(raw: list, where: str, what: str) -> list[tuple[str, ...]]:
@@ -267,18 +258,43 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 def save_corpus(docs: Sequence[Document], path: str | Path) -> None:
     """Write documents back out in the canonical JSONL schema. The file is
-    replaced whole, so a failed write leaves the previous file as it was."""
+    replaced whole, so a failed write leaves the previous file as it was.
+    Documents :func:`load_corpus` would refuse or read back differently are
+    refused before anything is written (:func:`_check_savable`)."""
+    _check_savable(docs)
     with written(path) as part, open(part, "w", encoding="utf-8") as fh:
         for doc in docs:
             record = {
                 "id": doc.id,
-                "sentences": [list(s.tokens) for s in doc.sentences],
+                "sentences": [list(s) for s in doc.sentences],
             }
             if doc.references:
                 record["references"] = [
                     [list(sent) for sent in ref.sentences] for ref in doc.references
                 ]
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _check_savable(docs: Sequence[Document]) -> None:
+    """Refuse a repeated or empty id, a sentence that is not a tuple, or a
+    token that is empty, holds whitespace or is not lowercase, naming the
+    document, the sentence or reference sentence, and the token."""
+    seen: set[str] = set()
+    for doc in docs:
+        if not isinstance(doc.id, str) or not doc.id:
+            raise CorpusError(f"document id {doc.id!r} is not a non-empty string")
+        if doc.id in seen:
+            raise CorpusError(f"document {doc.id!r} appears twice")
+        seen.add(doc.id)
+        refs = ((f"reference {r} sentence", ref.sentences) for r, ref in enumerate(doc.references))
+        for what, sents in chain([("sentence", doc.sentences)], refs):
+            for i, sent in enumerate(sents):
+                where = f"document {doc.id!r} {what} {i}"
+                if not isinstance(sent, tuple):
+                    raise CorpusError(f"{where}: not a tuple of tokens")
+                for tok in sent:
+                    if _check_token(tok, where) != tok:
+                        raise CorpusError(f"{where}: token {tok!r} is not lowercase")
 
 
 def build_vocabulary(docs: Sequence[Document]) -> Vocabulary:
@@ -304,7 +320,7 @@ def build_vocabulary(docs: Sequence[Document]) -> Vocabulary:
     for doc in docs:
         seen: set[int] = set()
         for sent in doc.sentences:
-            for tok in sent.tokens:
+            for tok in sent:
                 tid = term_to_id.get(tok)
                 if tid is None:
                     tid = len(doc_freq)

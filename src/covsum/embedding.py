@@ -897,7 +897,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
     The file is written as ``path.part`` and renamed onto ``path``, never
     truncated in place: ``path`` may be mapped by a model :func:`load_model`
-    returned, ``model`` itself included."""
+    returned, ``model`` itself included. A model :func:`load_model` would
+    refuse or read back differently is refused first, naming the field."""
+    _check_savable(model)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -914,6 +916,23 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         fh.write(header)
         for mat in matrices:  # from the array's own buffer; a strided view is copied
             fh.write(np.ascontiguousarray(mat, dtype="<f8").data)
+
+
+def _check_savable(model: EmbeddingModel) -> None:
+    para, out = model.para_matrix.shape, model.word_out.shape
+    word_in = None if model.word_in is None else model.word_in.shape
+    if model.kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {model.kind!r}")
+    if not (isinstance(model.context_size, (int, np.integer)) and 0 <= model.context_size < 2**32):
+        raise ValueError(f"context_size must be an integer in [0, 2**32): {model.context_size!r}")
+    if len(para) != 2 or 0 in para:
+        raise ValueError(f"para_matrix must be a non-empty 2-D array, got shape {para}")
+    if len(out) != 2 or out[0] == 0 or out[1] != para[1]:
+        raise ValueError(f"word_out must be V x {para[1]} with V >= 1, got shape {out}")
+    if model.kind == "dbow" and word_in is not None:
+        raise ValueError("word_in must be None for a DBOW model, whose file holds none")
+    if model.kind == "dm" and word_in != out:
+        raise ValueError(f"word_in of a DM model must have word_out's shape {out}, got {word_in}")
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
@@ -977,7 +996,7 @@ def build_training_paragraphs(
     return [
         TrainingParagraph(tuple(vocab.ids(tokens)))
         for doc in docs
-        for tokens in (doc.all_tokens(), *(sent.tokens for sent in doc.sentences))
+        for tokens in (doc.all_tokens(), *doc.sentences)
     ]
 
 

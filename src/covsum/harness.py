@@ -496,7 +496,7 @@ def cmd_evaluate(config: ExperimentConfig) -> Path:
                         )
                     scores = scored_once.get((doc.id, selected))
                     if scores is None:
-                        picked = [doc.sentences[s].tokens for s in selected]
+                        picked = [doc.sentences[s] for s in selected]
                         report = evaluate(picked, doc.references)
                         scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
                         scored_once[doc.id, selected] = scores

@@ -54,7 +54,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import Document, Sentence, Vocabulary
+from .corpus import Document, Vocabulary
 from .embedding import EmbeddingModel
 
 METHODS = ("RELEVANCE_ONLY", "MMR", "XDTD", "JXDTD")
@@ -84,7 +84,7 @@ class DocView:
     JXDTD share are computed on first use and kept with the view."""
 
     doc_id: str
-    sentences: tuple[Sentence, ...]
+    sentences: tuple[tuple[str, ...], ...]
     word_counts: tuple[int, ...]
     rel: np.ndarray
     sim: np.ndarray
@@ -233,9 +233,9 @@ def _run_grams(run: Sequence[Document], vocab: Vocabulary) -> list[np.ndarray]:
     df, n_docs, v = vocab.doc_freq_array, vocab.num_docs, vocab.size
     n = np.array([len(doc.sentences) + 1 for doc in run], np.intp)
     m = int(n.max())
-    tokens = [s.tokens for doc in run for s in doc.sentences]
+    tokens = [s for doc in run for s in doc.sentences]
     terms = np.fromiter(map(vocab.term_to_id.get, chain.from_iterable(tokens), repeat(-1)), np.intp)
-    rows = [d * v * m + s.index + 1 for d, doc in enumerate(run) for s in doc.sentences]
+    rows = [d * v * m + i for d, doc in enumerate(run) for i in range(1, len(doc.sentences) + 1)]
     keys, known = terms * m + np.repeat(rows, [len(t) for t in tokens]), terms >= 0
     keys = keys[known][df[terms[known]] < n_docs]
     # Every token counts once in its sentence's row and once in its document's.
@@ -347,7 +347,7 @@ def build_docview(
     return DocView(
         doc_id=doc.id,
         sentences=doc.sentences,
-        word_counts=tuple(len(s.tokens) for s in doc.sentences),
+        word_counts=tuple(map(len, doc.sentences)),
         rel=gram[0, 1:],
         sim=gram[1:, 1:],
     )
@@ -526,4 +526,4 @@ def greedy_select(view: DocView, config: SelectorConfig) -> Summary:
 
 def summary_sentences(view: DocView, summary: Summary) -> list[tuple[str, ...]]:
     """Token tuples of the selected sentences, in selection order."""
-    return [view.sentences[i].tokens for i in summary.selected]
+    return [view.sentences[i] for i in summary.selected]

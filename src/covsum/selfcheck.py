@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .corpus import CorpusError, Document, Sentence, build_vocabulary, load_corpus, save_corpus
+from .corpus import CorpusError, Document, build_vocabulary, load_corpus, save_corpus
 from .embedding import EmbeddingModel, TrainingParagraph
 from .harness import build_experiment_config, cmd_evaluate, cmd_summarize, cmd_train
 from .rouge import evaluate, lcs_length, rouge_l, rouge_n
@@ -311,8 +311,7 @@ def _duplicate_view() -> DocView:
     model = EmbeddingModel(
         kind="dbow", para_matrix=rows, word_out=np.zeros((1, 3)), word_in=None, context_size=0
     )
-    sentences = (Sentence(0, ("u",)), Sentence(1, ("u",)), Sentence(2, ("w",)))
-    return build_docview(Document("dup", sentences), "DBOW", model=model, para_row=0)
+    return build_docview(Document("dup", (("u",), ("u",), ("w",))), "DBOW", model=model, para_row=0)
 
 
 @_check("duplicate-suppression")

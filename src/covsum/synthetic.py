@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Document, Sentence
+from .corpus import Document
 
 
 def random_documents(
@@ -24,14 +24,11 @@ def random_documents(
     for d in range(count):
         n_sents = int(rng.integers(1, max_sentences + 1))
         sentences = tuple(
-            Sentence(
-                i,
-                tuple(
-                    terms[int(t)]
-                    for t in rng.integers(0, vocab_size, int(rng.integers(1, max_tokens + 1)))
-                ),
+            tuple(
+                terms[int(t)]
+                for t in rng.integers(0, vocab_size, int(rng.integers(1, max_tokens + 1)))
             )
-            for i in range(n_sents)
+            for _ in range(n_sents)
         )
         docs.append(Document(id=f"rand{d:03d}", sentences=sentences))
     return docs

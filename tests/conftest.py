@@ -6,7 +6,7 @@ them in the terminal summary so every run shows the full pass/fail table.
 
 import pytest
 
-from covsum.corpus import Document, ReferenceSummary, Sentence
+from covsum.corpus import Document, ReferenceSummary
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -22,7 +22,7 @@ def make_doc(doc_id, sents, refs=()):
     """Document from plain token lists; refs are lists of token lists."""
     return Document(
         id=doc_id,
-        sentences=tuple(Sentence(i, tuple(s)) for i, s in enumerate(sents)),
+        sentences=tuple(tuple(s) for s in sents),
         references=tuple(
             ReferenceSummary(tuple(tuple(s) for s in ref)) for ref in refs
         ),

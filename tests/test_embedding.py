@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -952,6 +953,37 @@ def test_load_rejects_corrupt_files(tmp_path):
             load_model(bad)
 
 
+_DM = EmbeddingModel(kind="dm", para_matrix=np.ones((2, 3)), word_out=np.ones((2, 3)),
+                     word_in=np.ones((2, 3)), context_size=1)
+_DBOW = dataclasses.replace(_DM, kind="dbow", word_in=None, context_size=0)
+
+
+@pytest.mark.parametrize("model, field", [
+    (dataclasses.replace(_DBOW, para_matrix=np.ones((0, 3))), "para_matrix"),
+    (dataclasses.replace(_DBOW, para_matrix=np.ones((2, 0)), word_out=np.ones((2, 0))),
+     "para_matrix"),
+    (dataclasses.replace(_DBOW, para_matrix=np.ones(3)), "para_matrix"),
+    (dataclasses.replace(_DBOW, word_out=np.ones((2, 4))), "word_out"),
+    (dataclasses.replace(_DBOW, word_out=np.ones((0, 3))), "word_out"),
+    (dataclasses.replace(_DBOW, word_out=np.ones((2, 3, 1))), "word_out"),
+    (dataclasses.replace(_DM, word_in=np.ones((3, 3))), "word_in"),
+    (dataclasses.replace(_DM, word_in=None), "word_in"),
+    (dataclasses.replace(_DBOW, word_in=np.ones((2, 3))), "word_in"),
+    (dataclasses.replace(_DBOW, kind="DBOW"), "kind"),
+    (dataclasses.replace(_DM, context_size=-1), "context_size"),
+    (dataclasses.replace(_DM, context_size=2**32), "context_size"),
+    (dataclasses.replace(_DM, context_size=1.0), "context_size"),
+])
+def test_save_refuses_a_model_it_cannot_write_back(tmp_path, model, field):
+    path = tmp_path / "m.cvem"
+    save_model(_DM, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=f"^{field} "):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.cvem"]  # no .part file
+
+
 def test_load_reads_matrices_without_a_whole_file_copy(tmp_path):
     rng = np.random.default_rng(0)
     model = EmbeddingModel(
@@ -1058,4 +1090,4 @@ def test_build_training_paragraphs_layout(tiny_docs):
         first = index[doc.id]
         assert list(paragraphs[first].tokens) == vocab.ids(doc.all_tokens())
         for i, sent in enumerate(doc.sentences):
-            assert list(paragraphs[first + 1 + i].tokens) == vocab.ids(sent.tokens)
+            assert list(paragraphs[first + 1 + i].tokens) == vocab.ids(sent)

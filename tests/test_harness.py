@@ -594,7 +594,7 @@ def test_evaluate_scores_each_distinct_summary_once(tmp_path, monkeypatch):
             for record in records:
                 doc = by_id[record["id"]]
                 distinct.add((doc.id, tuple(record["selected"])))
-                picked = [doc.sentences[s].tokens for s in record["selected"]]
+                picked = [doc.sentences[s] for s in record["selected"]]
                 report = rouge.evaluate(picked, doc.references)
                 scores = (report.rouge1.f, report.rouge2.f, report.rougeL.f)
                 lines.append(json.dumps({

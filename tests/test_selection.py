@@ -239,7 +239,7 @@ def test_summary_sentences_returns_tokens_in_pick_order():
     view = bow_view(doc)
     summary = greedy_select(view, SelectorConfig(method="RELEVANCE_ONLY", ratio=0.7))
     toks = summary_sentences(view, summary)
-    assert toks == [view.sentences[i].tokens for i in summary.selected]
+    assert toks == [view.sentences[i] for i in summary.selected]
 
 
 def test_duplicate_suppression_scenario():

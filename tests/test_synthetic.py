@@ -15,10 +15,10 @@ def test_selftest_corpus_shape():
     assert len(docs) == 20
     for doc in docs:
         assert len(doc.references) == 2
-        majority = doc.sentences[0].tokens
+        majority = doc.sentences[0]
         # the majority block is three verbatim copies up front
-        assert doc.sentences[1].tokens == majority
-        assert doc.sentences[2].tokens == majority
+        assert doc.sentences[1] == majority
+        assert doc.sentences[2] == majority
         ref_sents = {ref.sentences for ref in doc.references}
         assert all(majority in pair for pair in ref_sents)
         # both references hold the same two sentences, in both orders
@@ -43,8 +43,8 @@ def test_random_documents_deterministic_and_bounded():
     for doc in a:
         assert 1 <= len(doc.sentences) <= 8
         for sent in doc.sentences:
-            assert 1 <= len(sent.tokens) <= 6
-            assert all(t.startswith("t") for t in sent.tokens)
+            assert 1 <= len(sent) <= 6
+            assert all(t.startswith("t") for t in sent)
 
 
 def test_random_documents_cover_shared_vocab():
@@ -67,5 +67,5 @@ def test_saving_the_bundled_corpus_rewrites_its_bytes(tmp_path):
 
 def test_random_documents_word_counts_match():
     for doc in random_documents(5, seed=7):
-        assert doc.word_count == sum(len(s.tokens) for s in doc.sentences)
+        assert doc.word_count == sum(len(s) for s in doc.sentences)
         assert np.array(doc.word_count) >= len(doc.sentences)

@@ -47,7 +47,7 @@ def tfidf_matrix(doc, vocab):
     document weighs 0."""
     m = np.zeros((len(doc.sentences) + 1, vocab.size))
     for i, sentence in enumerate(doc.sentences, start=1):
-        for tid in vocab.ids(sentence.tokens):
+        for tid in vocab.ids(sentence):
             m[0, tid] += 1.0
             m[i, tid] += 1.0
     return m * np.log(vocab.num_docs / vocab.doc_freq_array)
@@ -348,7 +348,7 @@ def test_bow_tables_match_reference_cosine(corpus, block):
         grams = list(bow_grams(docs, vocab))
     for doc, gram in zip(docs, grams, strict=True):
         rel, sim = np.clip(gram[0, 1:], 0.0, 1.0), np.clip(gram[1:, 1:], 0.0, 1.0)
-        tokens = [s.tokens for s in doc.sentences]
+        tokens = doc.sentences
         everything = doc.all_tokens()
         want_rel = [reference_bow_cosine(t, everything, vocab) for t in tokens]
         want_sim = [[reference_bow_cosine(a, b, vocab) for b in tokens] for a in tokens]
